@@ -55,9 +55,12 @@ def make_report(
     worst: Sequence = (),
     runtime_s: float = 0.0,
 ) -> VerificationReport:
+    # compare the converted floats: numpy scalars compare to np.bool_, which
+    # the report's identity check would reject
+    max_violation, tolerance = float(max_violation), float(tolerance)
     ok = max_violation <= tolerance and not math.isnan(max_violation)
     return VerificationReport(
-        check, parameters, float(max_violation), float(tolerance), ok, tuple(worst), runtime_s
+        check, parameters, max_violation, tolerance, ok, tuple(worst), runtime_s
     )
 
 

@@ -18,9 +18,7 @@ import numpy as np
 
 from ._report import make_report
 from .equilibria import (
-    FunctionalSystem,
     critical_regime_strategy,
-    functional_residual,
     log_equilibrium,
     uniform_equilibrium,
     value_weighted,
@@ -29,23 +27,20 @@ from .equilibria import (
 from .experiments import (
     RegionKind,
     br_dynamics,
+    equilibrium_inequalities,
+    functional_residuals,
     mc_tournament,
     region_grid,
     region_grid_csv,
 )
 from .game_core import (
     MarketConfig,
-    Regime,
-    Side,
     WeightedKernel,
     critical_p,
     cutpoints3,
     jump_signs,
     ordering_cell,
     payoff_n,
-    regime,
-    sym_sequence_A,
-    weighted_sequences,
     BoundaryError,
 )
 from .oracle_solver import (
@@ -58,7 +53,7 @@ from .oracle_solver import (
     solve_matrix_game,
     value_curve_oracle,
 )
-from .strategy import MixedStrategy, expect_joint, expect_vs
+from .strategy import MixedStrategy, expect_joint
 
 __all__ = ["RunConfig", "main"]
 
@@ -224,42 +219,6 @@ def _cmd_value_curve(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]
     return "\n".join(lines) + "\n", 0
 
 
-def _inequality_report(s: MixedStrategy, kernel_p: float, v: float,
-                       flat_hi: Optional[float], grid_n: int, tol: float,
-                       cfg: MarketConfig):
-    kern = WeightedKernel(p=kernel_p, cfg=cfg)
-    top, worst = 0.0, []
-    for x in np.linspace(cfg.A, cfg.B, grid_n):
-        xx = float(x)
-        row = expect_vs(xx, s, kern, method="exact", side=Side.AS_ROW)
-        col = expect_vs(xx, s, kern, method="exact", side=Side.AS_COLUMN)
-        dev = max(row - v, v - col)
-        if flat_hi is not None and xx < flat_hi - 1e-9:
-            dev = max(dev, abs(row - v))
-        if dev > top:
-            top, worst = dev, [xx]
-    return make_report(
-        "payoff-inequalities", {"grid": grid_n, "value": _sig(v)}, top, tol, tuple(worst)
-    )
-
-
-def _residual_report(systems, s: MixedStrategy, p: float, hi: float,
-                     avoid: Sequence[float], cfg: MarketConfig):
-    top, worst = 0.0, []
-    xs = np.linspace(cfg.A, hi - 1e-9, 1_000)
-    for a in avoid:
-        xs = xs[np.abs(xs - a) > 1e-9]
-    for system in systems:
-        for x in xs:
-            r = abs(functional_residual(system, s, float(x), p, cfg))
-            if r > top:
-                top, worst = r, [(system.value, float(x))]
-    return make_report(
-        "functional-residuals", {"systems": [s_.value for s_ in systems], "points": len(xs)},
-        top, 1e-9, tuple(worst),
-    )
-
-
 def _cmd_verify(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     cfg = rc.market()
     name = args.strategy
@@ -268,41 +227,23 @@ def _cmd_verify(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     grid_n = args.grid if args.grid is not None else rc.n
     if grid_n < 2:
         raise _UsageError("grid must be at least 2")
-    reports = []
-    if name == "uniform":
-        s, kp, v = uniform_equilibrium(cfg), 0.5, 0.5
-        flat_hi = sym_sequence_A(2, cfg)
-    elif name == "log":
-        s, kp, v = log_equilibrium(cfg), 0.5, 0.5
-        flat_hi = sym_sequence_A(2, cfg)
-    elif name == "critical":
-        s, kp, v = critical_regime_strategy(cfg), critical_p(), 1.0 / 3.0
-        flat_hi = None
+    if name == "weighted":
+        kp = _snap_critical(rc.p)
     else:
-        p = _snap_critical(rc.p)
-        if not 0.0 < p <= 0.5:
-            raise _UsageError(f"strategy 'weighted' needs 0 < p <= 1/2, got {p:g}")
-        if regime(p) is Regime.LOW_P:
-            raise _UsageError(
-                f"p={p:g} lies below the critical weight; "
-                "the reciprocal-density family does not cover that regime"
-            )
-        s, kp, v = weighted_equilibrium(p, cfg), p, value_weighted(p).v
-        flat_hi = None
-    reports.append(make_report(
+        kp = critical_p() if name == "critical" else 0.5
+    s = _named_strategy(name, kp, cfg)
+    v = value_weighted(kp).v
+    reports = [make_report(
         "normalization", {"strategy": name}, abs(s.total_mass - 1.0), 1e-12
+    )]
+    top, worst = equilibrium_inequalities([(name, s, kp)], np.linspace(cfg.A, cfg.B, grid_n))
+    reports.append(make_report(
+        "payoff-inequalities", {"grid": grid_n, "value": _sig(v)}, top, rc.tol, worst
     ))
-    reports.append(_inequality_report(s, kp, v, flat_hi, grid_n, rc.tol, cfg))
-    if name == "log":
-        reports.append(_residual_report(
-            (FunctionalSystem.SYMMETRIC,), s, 0.5, sym_sequence_A(2, cfg),
-            (sym_sequence_A(1, cfg),), cfg,
-        ))
-    elif name == "weighted":
-        seq = weighted_sequences(kp, 1, cfg)
-        reports.append(_residual_report(
-            (FunctionalSystem.WEIGHTED_ROW, FunctionalSystem.WEIGHTED_COLUMN),
-            s, kp, seq.d_check[1], (seq.a_check[1], seq.a_hat[1]), cfg,
+    if name in ("log", "weighted"):
+        top, worst = functional_residuals([(s, kp)])
+        reports.append(make_report(
+            "functional-residuals", {"p": kp, "points": 1_000}, top, 1e-9, worst
         ))
     joint = expect_joint(s, s, WeightedKernel(p=kp, cfg=cfg))
     reports.append(make_report(

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -20,14 +20,13 @@ from .game_core import (
     MarketConfig,
     Regime,
     Side,
-    WeightedKernel,
     low_p_m,
     maps_p,
     regime,
     sym_sequence_A,
     weighted_sequences,
 )
-from .strategy import MixedStrategy, Piece, PieceKind, expect_vs
+from .strategy import MixedStrategy, Piece, PieceKind
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +122,12 @@ def _low_p_partition(p: float, cfg: MarketConfig) -> tuple[tuple[float, float], 
 
 
 def regime_partition(p: float, cfg: MarketConfig) -> tuple[tuple[float, float], ...]:
-    """The support cells of the regime's mixture family, sorted ascending."""
+    """Check-A, check-C, hat-D and check-D cells of the regime, sorted ascending.
+
+    These are not the support of an equilibrium (weighted_equilibrium is the
+    equilibrium for every p in (0, 1/2]); their edges serve as grid landmarks
+    in oracle_solver.regime_breakpoints, where they sharpen the grid values.
+    """
     reg = regime(p)
     if reg is Regime.INTERMEDIATE:
         cells = _intermediate_partition(p, cfg)
@@ -140,88 +144,6 @@ def regime_partition(p: float, cfg: MarketConfig) -> tuple[tuple[float, float], 
     if prev_hi > cfg.E:
         raise DomainError(f"partition escapes [A, E) at p={p}")
     return cells
-
-
-def regime_family(p: float, weights: Sequence[float], cfg: MarketConfig) -> MixedStrategy:
-    """Mixture of uniform blocks over the regime's partition cells.
-
-    One weight per cell. The source analysis leaves the weights free, so the
-    caller supplies them; calibrate_weights picks a sensible set numerically.
-    """
-    cells = regime_partition(p, cfg)
-    if len(weights) != len(cells):
-        raise DomainError(
-            f"expected {len(cells)} weights for p={p}, got {len(weights)}"
-        )
-    ws = [float(w) for w in weights]
-    if any(w <= 0.0 for w in ws):
-        raise DomainError("cell weights must be positive")
-    if abs(sum(ws) - 1.0) > 1e-12:
-        raise DomainError(f"cell weights sum to {sum(ws)!r}, expected 1")
-    pieces = tuple(
-        Piece(PieceKind.UNIFORM, lo, hi, w) for (lo, hi), w in zip(cells, ws)
-    )
-    return MixedStrategy(pieces, (), cfg).validate()
-
-
-def calibrate_weights(p: float, cfg: MarketConfig, grid_n: int) -> list[float]:
-    """Pick regime_family weights by minimizing grid exploitability.
-
-    Solves the linear program
-        min (t - s)/2   s.t.   R w <= t,  C w >= s,  w >= 0,  sum w = 1
-    where R[x,k] (resp. C[y,k]) is the expected payoff of a pure deviation x
-    (resp. y) against the k-th normalized cell. Equal weights stay in the
-    candidate pool, so the result is never worse than them on the same grid.
-    Deterministic; not asserted globally optimal.
-    """
-    from scipy.optimize import linprog
-
-    if regime(p) not in (Regime.INTERMEDIATE, Regime.LOW_P):
-        raise DomainError(f"no weights to calibrate in the {regime(p).value} regime")
-    if grid_n < 2:
-        raise DomainError("grid_n must be at least 2")
-    cells = regime_partition(p, cfg)
-    k = len(cells)
-    kern = WeightedKernel(p, cfg)
-    comps = [
-        MixedStrategy((Piece(PieceKind.UNIFORM, lo, hi, 1.0),), (), cfg).validate()
-        for lo, hi in cells
-    ]
-    edges = [b for cell in cells for b in cell]
-    xs = np.unique(np.concatenate([np.linspace(cfg.A, cfg.B, grid_n), edges]))
-    R = np.array([[expect_vs(float(x), c, kern) for c in comps] for x in xs])
-    C = np.array(
-        [[expect_vs(float(y), c, kern, side=Side.AS_COLUMN) for c in comps] for y in xs]
-    )
-
-    def achieved(w: np.ndarray) -> float:
-        return float((R @ w).max() - (C @ w).min()) / 2.0
-
-    equal = np.full(k, 1.0 / k)
-    best = equal
-    n_pts = len(xs)
-    cost = np.r_[np.zeros(k), 1.0, -1.0]
-    a_ub = np.block(
-        [
-            [R, -np.ones((n_pts, 1)), np.zeros((n_pts, 1))],
-            [-C, np.zeros((n_pts, 1)), np.ones((n_pts, 1))],
-        ]
-    )
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.zeros(2 * n_pts),
-        A_eq=[[1.0] * k + [0.0, 0.0]],
-        b_eq=[1.0],
-        bounds=[(0.0, None)] * k + [(None, None)] * 2,
-        method="highs",
-    )
-    if res.success:
-        w = np.maximum(res.x[:k], 1e-9)  # regime_family needs strictly positive weights
-        w = w / w.sum()
-        if achieved(w) <= achieved(equal):
-            best = w
-    return [float(v) for v in best]
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +305,12 @@ def closed_form_curves(
             tags = ("flat-value", "linear-climb", "one")
         return ClosedFormCurve(which, side, p, cfg, (a2, a3), tags, fns)
 
-    # the three log-family curves share one parametrization
-    a_tilde = weighted_sequences(p, 1, cfg).d_check[1]
+    # the three log-family curves share one parametrization: the density
+    # c/(E-x) of weighted_equilibrium on [A, a_tilde)
+    (piece,) = weighted_equilibrium(p, cfg).pieces
+    a_tilde = piece.b
     m = maps_p(p, cfg)
-    c = 1.0 / math.log(span / (E - a_tilde))
+    c = piece.normalizer(E)
     v = c * math.log((2.0 - p) / (1.0 - p))
     if side is Side.AS_ROW:
         hi = m.f2(a_tilde)  # where the declining branch hits zero
@@ -417,63 +341,39 @@ class FunctionalSystem(Enum):
     WEIGHTED_COLUMN = "WeightedColumn"
 
 
-def _density_at(s: MixedStrategy, x: float) -> float:
-    # zero-extended outside the pieces; [a, b) convention matches the cdf
-    total = 0.0
-    for pc in s.pieces:
-        if pc.a <= x < pc.b:
-            if pc.kind is PieceKind.UNIFORM:
-                total += pc.w / (pc.b - pc.a)
-            else:
-                c = pc.w / math.log((s.cfg.E - pc.a) / (s.cfg.E - pc.b))
-                total += c / (s.cfg.E - x)
-    return total
-
-
 def functional_residual(
     which: FunctionalSystem,
     f: MixedStrategy,
     x: float,
     p: float,
     cfg: MarketConfig,
-    alt_branch: bool = False,
 ) -> float:
     """Residual of the equalizing-density system at bid x.
 
     The row system differentiates the indifference condition written with the
     row player's own win-region maps: the lower branch reflects through h1 and
-    switches on at the first check-A point. alt_branch keeps the variant that
-    reflects through h2 and switches at the first hat-A point instead; for
-    p != 1/2 that variant is provably nonzero on part of the support and is
-    retained only for comparison. The column system needs no such correction.
-    A density solves a system iff the residual vanishes on its support (off
-    breakpoints); on [E, B] every system forces the density itself to zero.
+    switches on at the first check-A point. The column system needs no such
+    correction. A density solves a system iff the residual vanishes on its
+    support (off breakpoints); on [E, B] every system forces the density
+    itself to zero.
     """
     if f.atoms:
         raise DomainError("functional residuals are defined for atom-free strategies")
     cfg.require_bid(x)
-    if which is FunctionalSystem.SYMMETRIC:
-        if p != 0.5:
-            raise DomainError("the symmetric system fixes p = 1/2")
-        if alt_branch:
-            raise DomainError("alt_branch only applies to the weighted row system")
+    if which is FunctionalSystem.SYMMETRIC and p != 0.5:
+        raise DomainError("the symmetric system fixes p = 1/2")
     m = maps_p(p, cfg)
     seq = weighted_sequences(p, 1, cfg)
     if which in (FunctionalSystem.SYMMETRIC, FunctionalSystem.WEIGHTED_ROW):
         if x >= cfg.E:
-            return -_density_at(f, x)
-        r = _density_at(f, x) - (p / (p + 1.0)) * _density_at(f, m.f1(x))
-        if alt_branch:
-            if x >= seq.a_hat[1]:
-                r -= ((p + 1.0) / p) * _density_at(f, m.h2(x))
-        elif x >= seq.a_check[1]:
-            r -= ((2.0 - p) / (1.0 - p)) * _density_at(f, m.h1(x))
+            return -f.density(x)
+        r = f.density(x) - (p / (p + 1.0)) * f.density(m.f1(x))
+        if x >= seq.a_check[1]:
+            r -= ((2.0 - p) / (1.0 - p)) * f.density(m.h1(x))
         return r
-    if alt_branch:
-        raise DomainError("alt_branch only applies to the weighted row system")
     if x >= cfg.E:
-        return _density_at(f, x)
-    r = ((1.0 - p) / (2.0 - p)) * _density_at(f, m.f2(x)) - _density_at(f, x)
+        return f.density(x)
+    r = ((1.0 - p) / (2.0 - p)) * f.density(m.f2(x)) - f.density(x)
     if x >= seq.a_hat[1]:
-        r += ((p + 1.0) / p) * _density_at(f, m.h2(x))
+        r += ((p + 1.0) / p) * f.density(m.h2(x))
     return r

@@ -69,6 +69,8 @@ __all__ = [
     "RegionKind",
     "region_grid",
     "region_grid_csv",
+    "equilibrium_inequalities",
+    "functional_residuals",
     "run_battery",
     "battery_passed",
 ]
@@ -270,6 +272,64 @@ def region_grid_csv(
     for row in matrix:
         lines.append(",".join(f"{v:.12g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Equilibrium checks shared by the battery and `procurelab verify`
+
+
+def equilibrium_inequalities(cases: Sequence[tuple], grid: Sequence[float]) -> tuple[float, list]:
+    """Worst breach of row payoff <= v(p) <= column payoff over the grid bids.
+
+    Each case is (label, strategy, p): the opponent plays the strategy in the
+    weight-p game.  On the strategy's support (below its last piece end, less
+    1e-9) the row payoff must also equal v(p) exactly: the flat band.
+    Returns (max_violation, [(label, bid)] at the worst point).
+    """
+    top, worst = 0.0, []
+    for label, s, p in cases:
+        kern = WeightedKernel(p=p, cfg=s.cfg)
+        v = value_weighted(p).v
+        flat_hi = max(pc.b for pc in s.pieces)
+        for x in grid:
+            xx = float(x)
+            row = expect_vs(xx, s, kern, method="exact", side=Side.AS_ROW)
+            col = expect_vs(xx, s, kern, method="exact", side=Side.AS_COLUMN)
+            dev = max(row - v, v - col)
+            if xx < flat_hi - 1e-9:
+                dev = max(dev, abs(row - v))
+            if dev > top:
+                top, worst = dev, [(label, xx)]
+    return top, worst
+
+
+def functional_residuals(cases: Sequence[tuple], points: int = 1_000) -> tuple[float, list]:
+    """Worst functional-equation residual of each (strategy, p) case.
+
+    p = 1/2 checks the symmetric system on [A, A_2) off A_1; any other p
+    checks the weighted row and column systems on [A, check-D_1) off the
+    first check-A and hat-A points, where the residual may jump.
+    Returns (max_violation, [(p, system, bid)] at the worst point).
+    """
+    top, worst = 0.0, []
+    for s, p in cases:
+        cfg = s.cfg
+        if p == 0.5:
+            systems = (FunctionalSystem.SYMMETRIC,)
+            hi, avoid = sym_sequence_A(2, cfg), (sym_sequence_A(1, cfg),)
+        else:
+            systems = (FunctionalSystem.WEIGHTED_ROW, FunctionalSystem.WEIGHTED_COLUMN)
+            seq = weighted_sequences(p, 1, cfg)
+            hi, avoid = seq.d_check[1], (seq.a_check[1], seq.a_hat[1])
+        xs = np.linspace(cfg.A, hi - 1e-9, points)
+        for a in avoid:
+            xs = xs[np.abs(xs - a) > 1e-9]
+        for system in systems:
+            for x in xs:
+                r = abs(functional_residual(system, s, float(x), p, cfg))
+                if r > top:
+                    top, worst = r, [(p, system.value, float(x))]
+    return top, worst
 
 
 # ---------------------------------------------------------------------------
@@ -518,42 +578,18 @@ def run_battery(
         normalization,
     )
 
-    def equilibrium_inequalities():
-        grid = np.linspace(cfg.A, cfg.B, 2_000)
-        top, worst = 0.0, []
+    def inequalities():
+        cases = [
+            ("uniform", uniform_equilibrium(cfg), 0.5),
+            ("log", log_equilibrium(cfg), 0.5),
+            ("critical", critical_regime_strategy(cfg), p_star),
+            ("weighted-0.3", weighted_equilibrium(0.3, cfg), 0.3),
+            ("weighted-0.1", weighted_equilibrium(0.1, cfg), 0.1),
+        ]
+        return equilibrium_inequalities(cases, np.linspace(cfg.A, cfg.B, 2_000))
 
-        def note(v: float, where) -> None:
-            nonlocal top, worst
-            if v > top:
-                top, worst = v, [where]
-
-        sym = symmetric_kernel(cfg)
-        a2 = sym_sequence_A(2, cfg)
-        for name, s in (("uniform", uniform_equilibrium(cfg)), ("log", log_equilibrium(cfg))):
-            for xx in grid:
-                g = expect_vs(float(xx), s, sym, method="exact")
-                note(g - 0.5, (name, "over", float(xx)))
-                if xx < a2 - 1e-9:
-                    note(abs(g - 0.5), (name, "flat", float(xx)))
-        crit = critical_regime_strategy(cfg)
-        kc = WeightedKernel(p=p_star, cfg=cfg)
-        for xx in grid:
-            row = expect_vs(float(xx), crit, kc, method="exact", side=Side.AS_ROW)
-            col = expect_vs(float(xx), crit, kc, method="exact", side=Side.AS_COLUMN)
-            note(row - 1.0 / 3.0, ("critical", "row-over", float(xx)))
-            note(1.0 / 3.0 - col, ("critical", "col-under", float(xx)))
-        w = weighted_equilibrium(0.3, cfg)
-        kw = WeightedKernel(p=0.3, cfg=cfg)
-        v3 = value_weighted(0.3).v
-        for xx in grid:
-            row = expect_vs(float(xx), w, kw, method="exact", side=Side.AS_ROW)
-            col = expect_vs(float(xx), w, kw, method="exact", side=Side.AS_COLUMN)
-            note(row - v3, ("weighted", "row-over", float(xx)))
-            note(v3 - col, ("weighted", "col-under", float(xx)))
-        return top, worst
-
-    run("equilibrium-inequalities", {"grid": 2_000, "p": [0.5, p_star, 0.3]}, 1e-6,
-        equilibrium_inequalities)
+    run("equilibrium-inequalities", {"grid": 2_000, "p": [0.5, p_star, 0.3, 0.1]}, 1e-6,
+        inequalities)
 
     def curve_quadrature():
         cases = [
@@ -580,27 +616,11 @@ def run_battery(
     run("curve-quadrature-agreement", {"curves": 6, "points": 500}, 1e-6, curve_quadrature)
 
     def residuals():
-        seq = weighted_sequences(0.3, 1, cfg)
-        cases = [
-            (FunctionalSystem.SYMMETRIC, log_equilibrium(cfg), 0.5,
-             sym_sequence_A(2, cfg), (sym_sequence_A(1, cfg),)),
-            (FunctionalSystem.WEIGHTED_ROW, weighted_equilibrium(0.3, cfg), 0.3,
-             seq.d_check[1], (seq.a_check[1],)),
-            (FunctionalSystem.WEIGHTED_COLUMN, weighted_equilibrium(0.3, cfg), 0.3,
-             seq.d_check[1], (seq.a_hat[1],)),
-        ]
-        top, worst = 0.0, []
-        for system, s, p, hi, avoid in cases:
-            xs = np.linspace(cfg.A, hi - 1e-9, 1_000)
-            for a in avoid:
-                xs = xs[np.abs(xs - a) > 1e-9]
-            for xx in xs:
-                r = abs(functional_residual(system, s, float(xx), p, cfg))
-                if r > top:
-                    top, worst = r, [(system.value, float(xx))]
-        return top, worst
+        cases = [(log_equilibrium(cfg), 0.5)]
+        cases += [(weighted_equilibrium(p, cfg), p) for p in (0.3, 0.1)]
+        return functional_residuals(cases)
 
-    run("functional-residuals", {"systems": 3, "points": 1_000}, 1e-9, residuals)
+    run("functional-residuals", {"p": [0.5, 0.3, 0.1], "points": 1_000}, 1e-9, residuals)
 
     def value_anchor_half():
         return abs(value_weighted(0.5).v - 0.5), []

@@ -176,25 +176,6 @@ def payoff_n_combinatorial(bids: Profile, cfg: MarketConfig) -> tuple[float, ...
     return tuple(out)
 
 
-def payoff_2(x: float, y: float, cfg: MarketConfig) -> float:
-    """Two-player payoff of player 1 (case cascade over the win regions)."""
-    x = cfg.require_bid(x)
-    y = cfg.require_bid(y)
-    price = (x + y + 2.0 * cfg.E) / 4.0
-    # The three win cases overlap only where a bid equals the reference
-    # price exactly; the cascade resolves those points consistently with
-    # the award rules.
-    if y < x <= price:
-        return 1.0
-    if price <= x < y:
-        return 1.0
-    if x <= price < y:
-        return 1.0
-    if x == y:
-        return 0.5
-    return 0.0
-
-
 def payoff_weighted(x: float, y: float, p: float, cfg: MarketConfig) -> float:
     """Weighted-influence payoff of player 1; ties pay p.
 
@@ -500,7 +481,6 @@ def strict_win_regions(
     side: Side,
     p: float,
     cfg: MarketConfig,
-    alt_row_lower: bool = False,
 ) -> tuple[Interval, ...]:
     """Opponent bids against which the given bid strictly wins (payoff 1).
 
@@ -508,19 +488,12 @@ def strict_win_regions(
     the reference price makes the lower row boundary closed and the upper
     one open, and symmetrically for the column side.  For a column bid above
     E every strictly lower row bid wins, so the region collapses to [A, y).
-
-    alt_row_lower swaps the row-side lower boundary map for the steeper
-    candidate ((p+1)x - E)/p.  The two candidates agree only at p = 1/2; the
-    default is the one consistent with the payoff function, and the
-    alternate is kept solely so the verification battery can quantify the
-    disagreement.
     """
     bid = cfg.require_bid(bid)
     maps = maps_p(p, cfg)
     A, B, E = cfg.A, cfg.B, cfg.E
     if side is Side.AS_ROW:
-        lower_map = maps.h2 if alt_row_lower else maps.h1
-        lower = Interval(max(lower_map(bid), A), bid, True, False)
+        lower = Interval(max(maps.h1(bid), A), bid, True, False)
         upper = Interval(max(maps.f1(bid), bid), B, False, True)
     elif side is Side.AS_COLUMN:
         if bid > E:

@@ -55,6 +55,33 @@ class Piece:
     b: float
     w: float
 
+    def normalizer(self, E: float) -> float:
+        """Density constant: w/(b-a) when flat, c in c/(E-x) when reciprocal."""
+        if self.kind is PieceKind.UNIFORM:
+            return self.w / (self.b - self.a)
+        return self.w / math.log((E - self.a) / (E - self.b))
+
+    def density(self, E: float) -> Callable[[float], float]:
+        """The density as a function of x in [a, b).
+
+        Returned as a function so quadrature loops compute the normalizer
+        once per piece, not once per integrand evaluation.
+        """
+        c = self.normalizer(E)
+        if self.kind is PieceKind.UNIFORM:
+            return lambda x: c
+        return lambda x: c / (E - x)
+
+    def mass(self, lo: float, hi: float, E: float) -> float:
+        """Mass on (lo, hi); endpoints carry no mass."""
+        lo = max(lo, self.a)
+        hi = min(hi, self.b)
+        if hi <= lo:
+            return 0.0
+        if self.kind is PieceKind.UNIFORM:
+            return self.w * (hi - lo) / (self.b - self.a)
+        return self.normalizer(E) * math.log((E - lo) / (E - hi))
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -116,8 +143,7 @@ class MixedStrategy:
             if p.kind is PieceKind.UNIFORM:
                 out += p.w * (xe - p.a) / (p.b - p.a)
             else:
-                c = p.w / math.log((E - p.a) / (E - p.b))
-                out += c * np.log((E - p.a) / (E - xe))
+                out += p.normalizer(E) * np.log((E - p.a) / (E - xe))
         return out
 
     def cdf(self, x) -> float | np.ndarray:
@@ -135,6 +161,10 @@ class MixedStrategy:
         for a in self.atoms:
             out = out + a.m * (arr > a.x)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+
+    def density(self, x: float) -> float:
+        """Density of the pieces at x, zero outside them; [a, b) as in the cdf."""
+        return sum((p.density(self.cfg.E)(x) for p in self.pieces if p.a <= x < p.b), 0.0)
 
     def atom_mass_at(self, x: float) -> float:
         return sum(a.m for a in self.atoms if a.x == x)
@@ -206,8 +236,7 @@ class MixedStrategy:
                 if comp.kind is PieceKind.UNIFORM:
                     out[sel] = comp.a + (comp.b - comp.a) * local / comp.w
                 else:
-                    c = comp.w / math.log((E - comp.a) / (E - comp.b))
-                    out[sel] = E - (E - comp.a) * np.exp(-local / c)
+                    out[sel] = E - (E - comp.a) * np.exp(-local / comp.normalizer(E))
         return np.clip(out, self.cfg.A, self.cfg.B)
 
     def _quantile_bisect(self, u: np.ndarray) -> np.ndarray:
@@ -293,18 +322,6 @@ class JointExpectation:
     max_gap: float
 
 
-def _piece_mass_between(piece: Piece, lo: float, hi: float, E: float) -> float:
-    """Mass a single piece assigns to (lo, hi); endpoints carry no mass."""
-    lo = max(lo, piece.a)
-    hi = min(hi, piece.b)
-    if hi <= lo:
-        return 0.0
-    if piece.kind is PieceKind.UNIFORM:
-        return piece.w * (hi - lo) / (piece.b - piece.a)
-    c = piece.w / math.log((E - piece.a) / (E - piece.b))
-    return c * math.log((E - lo) / (E - hi))
-
-
 def _region_cutpoints(bid: float, side: Side, kernel: WeightedKernel) -> list[float]:
     """Points where the kernel, as a function of the opponent bid, may jump."""
     cfg = kernel.cfg
@@ -363,44 +380,26 @@ def expect_vs(
         raise DomainError(f"unknown method {method!r}")
 
     if side is Side.AS_ROW:
-        atom_part = sum(a.m * kernel(bid, a.x) for a in s.atoms)
+        f = lambda y: kernel(bid, y)
     else:
-        atom_part = sum(a.m * kernel(a.x, bid) for a in s.atoms)
+        f = lambda y: kernel(y, bid)
 
     use_exact = method in ("auto", "exact") and 0.0 < kernel.p < 1.0
     if method == "exact" and not use_exact:
         raise UnsupportedError("exact win regions need 0 < p < 1")
 
     if use_exact:
+        atom_part = sum(a.m * f(a.x) for a in s.atoms)
         regions = strict_win_regions(bid, side, kernel.p, kernel.cfg)
         cont = 0.0
         for region in regions:
             for piece in s.pieces:
-                cont += _piece_mass_between(piece, region.lo, region.hi, kernel.cfg.E)
+                cont += piece.mass(region.lo, region.hi, kernel.cfg.E)
         return atom_part + cont
 
     # quadrature path: integrate the kernel against each piece density
-    E = kernel.cfg.E
     cut = list(quad.cutpoints) + _region_cutpoints(bid, side, kernel)
-    total = 0.0
-    worst = 0.0
-    for piece in s.pieces:
-        if piece.kind is PieceKind.UNIFORM:
-            dens = lambda y, p=piece: p.w / (p.b - p.a)
-        else:
-            c = piece.w / math.log((E - piece.a) / (E - piece.b))
-            dens = lambda y, p=piece, c=c: c / (E - y)
-        if side is Side.AS_ROW:
-            f = lambda y, d=dens: kernel(bid, y) * d(y)
-        else:
-            f = lambda y, d=dens: kernel(y, bid) * d(y)
-        for lo, hi in _panels(cut, piece.a, piece.b):
-            val, err = _quad_panel(f, lo, hi, quad)
-            total += val
-            worst = max(worst, err)
-    if worst > max(quad.rel_tol * max(abs(total), 1.0), 1e-12) * 10.0:
-        raise QuadratureError("expected-payoff integration did not converge", worst)
-    return atom_part + total
+    return _integrate_against(s, f, cut, quad)
 
 
 def _sym_maps(cfg: MarketConfig):
@@ -441,17 +440,13 @@ def _integrate_against(mu: MixedStrategy, f: Callable[[float], float],
     E = mu.cfg.E
     worst = 0.0
     for piece in mu.pieces:
-        if piece.kind is PieceKind.UNIFORM:
-            dens = lambda x, p=piece: p.w / (p.b - p.a)
-        else:
-            c = piece.w / math.log((E - piece.a) / (E - piece.b))
-            dens = lambda x, p=piece, c=c: c / (E - x)
+        dens = piece.density(E)
         for lo, hi in _panels(cuts, piece.a, piece.b):
             val, err = _quad_panel(lambda x: f(x) * dens(x), lo, hi, spec)
             total += val
             worst = max(worst, err)
     if worst > max(spec.rel_tol * max(abs(total), 1.0), 1e-12) * 10.0:
-        raise QuadratureError("outer integration did not converge", worst)
+        raise QuadratureError("integration did not converge", worst)
     return total
 
 
@@ -510,27 +505,10 @@ def expect_joint(
         def integrand(y: float) -> float:
             return below(y) if y < E else float(mu.measure(Interval(cfg.A, y, True, False)))
 
+        # integrand(a.x) is also the exact term of an atom of nu: at y = E the
+        # two split regions coincide, so the region is counted once
         cuts = _outer_cutpoints(mu, kernel)
-        total = 0.0
-        worst = 0.0
-        for piece in nu.pieces:
-            if piece.kind is PieceKind.UNIFORM:
-                dens = lambda y, p=piece: p.w / (p.b - p.a)
-            else:
-                c = piece.w / math.log((E - piece.a) / (E - piece.b))
-                dens = lambda y, p=piece, c=c: c / (E - y)
-            for lo, hi in _panels(cuts, piece.a, piece.b):
-                val, err = _quad_panel(lambda y: integrand(y) * dens(y), lo, hi, quad)
-                total += val
-                worst = max(worst, err)
-        if worst > max(quad.rel_tol * max(abs(total), 1.0), 1e-12) * 10.0:
-            raise QuadratureError("swapped-order integration did not converge", worst)
-        for a in nu.atoms:
-            if a.x < E:
-                total += a.m * below(a.x)
-            else:
-                # at y = E the two split terms coincide; count the region once
-                total += a.m * mu.measure(Interval(cfg.A, a.x, True, False))
+        total = _integrate_against(nu, integrand, cuts, quad)
         total += _shared_atom_term(mu, nu, kernel.tie_value)
         by_form["cdf"] = total
 

@@ -152,9 +152,14 @@ class TestVerify:
         assert d["p"] == 0.3
         assert len(d["reports"]) == 4
 
+    @pytest.mark.parametrize("p", ["0.05", "0.1", "0.2"])
+    def test_weighted_passes_below_critical(self, capsys, p):
+        code, d = run_json(["verify", "--strategy", "weighted", "--p", p], capsys)
+        assert code == 0 and d["pass"] is True
+        assert len(d["reports"]) == 4 and all(r["pass"] for r in d["reports"])
+
     def test_incompatible_p_is_usage_error(self, capsys):
         assert run_cli(["verify", "--strategy", "weighted", "--p", "0.7"], capsys)[0] == 2
-        assert run_cli(["verify", "--strategy", "weighted", "--p", "0.1"], capsys)[0] == 2
         assert run_cli(["verify", "--strategy", "log", "--p", "0.3"], capsys)[0] == 2
 
     def test_unknown_strategy_is_usage_error(self, capsys):

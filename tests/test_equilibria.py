@@ -36,22 +36,22 @@ class TestConstructors:
             [0.0, 2.0 / 3.0, 0.5, 2.0 / 3.0, 8.0 / 9.0, 0.5], abs=1e-15
         )
         # densities 3/4 and 9/4 on the two blocks
-        assert eq._density_at(s, 0.3) == pytest.approx(0.75)
-        assert eq._density_at(s, 0.8) == pytest.approx(2.25)
+        assert s.density(0.3) == pytest.approx(0.75)
+        assert s.density(0.8) == pytest.approx(2.25)
 
     def test_log_shape(self):
         s = eq.log_equilibrium(CFG)
         (pc,) = s.pieces
         assert pc.kind is PieceKind.RECIPROCAL and (pc.a, pc.b, pc.w) == (0.0, 8.0 / 9.0, 1.0)
-        assert eq._density_at(s, 0.0) == pytest.approx(1.0 / math.log(9.0), abs=1e-15)
-        assert eq._density_at(s, 8.0 / 9.0 - 1e-12) == pytest.approx(9.0 / math.log(9.0), rel=1e-9)
+        assert s.density(0.0) == pytest.approx(1.0 / math.log(9.0), abs=1e-15)
+        assert s.density(8.0 / 9.0 - 1e-12) == pytest.approx(9.0 / math.log(9.0), rel=1e-9)
         assert s.total_mass == pytest.approx(1.0, abs=1e-15)
 
     def test_weighted_support_and_density(self):
         s = eq.weighted_equilibrium(0.3, CFG)
         (pc,) = s.pieces
         assert pc.b == pytest.approx(200.0 / 221.0, abs=1e-15)
-        assert eq._density_at(s, 0.0) == pytest.approx(1.0 / math.log(221.0 / 21.0), abs=1e-15)
+        assert s.density(0.0) == pytest.approx(1.0 / math.log(221.0 / 21.0), abs=1e-15)
 
     def test_weighted_reduces_to_log_at_half(self):
         assert eq.weighted_equilibrium(0.5, CFG) == eq.log_equilibrium(CFG)
@@ -157,53 +157,11 @@ class TestRegimeFamily:
             with pytest.raises(DomainError):
                 eq.regime_partition(p, CFG)
 
-    def test_family_mass_and_validation(self):
-        fam = eq.regime_family(0.3, [0.2] * 5, CFG)
-        assert fam.total_mass == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(DomainError):
-            eq.regime_family(0.3, [0.25] * 4, CFG)
-        with pytest.raises(DomainError):
-            eq.regime_family(0.3, [0.5, 0.5, 0.5, -0.25, -0.25], CFG)
-        with pytest.raises(DomainError):
-            eq.regime_family(0.3, [0.3] * 5, CFG)
-
-    def test_family_other_config(self):
+    def test_partition_other_config(self):
         cfg2 = MarketConfig(0.2, 2.0, 1.1)
         for p in (0.3, 0.1):
             cells = eq.regime_partition(p, cfg2)
-            fam = eq.regime_family(p, [1.0 / len(cells)] * len(cells), cfg2)
-            assert abs(fam.total_mass - 1.0) <= 1e-12
-
-
-class TestCalibration:
-    def test_beats_equal_weights(self):
-        p, grid_n = 0.3, 101
-        w = eq.calibrate_weights(p, CFG, grid_n)
-        cells = eq.regime_partition(p, CFG)
-        kern = WeightedKernel(p, CFG)
-        edges = [b for cell in cells for b in cell]
-        xs = np.unique(np.concatenate([np.linspace(CFG.A, CFG.B, grid_n), edges]))
-
-        def exploit(ws):
-            fam = eq.regime_family(p, ws, CFG)
-            row = max(st.expect_vs(float(x), fam, kern) for x in xs)
-            col = min(st.expect_vs(float(y), fam, kern, side=Side.AS_COLUMN) for y in xs)
-            return (row - col) / 2.0
-
-        k = len(cells)
-        assert exploit(w) <= exploit([1.0 / k] * k) + 1e-12
-
-    def test_deterministic(self):
-        assert eq.calibrate_weights(0.3, CFG, 101) == eq.calibrate_weights(0.3, CFG, 101)
-
-    def test_weights_feed_family(self):
-        w = eq.calibrate_weights(0.1, CFG, 101)
-        fam = eq.regime_family(0.1, w, CFG)
-        assert abs(fam.total_mass - 1.0) <= 1e-12
-
-    def test_regime_guard(self):
-        with pytest.raises(DomainError):
-            eq.calibrate_weights(0.5, CFG, 101)
+            assert cfg2.A <= cells[0][0] and cells[-1][1] < cfg2.E
 
 
 class TestValue:
@@ -359,18 +317,6 @@ class TestResiduals:
         ]
         assert max(abs(r) for r in res) <= 1e-9
 
-    def test_alt_branch_fails_on_support(self):
-        # the h2-reflected variant misses the mass between the two branch
-        # points, so its residual there equals the density itself
-        f = eq.weighted_equilibrium(0.3, CFG)
-        seq = weighted_sequences(0.3, 1, CFG)
-        mid = (seq.a_check[1] + seq.a_hat[1]) / 2.0
-        r = eq.functional_residual(
-            FunctionalSystem.WEIGHTED_ROW, f, mid, 0.3, CFG, alt_branch=True
-        )
-        assert abs(r) > 0.1
-        assert r == pytest.approx(eq._density_at(f, mid), abs=1e-12)
-
     def test_upper_branch_forces_zero_density(self):
         f = eq.log_equilibrium(CFG)
         assert eq.functional_residual(FunctionalSystem.SYMMETRIC, f, 1.2, 0.5, CFG) == 0.0
@@ -384,10 +330,6 @@ class TestResiduals:
         f = eq.log_equilibrium(CFG)
         with pytest.raises(DomainError):
             eq.functional_residual(FunctionalSystem.SYMMETRIC, f, 0.5, 0.3, CFG)
-        with pytest.raises(DomainError):
-            eq.functional_residual(
-                FunctionalSystem.WEIGHTED_COLUMN, f, 0.5, 0.3, CFG, alt_branch=True
-            )
         atom = st.point_mass(0.5, CFG)
         with pytest.raises(DomainError):
             eq.functional_residual(FunctionalSystem.SYMMETRIC, atom, 0.5, 0.5, CFG)

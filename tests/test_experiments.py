@@ -83,6 +83,11 @@ class TestReport:
         with pytest.raises(ValueError):
             VerificationReport("c", {}, 0.0, 1e-12, False)
 
+    def test_numpy_violation_reports_fail(self):
+        r = make_report("c", {}, np.float64(1.0), 0.0)
+        assert r.passed is False
+        assert make_report("c", {}, np.float64(0.0), np.float64(1.0)).passed is True
+
     def test_nan_violation_fails(self):
         assert not make_report("c", {}, math.nan, 1e-12).passed
         with pytest.raises(ValueError):

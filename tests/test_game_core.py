@@ -118,13 +118,14 @@ class TestScalarPayoffs:
             x, y = rng.uniform(0.0, 1.5, 2)
             if trial % 5 == 0:
                 y = x
-            assert gc.payoff_2(x, y, CFG) == gc.payoff_n([x, y], CFG)[0]
+            assert gc.payoff_weighted(x, y, 0.5, CFG) == gc.payoff_n([x, y], CFG)[0]
 
     def test_weighted_reduces_to_symmetric_at_half(self):
+        # the column player's side: its payoff is the weighted rule with roles swapped
         rng = np.random.default_rng(10)
         for _ in range(2000):
             x, y = rng.uniform(0.0, 1.5, 2)
-            assert gc.payoff_weighted(x, y, 0.5, CFG) == gc.payoff_2(x, y, CFG)
+            assert gc.payoff_weighted(y, x, 0.5, CFG) == gc.payoff_n([x, y], CFG)[1]
 
     def test_weighted_tie_pays_p(self):
         assert gc.payoff_weighted(0.7, 0.7, 0.3, CFG) == 0.3
@@ -372,21 +373,6 @@ class TestWinRegions:
             else:
                 g = gc.payoff_weighted(opp, bid, p, CFG)
             assert inside == (g == 1.0), (side, p, bid, opp)
-
-    def test_alternate_lower_map_differs_and_is_wrong(self):
-        default = gc.strict_win_regions(0.7, Side.AS_ROW, 0.3, CFG)
-        alt = gc.strict_win_regions(0.7, Side.AS_ROW, 0.3, CFG, alt_row_lower=True)
-        assert alt[0].lo == CFG.A  # h2(0.7) < A clips
-        assert default[0].lo > CFG.A
-        # y=0.1 sits only in the alternate region, and the row in fact loses
-        assert alt[0].contains(0.1) and not default[0].contains(0.1)
-        assert gc.payoff_weighted(0.7, 0.1, 0.3, CFG) == 0.0
-
-    def test_agreement_at_one_half(self):
-        # the two lower-boundary candidates coincide at p = 1/2
-        a = gc.strict_win_regions(0.7, Side.AS_ROW, 0.5, CFG)
-        b = gc.strict_win_regions(0.7, Side.AS_ROW, 0.5, CFG, alt_row_lower=True)
-        assert a == b
 
 
 class TestCutpointGeometry:
