@@ -25,6 +25,7 @@ from .equilibria import (
     weighted_equilibrium,
 )
 from .experiments import (
+    RESIDUAL_POINTS,
     RegionKind,
     br_dynamics,
     equilibrium_inequalities,
@@ -243,7 +244,7 @@ def _cmd_verify(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     if name in ("log", "weighted"):
         top, worst = functional_residuals([(s, kp)])
         reports.append(make_report(
-            "functional-residuals", {"p": kp, "points": 1_000}, top, 1e-9, worst
+            "functional-residuals", {"p": kp, "points": RESIDUAL_POINTS}, top, 1e-9, worst
         ))
     joint = expect_joint(s, s, WeightedKernel(p=kp, cfg=cfg))
     reports.append(make_report(

@@ -277,17 +277,21 @@ def region_grid_csv(
 # ---------------------------------------------------------------------------
 # Equilibrium checks shared by the battery and `procurelab verify`
 
+RESIDUAL_POINTS = 1_000  # bids per residual domain
+
 
 def equilibrium_inequalities(cases: Sequence[tuple], grid: Sequence[float]) -> tuple[float, list]:
     """Worst breach of row payoff <= v(p) <= column payoff over the grid bids.
 
     Each case is (label, strategy, p): the opponent plays the strategy in the
-    weight-p game.  On the strategy's support (below its last piece end, less
-    1e-9) the row payoff must also equal v(p) exactly: the flat band.
+    weight-p game.  Below the end of the strategy's last piece, less 1e-9,
+    the row payoff must also equal v(p) exactly: the flat band.
     Returns (max_violation, [(label, bid)] at the worst point).
     """
     top, worst = 0.0, []
     for label, s, p in cases:
+        if not s.pieces:
+            raise DomainError(f"strategy {label!r} has no density pieces")
         kern = WeightedKernel(p=p, cfg=s.cfg)
         v = value_weighted(p).v
         flat_hi = max(pc.b for pc in s.pieces)
@@ -303,32 +307,38 @@ def equilibrium_inequalities(cases: Sequence[tuple], grid: Sequence[float]) -> t
     return top, worst
 
 
-def functional_residuals(cases: Sequence[tuple], points: int = 1_000) -> tuple[float, list]:
+def functional_residuals(cases: Sequence[tuple]) -> tuple[float, list]:
     """Worst functional-equation residual of each (strategy, p) case.
 
-    p = 1/2 checks the symmetric system on [A, A_2) off A_1; any other p
-    checks the weighted row and column systems on [A, check-D_1) off the
-    first check-A and hat-A points, where the residual may jump.
+    p = 1/2 checks the symmetric system on [A, A_2) off A_1.  Every p checks
+    the weighted row and column systems on [A, check-D_1) off the first
+    check-A and hat-A points.  The residual may jump at those points.  Each
+    domain is sampled at RESIDUAL_POINTS bids before they are dropped.
     Returns (max_violation, [(p, system, bid)] at the worst point).
     """
     top, worst = 0.0, []
     for s, p in cases:
         cfg = s.cfg
+        blocks = []
         if p == 0.5:
-            systems = (FunctionalSystem.SYMMETRIC,)
-            hi, avoid = sym_sequence_A(2, cfg), (sym_sequence_A(1, cfg),)
-        else:
-            systems = (FunctionalSystem.WEIGHTED_ROW, FunctionalSystem.WEIGHTED_COLUMN)
-            seq = weighted_sequences(p, 1, cfg)
-            hi, avoid = seq.d_check[1], (seq.a_check[1], seq.a_hat[1])
-        xs = np.linspace(cfg.A, hi - 1e-9, points)
-        for a in avoid:
-            xs = xs[np.abs(xs - a) > 1e-9]
-        for system in systems:
-            for x in xs:
-                r = abs(functional_residual(system, s, float(x), p, cfg))
-                if r > top:
-                    top, worst = r, [(p, system.value, float(x))]
+            blocks.append((
+                (FunctionalSystem.SYMMETRIC,),
+                sym_sequence_A(2, cfg), (sym_sequence_A(1, cfg),),
+            ))
+        seq = weighted_sequences(p, 1, cfg)
+        blocks.append((
+            (FunctionalSystem.WEIGHTED_ROW, FunctionalSystem.WEIGHTED_COLUMN),
+            seq.d_check[1], (seq.a_check[1], seq.a_hat[1]),
+        ))
+        for systems, hi, avoid in blocks:
+            xs = np.linspace(cfg.A, hi - 1e-9, RESIDUAL_POINTS)
+            for a in avoid:
+                xs = xs[np.abs(xs - a) > 1e-9]
+            for system in systems:
+                for x in xs:
+                    r = abs(functional_residual(system, s, float(x), p, cfg))
+                    if r > top:
+                        top, worst = r, [(p, system.value, float(x))]
     return top, worst
 
 
@@ -620,7 +630,8 @@ def run_battery(
         cases += [(weighted_equilibrium(p, cfg), p) for p in (0.3, 0.1)]
         return functional_residuals(cases)
 
-    run("functional-residuals", {"p": [0.5, 0.3, 0.1], "points": 1_000}, 1e-9, residuals)
+    run("functional-residuals", {"p": [0.5, 0.3, 0.1], "points": RESIDUAL_POINTS}, 1e-9,
+        residuals)
 
     def value_anchor_half():
         return abs(value_weighted(0.5).v - 0.5), []

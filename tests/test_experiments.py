@@ -18,6 +18,8 @@ from procurelab.experiments import (
     VerificationReport,
     battery_passed,
     br_dynamics,
+    equilibrium_inequalities,
+    functional_residuals,
     make_report,
     mc_tournament,
     region_grid,
@@ -253,6 +255,30 @@ class TestRegionGrid:
         assert region_grid_csv(M3, RegionKind.THREE_PLAYER_SLICE, 4, CFG, x=CFG.E).splitlines()[0] == (
             "kind=ThreePlayerSlice,x=1,resolution=4,A=0,B=1.5,E=1"
         )
+
+
+class TestEquilibriumChecks:
+    def test_atom_only_strategy_is_domain_error(self):
+        with pytest.raises(DomainError):
+            equilibrium_inequalities([("atom", point_mass(CFG.A, CFG), 0.5)], [CFG.A])
+
+    @pytest.mark.parametrize("p, systems", [
+        (0.5, {"Symmetric", "WeightedRow", "WeightedColumn"}),
+        (0.3, {"WeightedRow", "WeightedColumn"}),
+    ])
+    def test_residual_systems_follow_p(self, monkeypatch, p, systems):
+        import procurelab.experiments as ex
+
+        seen = set()
+
+        def record(system, s, x, p_, cfg):
+            seen.add(system.value)
+            return 0.0
+
+        monkeypatch.setattr(ex, "functional_residual", record)
+        top, worst = functional_residuals([(weighted_equilibrium(p, CFG), p)])
+        assert seen == systems
+        assert (top, worst) == (0.0, [])
 
 
 class TestBattery:
