@@ -138,9 +138,19 @@ def mc_tournament(
 
 @dataclass(frozen=True)
 class DynamicsTrajectory:
+    """Profiles after each move, profiles[0] being the start.
+
+    Play is deterministic in the state (profile, next mover), so once a
+    state repeats, profiles[cycle_start + k] == profiles[cycle_start + k +
+    period] for every k.  cycle_start and period are None when the steps
+    ran out before a repeat or play stopped at a fixed point.
+    """
+
     profiles: tuple[tuple[float, ...], ...]
     fixed_point_step: Optional[int]
     min_winner_payoff: float
+    cycle_start: Optional[int]
+    period: Optional[int]
 
 
 def _secured_move(current: list[float], i: int, cfg: MarketConfig, eps: float) -> float:
@@ -176,6 +186,11 @@ def br_dynamics(start: Sequence[float], steps: int, cfg: MarketConfig) -> Dynami
     Each move secures the award (payoff 1), undercutting by eps on exact
     ties.  A fixed point would need every player to keep its bid through a
     full round; the trajectory records one if that ever happens.
+
+    A move depends only on the state (profile, next mover), so play stops
+    simulating at the first repeated state and fills the remaining
+    profiles from the cycle already seen; min_winner_payoff over the
+    replayed steps is its minimum over that cycle.
     """
     if len(start) < 2:
         raise DomainError("need at least two players")
@@ -185,8 +200,11 @@ def br_dynamics(start: Sequence[float], steps: int, cfg: MarketConfig) -> Dynami
     n = len(current)
     eps = 1e-6 * (cfg.E - cfg.A)
     profiles = [tuple(current)]
+    seen = {(profiles[0], 0): 0}
     unchanged = 0
     fixed_at: Optional[int] = None
+    cycle_start: Optional[int] = None
+    period: Optional[int] = None
     min_winner = 1.0
     for t in range(steps):
         i = t % n
@@ -195,13 +213,24 @@ def br_dynamics(start: Sequence[float], steps: int, cfg: MarketConfig) -> Dynami
         current[i] = bid
         min_winner = min(min_winner, payoff_n(tuple(current), cfg)[i])
         profiles.append(tuple(current))
+        # a fixed point repeats its state at exactly this step, so it is
+        # tested first to keep fixed_point_step
         if unchanged >= n:
             fixed_at = t
             break
+        first = seen.setdefault((profiles[-1], (t + 1) % n), t + 1)
+        if first <= t:
+            cycle_start, period = first, t + 1 - first
+            break
+    if period is not None:
+        for k in range(len(profiles), steps + 1):
+            profiles.append(profiles[k - period])
     return DynamicsTrajectory(
         profiles=tuple(profiles),
         fixed_point_step=fixed_at,
         min_winner_payoff=min_winner,
+        cycle_start=cycle_start,
+        period=period,
     )
 
 
@@ -284,8 +313,8 @@ def equilibrium_inequalities(cases: Sequence[tuple], grid: Sequence[float]) -> t
     """Worst breach of row payoff <= v(p) <= column payoff over the grid bids.
 
     Each case is (label, strategy, p): the opponent plays the strategy in the
-    weight-p game.  Below the end of the strategy's last piece, less 1e-9,
-    the row payoff must also equal v(p) exactly: the flat band.
+    weight-p game.  Below the end of the strategy's last piece, less
+    1e-9·(E − A), the row payoff must also equal v(p) exactly: the flat band.
     Returns (max_violation, [(label, bid)] at the worst point).
     """
     top, worst = 0.0, []
@@ -294,13 +323,13 @@ def equilibrium_inequalities(cases: Sequence[tuple], grid: Sequence[float]) -> t
             raise DomainError(f"strategy {label!r} has no density pieces")
         kern = WeightedKernel(p=p, cfg=s.cfg)
         v = value_weighted(p).v
-        flat_hi = max(pc.b for pc in s.pieces)
+        flat_hi = max(pc.b for pc in s.pieces) - 1e-9 * (s.cfg.E - s.cfg.A)
         for x in grid:
             xx = float(x)
             row = expect_vs(xx, s, kern, method="exact", side=Side.AS_ROW)
             col = expect_vs(xx, s, kern, method="exact", side=Side.AS_COLUMN)
             dev = max(row - v, v - col)
-            if xx < flat_hi - 1e-9:
+            if xx < flat_hi:
                 dev = max(dev, abs(row - v))
             if dev > top:
                 top, worst = dev, [(label, xx)]
@@ -314,11 +343,15 @@ def functional_residuals(cases: Sequence[tuple]) -> tuple[float, list]:
     the weighted row and column systems on [A, check-D_1) off the first
     check-A and hat-A points.  The residual may jump at those points.  Each
     domain is sampled at RESIDUAL_POINTS bids before they are dropped.
+    Residuals are densities, which scale as 1/(E − A), so each is reported
+    times (E − A), and the domain offsets are 1e-9·(E − A): the result does
+    not change when the market is rescaled.
     Returns (max_violation, [(p, system, bid)] at the worst point).
     """
     top, worst = 0.0, []
     for s, p in cases:
         cfg = s.cfg
+        scale = cfg.E - cfg.A
         blocks = []
         if p == 0.5:
             blocks.append((
@@ -331,12 +364,12 @@ def functional_residuals(cases: Sequence[tuple]) -> tuple[float, list]:
             seq.d_check[1], (seq.a_check[1], seq.a_hat[1]),
         ))
         for systems, hi, avoid in blocks:
-            xs = np.linspace(cfg.A, hi - 1e-9, RESIDUAL_POINTS)
+            xs = np.linspace(cfg.A, hi - 1e-9 * scale, RESIDUAL_POINTS)
             for a in avoid:
-                xs = xs[np.abs(xs - a) > 1e-9]
+                xs = xs[np.abs(xs - a) > 1e-9 * scale]
             for system in systems:
                 for x in xs:
-                    r = abs(functional_residual(system, s, float(x), p, cfg))
+                    r = abs(functional_residual(system, s, float(x), p, cfg)) * scale
                     if r > top:
                         top, worst = r, [(p, system.value, float(x))]
     return top, worst

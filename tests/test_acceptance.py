@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from procurelab._rng import derive_seed, uniform_stream
 from procurelab.equilibria import (
@@ -22,7 +21,6 @@ from procurelab.equilibria import (
     value_weighted,
     weighted_equilibrium,
 )
-from procurelab.experiments import run_battery
 from procurelab.game_core import (
     MarketConfig,
     Side,
@@ -49,11 +47,6 @@ from procurelab.strategy import expect_joint, expect_vs
 
 CFG = default_config()
 P_STAR = critical_p()
-
-
-@pytest.fixture(scope="module")
-def battery():
-    return run_battery(seed=42)
 
 
 def announce(capsys, num: int, ok: bool, label: str, detail: str = "") -> None:

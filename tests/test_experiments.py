@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from procurelab._rng import derive_seed, uniform_stream
 from procurelab.equilibria import (
     log_equilibrium,
     uniform_equilibrium,
@@ -38,6 +39,7 @@ from procurelab.game_core import (
 from procurelab.strategy import point_mass
 
 CFG = default_config()
+CONFIGS = [CFG, MarketConfig(0.2, 2.0, 1.1), MarketConfig(1e6, 1e6 + 1.5, 1e6 + 1)]
 
 BATTERY_CHECKS = [
     "payoff-conservation",
@@ -65,11 +67,6 @@ BATTERY_CHECKS = [
     "value-ladder-desk",
     "ddpm-one-sided-limits",
 ]
-
-
-@pytest.fixture(scope="module")
-def battery():
-    return run_battery(seed=42)
 
 
 class TestReport:
@@ -201,6 +198,88 @@ class TestDynamics:
             br_dynamics((CFG.A - 1.0, 0.5), 10, CFG)
 
 
+def reference_br_dynamics(start, steps, cfg):
+    """Step-by-step best-response play, every step simulated (the oracle)."""
+    import procurelab.experiments as ex
+
+    current = [cfg.require_bid(b) for b in start]
+    n = len(current)
+    eps = 1e-6 * (cfg.E - cfg.A)
+    profiles = [tuple(current)]
+    unchanged = 0
+    fixed_at = None
+    min_winner = 1.0
+    for t in range(steps):
+        i = t % n
+        bid = ex._secured_move(current, i, cfg, eps)
+        unchanged = unchanged + 1 if bid == current[i] else 0
+        current[i] = bid
+        min_winner = min(min_winner, ex.payoff_n(tuple(current), cfg)[i])
+        profiles.append(tuple(current))
+        if unchanged >= n:
+            fixed_at = t
+            break
+    return tuple(profiles), fixed_at, min_winner
+
+
+def same_as_reference(traj, start, steps, cfg):
+    return (traj.profiles, traj.fixed_point_step, traj.min_winner_payoff) == (
+        reference_br_dynamics(start, steps, cfg)
+    )
+
+
+class TestDynamicsCycles:
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "other", "translated"])
+    @pytest.mark.parametrize("n_players", [2, 3, 4, 5])
+    def test_matches_step_by_step_play(self, cfg, n_players):
+        u = uniform_stream(derive_seed(11, "cycle-test", n_players), n_players)
+        starts = [
+            [cfg.A] * n_players,
+            [cfg.B] * n_players,
+            [cfg.A + (cfg.B - cfg.A) * float(x) for x in u],
+        ]
+        for start in starts:
+            full = br_dynamics(start, 10_000, cfg)
+            assert full.cycle_start is not None and full.fixed_point_step is None
+            repeat = full.cycle_start + full.period
+            # the repeat is seen exactly at step `repeat`; past it the tail is replayed
+            for steps in sorted({repeat - 1, repeat, max(repeat + 1, 500)}):
+                traj = br_dynamics(start, steps, cfg)
+                assert same_as_reference(traj, start, steps, cfg)
+                assert len(traj.profiles) == steps + 1
+                if steps < repeat:
+                    assert (traj.cycle_start, traj.period) == (None, None)
+                else:
+                    assert (traj.cycle_start, traj.period) == (full.cycle_start, full.period)
+
+    @pytest.mark.parametrize("move", [
+        lambda current, i: current[i],
+        lambda current, i: min(current),
+    ], ids=["keep", "match-lowest"])
+    def test_fixed_point_is_reported_before_the_repeat(self, monkeypatch, move):
+        # the game has no pure equilibrium, so a stand-in move rule makes one;
+        # match-lowest reaches its fixed point after a transient, at the very
+        # step its state first repeats
+        import procurelab.experiments as ex
+
+        monkeypatch.setattr(ex, "_secured_move", lambda current, i, cfg, eps: move(current, i))
+        start = (0.3, 0.7, 0.5)
+        traj = br_dynamics(start, 50, CFG)
+        assert traj.fixed_point_step is not None
+        assert (traj.cycle_start, traj.period) == (None, None)
+        assert same_as_reference(traj, start, 50, CFG)
+
+    def test_battery_starts_cycle_early(self):
+        span = CFG.B - CFG.A
+        for n_players, period in ((2, 46), (3, 75)):
+            for run_idx in range(10):
+                u = uniform_stream(derive_seed(42, "br", n_players, run_idx), n_players)
+                traj = br_dynamics([CFG.A + span * float(x) for x in u], 10_000, CFG)
+                assert traj.period == period
+                assert traj.cycle_start + traj.period <= 189
+                assert len(traj.profiles) == 10_001
+
+
 class TestRegionGrid:
     def test_two_player_plane(self):
         M = region_grid(RegionKind.TWO_PLAYER, 512, CFG)
@@ -279,6 +358,14 @@ class TestEquilibriumChecks:
         top, worst = functional_residuals([(weighted_equilibrium(p, CFG), p)])
         assert seen == systems
         assert (top, worst) == (0.0, [])
+
+    @pytest.mark.parametrize("cfg", [MarketConfig(0.0, 1.5e-6, 1e-6), MarketConfig(0.0, 1.5e6, 1e6)],
+                             ids=["micro", "mega"])
+    def test_residuals_are_scale_free(self, cfg):
+        cases = [(log_equilibrium(cfg), 0.5)]
+        cases += [(weighted_equilibrium(p, cfg), p) for p in (0.3, 0.1)]
+        top, _ = functional_residuals(cases)
+        assert top <= 1e-9
 
 
 class TestBattery:
