@@ -276,7 +276,6 @@ def _cmd_solve_grid(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
         "value": sol.value,
         "exploitability": sol.exploitability,
         "converged": sol.converged,
-        "method": sol.method,
         "row_support": int(np.count_nonzero(np.asarray(sol.row_mix) > 1e-12)),
         "col_support": int(np.count_nonzero(np.asarray(sol.col_mix) > 1e-12)),
         "v_formula": value_weighted(rc.p).v if 0.0 < rc.p <= 0.5 else None,

@@ -745,8 +745,7 @@ def run_battery(
             g = make_grid(101, cfg)
             M = payoff_matrix(WeightedKernel(p=p, cfg=cfg), g, g)
             sol = solve_matrix_game(M)
-            dev = abs(exploitability(M, sol.row_mix, sol.col_mix, aggregate="max")
-                      - sol.exploitability)
+            dev = abs(exploitability(M, sol.row_mix, sol.col_mix) - sol.exploitability)
             if not sol.converged:
                 return math.inf, [(p, "non-convergence")]
             if dev > top:
@@ -763,7 +762,7 @@ def run_battery(
         for n in (101, 201, 401, 801):
             g = make_grid(n, cfg)
             w = project_to_grid(s, g)
-            gaps.append(exploitability(payoff_matrix(kern, g, g), w, w, aggregate="max"))
+            gaps.append(exploitability(payoff_matrix(kern, g, g), w, w))
         worst = [tuple(gaps)]
         increase = max(
             [b - a for a, b in zip(gaps, gaps[1:])] + [0.0]

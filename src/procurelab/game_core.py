@@ -87,7 +87,10 @@ def check_profile(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
 
 def reference_price(bids: Profile, cfg: MarketConfig) -> float:
     """(E + mean bid) / 2, the award benchmark."""
-    bids = check_profile(bids, cfg)
+    return _price(check_profile(bids, cfg), cfg)
+
+
+def _price(bids: tuple[float, ...], cfg: MarketConfig) -> float:
     n = len(bids)
     return (sum(bids) + n * cfg.E) / (2.0 * n)
 
@@ -101,7 +104,7 @@ def _winner_set(bids: tuple[float, ...], price: float) -> list[int]:
 def payoff_n(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
     """Payoff vector under the award rules; entries sum to exactly 1."""
     bids = check_profile(bids, cfg)
-    winners = _winner_set(bids, reference_price(bids, cfg))
+    winners = _winner_set(bids, _price(bids, cfg))
     share = 1.0 / len(winners)
     out = [0.0] * len(bids)
     for i in winners:
@@ -112,7 +115,7 @@ def payoff_n(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
 def payoff_n_tilde(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
     """Tie-averse variant: any shared award pays everyone zero."""
     bids = check_profile(bids, cfg)
-    winners = _winner_set(bids, reference_price(bids, cfg))
+    winners = _winner_set(bids, _price(bids, cfg))
     out = [0.0] * len(bids)
     if len(winners) == 1:
         out[winners[0]] = 1.0
@@ -156,7 +159,7 @@ def payoff_n_combinatorial(bids: Profile, cfg: MarketConfig) -> tuple[float, ...
     n_players = len(bids)
     if n_players > 6:
         raise UnsupportedError(f"subset enumeration refused for N={n_players} > 6")
-    price = reference_price(bids, cfg)
+    price = _price(bids, cfg)
     out = []
     for i, xi in enumerate(bids):
         others = [j for j in range(n_players) if j != i]
@@ -264,16 +267,12 @@ def best_deviation(others: Sequence[float], cfg: MarketConfig) -> float:
 
     The exact quotient has no binary representation, and rounding it up puts
     the bid an ulp above the price it induces, forfeiting the award.  The
-    result is therefore nudged down by at most a few ulps until the completed
-    profile actually awards to it; threshold_t returns the raw quotient.
+    result is threshold_t's raw quotient nudged down by at most a few ulps
+    until the completed profile actually awards to it.
     """
-    if len(others) < 1:
-        raise DomainError("need at least one opponent")
-    vals = [cfg.require_bid(b) for b in others]
-    n = len(vals) + 1
-    star = (sum(vals) + n * cfg.E) / (2.0 * n - 1.0)
+    star = threshold_t(others, cfg)
     for _ in range(8):
-        if payoff_n([star] + vals, cfg)[0] == 1.0 or any(b == star for b in vals):
+        if payoff_n((star, *others), cfg)[0] == 1.0 or star in others:
             break
         star = math.nextafter(star, cfg.A)
     return star

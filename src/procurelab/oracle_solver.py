@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -139,12 +139,11 @@ def _check_mix(v, size: int, name: str) -> np.ndarray:
     return np.maximum(arr, 0.0)
 
 
-def exploitability(M, row_mix, col_mix, aggregate: str = "mean") -> float:
+def exploitability(M, row_mix, col_mix) -> float:
     """Best-response gap of a mix pair: row maximizes M, column minimizes it.
 
-    "mean" averages the two players' gains (the standard gap normalization);
-    "max" takes the worse one and is the certificate bound stored in
-    MatrixGameSolution.
+    The larger of the two players' gains; MatrixGameSolution stores it as
+    the certificate bound.
     """
     M = np.asarray(M, dtype=np.float64)
     r = _check_mix(row_mix, M.shape[0], "row_mix")
@@ -152,11 +151,7 @@ def exploitability(M, row_mix, col_mix, aggregate: str = "mean") -> float:
     g = float(r @ M @ c)
     row_gain = max(float((M @ c).max()) - g, 0.0)
     col_gain = max(g - float((r @ M).min()), 0.0)
-    if aggregate == "mean":
-        return 0.5 * (row_gain + col_gain)
-    if aggregate == "max":
-        return max(row_gain, col_gain)
-    raise DomainError(f"unknown aggregate {aggregate!r}")
+    return max(row_gain, col_gain)
 
 
 @dataclass(frozen=True)
@@ -166,7 +161,6 @@ class MatrixGameSolution:
     col_mix: tuple[float, ...]
     exploitability: float  # certified max best-response gain of either player
     converged: bool
-    method: str
 
     def __post_init__(self) -> None:
         for mix in (self.row_mix, self.col_mix):
@@ -176,7 +170,8 @@ class MatrixGameSolution:
             raise DomainError("exploitability must be nonnegative")
 
 
-def _lp_solve(M: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _lp_solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row mix from the row player's LP, column mix from its duals."""
     n, m = M.shape
     # row player: max v subject to v <= (r^T M)_j, sum r = 1
     c_obj = np.zeros(n + 1)
@@ -185,44 +180,16 @@ def _lp_solve(M: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     A_eq = np.zeros((1, n + 1))
     A_eq[0, :n] = 1.0
     bounds = [(0.0, None)] * n + [(None, None)]
-    row = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
-    # column player: min u subject to (M c)_i <= u, sum c = 1
-    c_obj = np.zeros(m + 1)
-    c_obj[-1] = 1.0
-    A_ub = np.hstack([M, -np.ones((n, 1))])
-    A_eq = np.zeros((1, m + 1))
-    A_eq[0, :m] = 1.0
-    bounds = [(0.0, None)] * m + [(None, None)]
-    col = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
-    if not (row.success and col.success):
-        return None
-    return row.x[:-1], col.x[:-1]
-
-
-def _regret_matching(M: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic regret-matching+ self-play with linear averaging."""
-    n, m = M.shape
-    Rr = np.zeros(n)
-    Rc = np.zeros(m)
-    r = np.full(n, 1.0 / n)
-    c = np.full(m, 1.0 / m)
-    r_acc = np.zeros(n)
-    c_acc = np.zeros(m)
-    wsum = 0.0
-    for t in range(1, iters + 1):
-        u_r = M @ c
-        u_c = -(r @ M)
-        Rr = np.maximum(Rr + u_r - float(r @ u_r), 0.0)
-        Rc = np.maximum(Rc + u_c - float(c @ u_c), 0.0)
-        r_acc += t * r
-        c_acc += t * c
-        wsum += t
-        sr, sc = Rr.sum(), Rc.sum()
-        r = Rr / sr if sr > 0 else np.full(n, 1.0 / n)
-        c = Rc / sc if sc > 0 else np.full(m, 1.0 / m)
-    return r_acc / wsum, c_acc / wsum
+    # at HiGHS's default feasibility tolerances (1e-7) the mixes can miss the
+    # default 1e-9 certificate on a few-hundred-point grid; 1e-10 meets it
+    res = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if not res.success:
+        raise RuntimeError(f"HiGHS failed (status {res.status}): {res.message}")
+    # the multiplier of v <= (r^T M)_j is -c_j: the column player's mix
+    return res.x[:-1], -res.ineqlin.marginals
 
 
 def _normalize(mix: np.ndarray) -> np.ndarray:
@@ -230,13 +197,13 @@ def _normalize(mix: np.ndarray) -> np.ndarray:
     return mix / mix.sum()
 
 
-def solve_matrix_game(M, tol: float = 1e-9, max_iter: int = 100_000) -> MatrixGameSolution:
+def solve_matrix_game(M, tol: float = 1e-9) -> MatrixGameSolution:
     """Solve a finite constant-sum game behind an exploitability certificate.
 
-    The primary engine is one LP per player; if the LP fails the solver
-    falls back to regret-matching self-play for max_iter rounds.  Either
-    way the certificate is recomputed from the final mixes, and a result
-    that misses tol is returned with converged=False rather than hidden.
+    One HiGHS LP gives the row mix and, from its duals, the column mix; a
+    solver failure raises RuntimeError.  The certificate is recomputed from
+    the final mixes, and a result that misses tol is returned with
+    converged=False rather than hidden.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.size == 0:
@@ -245,21 +212,15 @@ def solve_matrix_game(M, tol: float = 1e-9, max_iter: int = 100_000) -> MatrixGa
         raise DomainError("payoff matrix must be finite")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    pair = _lp_solve(M)
-    method = "lp"
-    if pair is None:
-        pair = _regret_matching(M, max_iter)
-        method = "regret-matching"
-    r, c = (_normalize(v) for v in pair)
+    r, c = (_normalize(v) for v in _lp_solve(M))
     value = float(r @ M @ c)
-    cert = exploitability(M, r, c, aggregate="max")
+    cert = exploitability(M, r, c)
     return MatrixGameSolution(
         value=value,
         row_mix=tuple(float(x) for x in r),
         col_mix=tuple(float(x) for x in c),
         exploitability=cert,
         converged=cert <= tol,
-        method=method,
     )
 
 
@@ -353,7 +314,6 @@ def value_curve_oracle(
     p_list: Sequence[float],
     cfg: MarketConfig,
     n_list: Sequence[int],
-    tol: float = 1e-9,
 ) -> list[dict]:
     """Grid-game values against the analytic value and the regime benchmark.
 
@@ -370,7 +330,7 @@ def value_curve_oracle(
         marks = regime_breakpoints(p, cfg)
         for n in n_list:
             g = make_grid(n, cfg, mandatory=marks)
-            sol = solve_matrix_game(payoff_matrix(kernel, g, g), tol=tol)
+            sol = solve_matrix_game(payoff_matrix(kernel, g, g))
             gap = abs(sol.value - rep.v)
             bench_gap = abs(sol.value - rep.benchmark)
             if math.isclose(gap, bench_gap, rel_tol=0.0, abs_tol=1e-12):

@@ -29,6 +29,7 @@ from procurelab.game_core import (
     Side,
     UnsupportedError,
     WeightedKernel,
+    maps_p,
     strict_win_regions,
 )
 
@@ -306,11 +307,8 @@ def point_mass(x: float, cfg: MarketConfig) -> MixedStrategy:
 # Expected payoffs
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-    cutpoints: tuple[float, ...] = ()
+_QUAD_REL_TOL = 1e-9  # per-panel relative tolerance of the quadrature path
+_QUAD_LIMIT = 200  # subdivisions per panel
 
 
 @dataclass(frozen=True)
@@ -328,8 +326,6 @@ def _region_cutpoints(bid: float, side: Side, kernel: WeightedKernel) -> list[fl
     pts = [bid, cfg.E]
     p = kernel.p
     if 0.0 < p < 1.0:
-        from procurelab.game_core import maps_p
-
         maps = maps_p(p, cfg)
         if side is Side.AS_ROW:
             pts += [maps.h1(bid), maps.f1(bid)]
@@ -349,19 +345,11 @@ def _panels(points: Iterable[float], lo: float, hi: float) -> list[tuple[float, 
     return list(zip(cuts, cuts[1:]))
 
 
-def _quad_panel(f: Callable[[float], float], lo: float, hi: float,
-                spec: QuadratureSpec) -> tuple[float, float]:
-    val, abserr = integrate.quad(
-        f, lo, hi, epsrel=spec.rel_tol, epsabs=1e-13, limit=spec.max_subdivisions
-    )
-    return val, abserr
-
-
 def expect_vs(
     bid: float,
     s: MixedStrategy,
     kernel: WeightedKernel,
-    quad: QuadratureSpec | None = None,
+    *,
     side: Side = Side.AS_ROW,
     method: str = "auto",
 ) -> float:
@@ -374,7 +362,6 @@ def expect_vs(
     forces the adaptive panel integrator instead and exists to cross-check
     the closed forms.  Atom ties contribute the kernel's tie payoff.
     """
-    quad = quad or QuadratureSpec()
     bid = kernel.cfg.require_bid(bid)
     if method not in ("auto", "exact", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
@@ -398,8 +385,7 @@ def expect_vs(
         return atom_part + cont
 
     # quadrature path: integrate the kernel against each piece density
-    cut = list(quad.cutpoints) + _region_cutpoints(bid, side, kernel)
-    return _integrate_against(s, f, cut, quad)
+    return _integrate_against(s, f, _region_cutpoints(bid, side, kernel))
 
 
 def _sym_maps(cfg: MarketConfig):
@@ -418,8 +404,6 @@ def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float
         qs.add(a.x)
     out = set()
     if 0.0 < kernel.p < 1.0:
-        from procurelab.game_core import maps_p
-
         maps = maps_p(kernel.p, cfg)
         preimages = (lambda q: q, maps.f2, maps.h2, maps.f1, maps.h1)
     else:
@@ -434,7 +418,7 @@ def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float
 
 
 def _integrate_against(mu: MixedStrategy, f: Callable[[float], float],
-                       cuts: Sequence[float], spec: QuadratureSpec) -> float:
+                       cuts: Sequence[float]) -> float:
     """∫ f dμ with f piecewise smooth between cuts; atoms added exactly."""
     total = sum(a.m * f(a.x) for a in mu.atoms)
     E = mu.cfg.E
@@ -442,10 +426,11 @@ def _integrate_against(mu: MixedStrategy, f: Callable[[float], float],
     for piece in mu.pieces:
         dens = piece.density(E)
         for lo, hi in _panels(cuts, piece.a, piece.b):
-            val, err = _quad_panel(lambda x: f(x) * dens(x), lo, hi, spec)
+            val, err = integrate.quad(lambda x: f(x) * dens(x), lo, hi, epsrel=_QUAD_REL_TOL,
+                                      epsabs=1e-13, limit=_QUAD_LIMIT)
             total += val
             worst = max(worst, err)
-    if worst > max(spec.rel_tol * max(abs(total), 1.0), 1e-12) * 10.0:
+    if worst > max(_QUAD_REL_TOL * max(abs(total), 1.0), 1e-12) * 10.0:
         raise QuadratureError("integration did not converge", worst)
     return total
 
@@ -460,7 +445,6 @@ def expect_joint(
     mu: MixedStrategy,
     nu: MixedStrategy,
     kernel: WeightedKernel,
-    quad: QuadratureSpec | None = None,
     forms: tuple[str, ...] | None = None,
 ) -> JointExpectation:
     """E[g(X, Y)] for X ~ mu, Y ~ nu, computed several independent ways.
@@ -472,7 +456,6 @@ def expect_joint(
     price (both bids weighted equally), so they refuse kernels with p != 1/2.
     Defaults: all three for a symmetric kernel, outer only otherwise.
     """
-    quad = quad or QuadratureSpec()
     if mu.cfg != kernel.cfg or nu.cfg != kernel.cfg:
         raise DomainError("strategies and kernel use different market configs")
     if forms is None:
@@ -491,8 +474,8 @@ def expect_joint(
 
     if "outer" in forms:
         cuts = _outer_cutpoints(nu, kernel)
-        f = lambda x: expect_vs(x, nu, kernel, quad, side=Side.AS_ROW)
-        by_form["outer"] = _integrate_against(mu, f, cuts, quad)
+        f = lambda x: expect_vs(x, nu, kernel, side=Side.AS_ROW)
+        by_form["outer"] = _integrate_against(mu, f, cuts)
 
     if "cdf" in forms:
         lower, upper = _sym_maps(cfg)
@@ -508,7 +491,7 @@ def expect_joint(
         # integrand(a.x) is also the exact term of an atom of nu: at y = E the
         # two split regions coincide, so the region is counted once
         cuts = _outer_cutpoints(mu, kernel)
-        total = _integrate_against(nu, integrand, cuts, quad)
+        total = _integrate_against(nu, integrand, cuts)
         total += _shared_atom_term(mu, nu, kernel.tie_value)
         by_form["cdf"] = total
 
@@ -523,7 +506,7 @@ def expect_joint(
             return nu.measure(Interval(x, cfg.B, False, True))
 
         cuts = _outer_cutpoints(nu, kernel)
-        total = _integrate_against(mu, row_win, cuts, quad)
+        total = _integrate_against(mu, row_win, cuts)
         total += _shared_atom_term(mu, nu, kernel.tie_value)
         by_form["swapped"] = total
 

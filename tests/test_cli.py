@@ -1,10 +1,15 @@
 """Golden-output and exit-code tests for the command-line front end."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from scipy.optimize import OptimizeResult
 
+import procurelab
+from procurelab import oracle_solver
 from procurelab.cli import RunConfig, main
 from procurelab.game_core import critical_p
 
@@ -174,12 +179,20 @@ class TestSolveGrid:
         assert d["converged"] is True
         assert d["v_formula"] == 0.5
         assert d["grid_n"] >= 51 and d["requested_n"] == 51
+        assert "method" not in d
 
     def test_weighted_value_anchor(self, capsys):
         _, d = run_json(["solve-grid", "--p", "0.3", "--n", "101"], capsys)
         # frozen from the breakpoint-enriched 101-point grid
         assert d["value"] == pytest.approx(0.372519372552, abs=1e-6)
         assert d["exploitability"] <= 1e-6
+
+    def test_solver_failure_exits_1(self, capsys, monkeypatch):
+        failed = OptimizeResult(success=False, status=4, message="numerical difficulties")
+        monkeypatch.setattr(oracle_solver, "linprog", lambda *a, **k: failed)
+        code, out, err = run_cli(["solve-grid", "--p", "0.3", "--n", "11"], capsys)
+        assert code == 1 and out == ""
+        assert "status 4" in err and "numerical difficulties" in err
 
 
 class TestCutpoints3:
@@ -295,9 +308,12 @@ class TestRegionGrid:
 
 
 def test_module_entry_point():
+    # the child imports the package under test, wherever pytest found it
+    src = str(Path(procurelab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "procurelab.cli", "regimes", "--p", "0.1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["m"] == 2

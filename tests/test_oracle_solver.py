@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+from procurelab import oracle_solver
 from procurelab.game_core import (
     DiscontinuityClass,
     DomainError,
@@ -95,15 +97,12 @@ class TestPayoffMatrix:
 
 class TestExploitability:
     def test_pure_mixes_on_matching_pennies(self):
-        assert exploitability(MP, (1, 0), (1, 0)) == 0.5
-        assert exploitability(MP, (1, 0), (1, 0), aggregate="max") == 1.0
+        assert exploitability(MP, (1, 0), (1, 0)) == 1.0
 
     def test_exact_solution_is_zero(self):
         assert exploitability(MP, (0.5, 0.5), (0.5, 0.5)) <= 1e-12
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            exploitability(MP, (1, 0), (1, 0), aggregate="sum")
         with pytest.raises(DomainError):
             exploitability(MP, (1, 0, 0), (1, 0))
         with pytest.raises(DomainError):
@@ -117,7 +116,7 @@ class TestSolver:
         assert sol.row_mix == pytest.approx((0.5, 0.5), abs=1e-9)
         assert sol.col_mix == pytest.approx((0.5, 0.5), abs=1e-9)
         assert sol.exploitability <= 1e-12
-        assert sol.converged and sol.method == "lp"
+        assert sol.converged
 
     def test_singleton(self):
         sol = solve_matrix_game([[0.5]])
@@ -135,7 +134,7 @@ class TestSolver:
         g = make_grid(101, CFG)
         M = payoff_matrix(WeightedKernel(p=0.3, cfg=CFG), g, g)
         sol = solve_matrix_game(M)
-        again = exploitability(M, sol.row_mix, sol.col_mix, aggregate="max")
+        again = exploitability(M, sol.row_mix, sol.col_mix)
         assert abs(again - sol.exploitability) <= 1e-12
 
     def test_deterministic(self):
@@ -158,15 +157,41 @@ class TestSolver:
         with pytest.raises(DomainError):
             solve_matrix_game(MP, tol=0.0)
         with pytest.raises(DomainError):
-            MatrixGameSolution(0.5, (0.6, 0.6), (1.0,), 0.0, True, "lp")
+            MatrixGameSolution(0.5, (0.6, 0.6), (1.0,), 0.0, True)
         with pytest.raises(DomainError):
-            MatrixGameSolution(0.5, (1.0,), (1.0,), -1e-3, True, "lp")
+            MatrixGameSolution(0.5, (1.0,), (1.0,), -1e-3, True)
 
-    def test_regret_matching_quality(self):
-        from procurelab.oracle_solver import _regret_matching
+    @pytest.mark.parametrize("cfg, p, n", [
+        (MarketConfig(A=0.2, B=2.0, E=1.1), critical_p(), 201),
+        (CFG, 0.0846806, 401),
+    ])
+    def test_certificate_meets_default_tol(self, cfg, p, n):
+        # measured with two LPs at HiGHS's default tolerances: 3.0e-9 and 8.4e-8
+        g = make_grid(n, cfg, mandatory=regime_breakpoints(p, cfg))
+        sol = solve_matrix_game(payoff_matrix(WeightedKernel(p=p, cfg=cfg), g, g))
+        assert sol.exploitability <= 1e-9 and sol.converged
 
-        r, c = _regret_matching(MP, 2000)
-        assert exploitability(MP, r, c, aggregate="max") <= 0.02
+    def test_one_lp_per_solve(self, monkeypatch):
+        calls = []
+        real = oracle_solver.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_solver, "linprog", counting)
+        g = make_grid(51, CFG, mandatory=regime_breakpoints(0.3, CFG))
+        sol = solve_matrix_game(payoff_matrix(WeightedKernel(p=0.3, cfg=CFG), g, g))
+        assert len(calls) == 1 and sol.converged
+
+    def test_solver_failure_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            return OptimizeResult(success=False, status=4, message="numerical difficulties",
+                                  x=np.full(3, 0.5))
+
+        monkeypatch.setattr(oracle_solver, "linprog", failing)
+        with pytest.raises(RuntimeError, match=r"status 4.*numerical difficulties"):
+            solve_matrix_game(MP)
 
 
 class TestProjection:
@@ -196,7 +221,7 @@ class TestProjection:
         for n in (101, 201, 401, 801):
             g = make_grid(n, CFG)
             w = project_to_grid(s, g)
-            gaps.append(exploitability(payoff_matrix(k, g, g), w, w, aggregate="max"))
+            gaps.append(exploitability(payoff_matrix(k, g, g), w, w))
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 0.02
 
@@ -247,6 +272,10 @@ class TestValueCurve:
         assert row["benchmark"] == pytest.approx(0.4, abs=1e-15)
         rows = value_curve_oracle([critical_p()], CFG, [101])
         assert rows[0]["closer"] == "tie"  # formula and benchmark coincide at p*
+
+    def test_critical_ladder_converges_off_default_config(self):
+        rows = value_curve_oracle([critical_p()], MarketConfig(A=0.2, B=2.0, E=1.1), [101, 201])
+        assert [r["converged"] for r in rows] == [True, True]
 
     def test_symmetric_rows_exact(self):
         rows = value_curve_oracle([0.5], CFG, [51, 101])

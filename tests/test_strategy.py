@@ -7,7 +7,7 @@ import pytest
 from procurelab import game_core as gc
 from procurelab import strategy as st
 from procurelab.game_core import DomainError, Interval, UnsupportedError, default_config
-from procurelab.strategy import Atom, MixedStrategy, Piece, PieceKind, QuadratureSpec
+from procurelab.strategy import Atom, MixedStrategy, Piece, PieceKind
 
 CFG = default_config()
 SYM = gc.symmetric_kernel(CFG)
@@ -224,6 +224,12 @@ class TestExpectVs:
         # auto falls back to quadrature and still answers
         v = st.expect_vs(0.5, uniform_pair(), gc.WeightedKernel(0.0, CFG))
         assert 0.0 <= v <= 1.0
+
+    def test_side_and_method_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            st.expect_vs(0.5, uniform_pair(), SYM, gc.Side.AS_COLUMN)
+        with pytest.raises(TypeError):
+            st.expect_vs(0.5, uniform_pair(), SYM, None, gc.Side.AS_ROW, "quadrature")
 
 
 class TestExpectJoint:
