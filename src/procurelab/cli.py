@@ -125,6 +125,21 @@ def _dump(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # run-config plumbing: flags > --config JSON > defaults
 
+# the JSON values each RunConfig annotation accepts; bool, an int subclass,
+# is refused separately
+_CONFIG_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
+                 "Optional[str]": (str, type(None))}
+
+
+def _check_config_types(loaded: dict) -> None:
+    for field in dataclasses.fields(RunConfig):
+        if field.name not in loaded:
+            continue
+        value = loaded[field.name]
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[field.type]):
+            raise _UsageError(
+                f"config field {field.name} must be {field.type}, got {json.dumps(value)}")
+
 
 def _run_config_from(args: argparse.Namespace) -> RunConfig:
     values = dataclasses.asdict(RunConfig())
@@ -139,6 +154,7 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
         unknown = sorted(set(loaded) - set(values))
         if unknown:
             raise _UsageError(f"unknown config fields: {', '.join(unknown)}")
+        _check_config_types(loaded)
         values.update(loaded)
     for field in values:
         flag = getattr(args, field, None)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._report import VerificationReport, make_report
 from ._rng import derive_seed, uniform_stream
@@ -168,6 +167,19 @@ class MatrixGameSolution:
                 raise DomainError("solution mixes must be distributions")
         if self.exploitability < 0.0:
             raise DomainError("exploitability must be nonnegative")
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
+            method="highs", options=None):
+    """scipy.optimize.linprog, imported on the first call.
+
+    Importing scipy.optimize takes longer than most subcommands take to run,
+    so only the LP paths load it.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                         method=method, options=options)
 
 
 def _lp_solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

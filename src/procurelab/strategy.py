@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from procurelab._rng import uniform_stream
 from procurelab.game_core import (
@@ -420,6 +419,8 @@ def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float
 def _integrate_against(mu: MixedStrategy, f: Callable[[float], float],
                        cuts: Sequence[float]) -> float:
     """∫ f dμ with f piecewise smooth between cuts; atoms added exactly."""
+    from scipy import integrate  # imported here so the exact paths never load scipy
+
     total = sum(a.m * f(a.x) for a in mu.atoms)
     E = mu.cfg.E
     worst = 0.0

@@ -55,6 +55,31 @@ class TestRunConfig:
         path.write_text("not json")
         assert run_cli(["regimes", "--config", str(path)], capsys)[0] == 2
 
+    @pytest.mark.parametrize("command, loaded", [
+        ("regimes", {"n": "5"}),
+        ("regimes", {"tol": "x"}),
+        ("solve-grid", {"n": 5.0}),
+        ("solve-grid", {"n": True}),
+        ("simulate --row log --col log", {"seed": 1.5}),
+        ("regimes", {"A": False}),
+        ("regimes", {"output": 3}),
+        ("regimes", {"format": None}),
+    ], ids=["n-str", "tol-str", "n-float", "n-bool", "seed-float", "A-bool",
+            "output-int", "format-null"])
+    def test_mistyped_config_field_is_usage_error(self, capsys, tmp_path, command, loaded):
+        path = tmp_path / "rc.json"
+        path.write_text(json.dumps(loaded))
+        code, out, err = run_cli([*command.split(), "--config", str(path)], capsys)
+        (field,) = loaded
+        assert code == 2 and out == ""
+        assert f"config field {field} must be" in err
+
+    def test_int_config_value_is_accepted_for_float_field(self, capsys, tmp_path):
+        path = tmp_path / "rc.json"
+        path.write_text('{"A": 0, "output": null}')
+        code, d = run_json(["regimes", "--config", str(path)], capsys)
+        assert code == 0 and d["run_config"]["A"] == 0
+
     def test_invalid_market_is_usage_error(self, capsys):
         assert run_cli(["regimes", "--A", "2", "--B", "1"], capsys)[0] == 2
 
@@ -307,13 +332,39 @@ class TestRegionGrid:
         assert code == 1 and "4096" in err
 
 
-def test_module_entry_point():
+def run_child(*args):
     # the child imports the package under test, wherever pytest found it
     src = str(Path(procurelab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "procurelab.cli", "regimes", "--p", "0.1"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_child("-m", "procurelab.cli", "regimes", "--p", "0.1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["m"] == 2
+
+
+_IMPORT_GUARD = """
+import io, sys
+from contextlib import redirect_stdout
+import procurelab
+assert "scipy" not in sys.modules, "import procurelab"
+from procurelab import cli
+for argv in (["regimes", "--p", "0.1"], ["br-dynamics", "--steps", "50"],
+             ["simulate", "--row", "log", "--col", "log", "--samples", "1000"]):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+with redirect_stdout(io.StringIO()):
+    assert cli.main(["solve-grid", "--n", "11"]) == 0
+assert "scipy.optimize" in sys.modules, "solve-grid"
+"""
+
+
+def test_scipy_loads_only_where_used():
+    proc = run_child("-c", _IMPORT_GUARD)
+    assert proc.returncode == 0, proc.stderr
