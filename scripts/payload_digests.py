@@ -1,0 +1,80 @@
+"""Print one ``name sha256`` line per seeded payload of a procurelab checkout.
+
+Usage: python scripts/payload_digests.py [ROOT]
+
+ROOT is the checkout to digest (default: the one holding this script); its
+``src`` is what gets imported and run.  Two runs compare with one ``diff``:
+
+    python scripts/payload_digests.py > new.txt
+    python scripts/payload_digests.py /path/to/other/checkout > old.txt
+    diff old.txt new.txt
+
+The payloads are:
+
+* ``battery/<check>``: each report of ``run_battery(seed=42)`` as JSON;
+* ``cli/seed=<s>/<args>``: stdout and exit code of each of the benchmark's
+  cli-cold commands at seeds 1-3, in a fresh interpreter each; the
+  commands come from ``perfbench.workloads.cli_args`` of the same ROOT;
+* ``verify/<strategy>[-p<p>]``: stdout and exit code of ``verify --format
+  json`` for the uniform, log and critical strategies and the weighted one
+  at p in {0.5, 0.3, 0.1, 0.05}.
+
+A digest covers the bytes of the payload, so any moved digit shows.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = (1, 2, 3)
+VERIFY = (
+    ["--strategy", "uniform"],
+    ["--strategy", "log"],
+    ["--strategy", "critical"],
+    *(["--strategy", "weighted", "--p", p] for p in ("0.5", "0.3", "0.1", "0.05")),
+)
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_digest(root: Path, env: dict, args: list[str]) -> str:
+    proc = subprocess.run([sys.executable, "-m", "procurelab.cli", *args], cwd=root,
+                          env=env, capture_output=True, timeout=300)
+    return digest(proc.stdout + f"\nexit={proc.returncode}\n".encode())
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
+    src = root / "src"
+    if not (src / "procurelab" / "__init__.py").is_file():
+        print(f"no procurelab sources under {src}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(src), str(root)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+
+    from procurelab.experiments import run_battery
+    from perfbench.workloads import cli_args
+
+    for report in run_battery(seed=42):
+        print(f"battery/{report.check} {digest(report.to_json().encode())}")
+    for seed in SEEDS:
+        for args in cli_args(seed):
+            print(f"cli/seed={seed}/{'_'.join(args)} {cli_digest(root, env, args)}")
+    for args in VERIFY:
+        name = args[1] + (f"-p{args[3]}" if len(args) > 2 else "")
+        print(f"verify/{name} "
+              f"{cli_digest(root, env, ['verify', *args, '--format', 'json'])}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -131,7 +131,10 @@ _CONFIG_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
                  "Optional[str]": (str, type(None))}
 
 
-def _check_config_types(loaded: dict) -> None:
+def _typed_config(loaded: dict) -> dict:
+    """The config values, type-checked; JSON ints in float fields become floats,
+    so they echo as a flag's value would."""
+    out = dict(loaded)
     for field in dataclasses.fields(RunConfig):
         if field.name not in loaded:
             continue
@@ -139,6 +142,12 @@ def _check_config_types(loaded: dict) -> None:
         if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[field.type]):
             raise _UsageError(
                 f"config field {field.name} must be {field.type}, got {json.dumps(value)}")
+        if field.type == "float":
+            try:
+                out[field.name] = float(value)
+            except OverflowError:
+                raise _UsageError(f"config field {field.name} is too large for a float")
+    return out
 
 
 def _run_config_from(args: argparse.Namespace) -> RunConfig:
@@ -154,8 +163,7 @@ def _run_config_from(args: argparse.Namespace) -> RunConfig:
         unknown = sorted(set(loaded) - set(values))
         if unknown:
             raise _UsageError(f"unknown config fields: {', '.join(unknown)}")
-        _check_config_types(loaded)
-        values.update(loaded)
+        values.update(_typed_config(loaded))
     for field in values:
         flag = getattr(args, field, None)
         if flag is not None:

@@ -23,7 +23,7 @@ from .game_core import (
     default_config,
     jump_signs,
     maps_p,
-    ordering_cell,
+    ordering_cells,
     payoff_3,
     payoff_3_batch,
     payoff_n,
@@ -32,7 +32,7 @@ from .game_core import (
     sym_sequence_A,
     symmetric_kernel,
     weighted_sequences,
-    BoundaryError,
+    OrderingCell,
 )
 from .equilibria import (
     CurveKind,
@@ -317,22 +317,23 @@ def equilibrium_inequalities(cases: Sequence[tuple], grid: Sequence[float]) -> t
     1e-9·(E − A), the row payoff must also equal v(p) exactly: the flat band.
     Returns (max_violation, [(label, bid)] at the worst point).
     """
+    grid = np.asarray(grid, dtype=np.float64)
     top, worst = 0.0, []
     for label, s, p in cases:
         if not s.pieces:
             raise DomainError(f"strategy {label!r} has no density pieces")
+        if not grid.size:
+            continue
         kern = WeightedKernel(p=p, cfg=s.cfg)
         v = value_weighted(p).v
         flat_hi = max(pc.b for pc in s.pieces) - 1e-9 * (s.cfg.E - s.cfg.A)
-        for x in grid:
-            xx = float(x)
-            row = expect_vs(xx, s, kern, method="exact", side=Side.AS_ROW)
-            col = expect_vs(xx, s, kern, method="exact", side=Side.AS_COLUMN)
-            dev = max(row - v, v - col)
-            if xx < flat_hi:
-                dev = max(dev, abs(row - v))
-            if dev > top:
-                top, worst = dev, [(label, xx)]
+        row = expect_vs(grid, s, kern, method="exact", side=Side.AS_ROW)
+        col = expect_vs(grid, s, kern, method="exact", side=Side.AS_COLUMN)
+        dev = np.maximum(row - v, v - col)
+        dev = np.where(grid < flat_hi, np.maximum(dev, np.abs(row - v)), dev)
+        k = int(dev.argmax())
+        if dev[k] > top:
+            top, worst = float(dev[k]), [(label, float(grid[k]))]
     return top, worst
 
 
@@ -377,6 +378,10 @@ def functional_residuals(cases: Sequence[tuple]) -> tuple[float, list]:
 
 # ---------------------------------------------------------------------------
 # The verification battery
+
+
+# stream pairs classified at once by jump-sign-scan; bounds its temporaries
+_JUMP_CHUNK = 65_536
 
 
 def battery_passed(reports: Sequence[VerificationReport]) -> bool:
@@ -488,47 +493,43 @@ def run_battery(
     run("deviation-optimality", {"profiles": 3 * 3_334, "N": [2, 3, 5]}, 0.0, deviation_wins)
 
     def relations():
-        pairs = draw_bids("relations", 10_000, 2)
-        top, worst = 0.0, []
-        for y, z in pairs:
-            c = cutpoints3(float(y), float(z), cfg)
-            r = max(
-                abs((c.p_y - y) - 5.0 * (y - c.t)),
-                abs((c.p_z - z) - 5.0 * (z - c.t)),
-                abs((c.p_y - c.p_z) - 6.0 * (y - z)),
-            )
-            if r > top:
-                top, worst = r, [(float(y), float(z))]
-        return top, worst
+        y, z = draw_bids("relations", 10_000, 2).T
+        c = cutpoints3(y, z, cfg)
+        r = np.maximum.reduce([
+            np.abs((c.p_y - y) - 5.0 * (y - c.t)),
+            np.abs((c.p_z - z) - 5.0 * (z - c.t)),
+            np.abs((c.p_y - c.p_z) - 6.0 * (y - z)),
+        ])
+        k = int(r.argmax())
+        return (float(r[k]), [(float(y[k]), float(z[k]))]) if r[k] > 0.0 else (0.0, [])
 
     run("cutpoint-relations", {"pairs": 10_000}, 1e-12, relations)
 
     def ordering_exhaustive():
         axis = np.linspace(cfg.A, cfg.B, 202)[1:-1]
-        bad, worst, seen = 0, [], set()
-        for y in axis:
-            for z in axis:
-                try:
-                    cell = ordering_cell(float(y), float(z), cfg)
-                except BoundaryError:
-                    continue
-                seen.add(cell.tag)
-                cut = cutpoints3(float(y), float(z), cfg)
-                a, b = (y, z) if not cell.mirrored else (z, y)
-                p_a = 5.0 * a - 3.0 * cfg.E - b
-                p_b = 5.0 * b - 3.0 * cfg.E - a
-                pattern = {
-                    "O1": [p_a, p_b, a, b, cut.t],
-                    "O2": [p_a, a, p_b, b, cut.t],
-                    "O3": [p_a, a, cut.t, b, p_b],
-                    "O4": [cut.t, a, b, p_a, p_b],
-                    "O5": [cut.t, a, p_a, b, p_b],
-                }[cell.tag]
-                if not all(u < v for u, v in zip(pattern, pattern[1:])):
-                    bad += 1
-                    if len(worst) < 5:
-                        worst.append((float(y), float(z), cell.tag))
-        if seen != {"O1", "O2", "O3", "O4", "O5"}:
+        y, z = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+        cells = ordering_cells(y, z, cfg)
+        t = cutpoints3(y, z, cfg).t
+        a = np.where(cells.mirrored, z, y)
+        b = np.where(cells.mirrored, y, z)
+        p_a = 5.0 * a - 3.0 * cfg.E - b
+        p_b = 5.0 * b - 3.0 * cfg.E - a
+        patterns = {
+            "O1": [p_a, p_b, a, b, t],
+            "O2": [p_a, a, p_b, b, t],
+            "O3": [p_a, a, t, b, p_b],
+            "O4": [t, a, b, p_a, p_b],
+            "O5": [t, a, p_a, b, p_b],
+        }
+        bad_at = np.zeros(y.shape, dtype=bool)
+        for tag, pattern in patterns.items():
+            ordered = np.logical_and.reduce([u < v for u, v in zip(pattern, pattern[1:])])
+            bad_at |= (cells.tag == tag) & ~ordered
+        bad = int(bad_at.sum())
+        worst = [(float(y[k]), float(z[k]), str(cells.tag[k]))
+                 for k in np.flatnonzero(bad_at)[:5]]
+        seen = set(cells.tag[~cells.boundary].tolist())
+        if seen != set(patterns):
             bad += 1
             worst.append(("cells-seen", sorted(seen)))
         return float(bad), worst
@@ -541,33 +542,35 @@ def run_battery(
         filled = {tag: 0 for tag in ("O1", "O2", "O3", "O4", "O5")}
         bad, worst = 0, []
         stream = uniform_stream(derive_seed(seed, "jumps"), 2_000_000).reshape(-1, 2)
-        for u, v in stream:
+        # classify the stream in chunks, keeping in stream order the first
+        # per_cell pairs of each cell whose cutpoints lie more than 3·delta apart
+        for start in range(0, len(stream), _JUMP_CHUNK):
             if min(filled.values()) >= per_cell:
                 break
-            y = cfg.A + span * float(u)
-            z = cfg.A + span * float(v)
-            try:
-                cell = ordering_cell(y, z, cfg)
-            except BoundaryError:
-                continue
-            if filled[cell.tag] >= per_cell:
-                continue
+            y, z = (cfg.A + span * stream[start:start + _JUMP_CHUNK]).T
+            cells = ordering_cells(y, z, cfg)
             cut = cutpoints3(y, z, cfg)
-            values = {"y": y, "z": z, "t": cut.t, "p_y": cut.p_y, "p_z": cut.p_z}
-            pts = sorted(values.values())
-            if min(b - a for a, b in zip(pts, pts[1:])) <= 3 * delta:
-                continue
-            filled[cell.tag] += 1
-            signs = jump_signs(cell)
-            for key, v0 in values.items():
-                if not (cfg.A + delta < v0 < cfg.B - delta):
-                    continue
-                jump = payoff_3(v0 + delta, y, z, cfg) - payoff_3(v0 - delta, y, z, cfg)
-                got = (jump > 0) - (jump < 0)
-                if got != signs[key]:
-                    bad += 1
-                    if len(worst) < 5:
-                        worst.append((y, z, key, signs[key], got))
+            values = np.stack([y, z, cut.t, cut.p_y, cut.p_z], axis=-1)
+            gaps = np.diff(np.sort(values, axis=-1), axis=-1).min(axis=-1)
+            keep = ~cells.boundary & (gaps > 3 * delta)
+            take = np.zeros(y.shape, dtype=bool)
+            for tag in filled:
+                idx = np.flatnonzero(keep & (cells.tag == tag))[:per_cell - filled[tag]]
+                take[idx] = True
+                filled[tag] += len(idx)
+            for k in np.flatnonzero(take):
+                cell = OrderingCell(str(cells.tag[k]), bool(cells.mirrored[k]))
+                signs = jump_signs(cell)
+                yk, zk = float(y[k]), float(z[k])
+                for key, v0 in zip(("y", "z", "t", "p_y", "p_z"), values[k].tolist()):
+                    if not (cfg.A + delta < v0 < cfg.B - delta):
+                        continue
+                    jump = payoff_3(v0 + delta, yk, zk, cfg) - payoff_3(v0 - delta, yk, zk, cfg)
+                    got = (jump > 0) - (jump < 0)
+                    if got != signs[key]:
+                        bad += 1
+                        if len(worst) < 5:
+                            worst.append((yk, zk, key, signs[key], got))
         if min(filled.values()) < per_cell:
             bad += 1
             worst.append(("under-filled", filled))

@@ -63,6 +63,14 @@ class MarketConfig:
             raise DomainError(f"bid {x} outside [{self.A}, {self.B}]")
         return float(x)
 
+    def require_bids(self, xs) -> np.ndarray:
+        """Array form of require_bid: every entry in [A, B], none NaN."""
+        xs = np.asarray(xs, dtype=np.float64)
+        bad = ~((xs >= self.A) & (xs <= self.B))
+        if bad.any():
+            raise DomainError(f"bid {xs[bad].flat[0]} outside [{self.A}, {self.B}]")
+        return xs
+
 
 def default_config() -> MarketConfig:
     return MarketConfig(A=0.0, B=1.5, E=1.0)
@@ -506,6 +514,32 @@ def strict_win_regions(
     return tuple(r for r in (lower, upper) if not r.is_empty)
 
 
+def win_region_ends(
+    bids: np.ndarray,
+    side: Side,
+    p: float,
+    cfg: MarketConfig,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """strict_win_regions over an array of admissible bids, as (lo, hi) arrays.
+
+    Returns the lower and the upper region, in that order; where a region
+    is empty, hi <= lo.  Endpoint membership is left out: these ends serve
+    to measure continuous mass, which endpoints do not carry.
+    """
+    maps = maps_p(p, cfg)
+    A, B, E = cfg.A, cfg.B, cfg.E
+    if side is Side.AS_ROW:
+        lower = (np.maximum(maps.h1(bids), A), bids)
+        upper = (np.maximum(maps.f1(bids), bids), np.full_like(bids, B))
+    elif side is Side.AS_COLUMN:
+        above = bids > E
+        lower = (np.full_like(bids, A), np.where(above, bids, maps.h2(bids)))
+        upper = (bids, np.where(above, bids, maps.f2(bids)))
+    else:
+        raise DomainError(f"unknown side {side!r}")
+    return lower, upper
+
+
 # ---------------------------------------------------------------------------
 # N=3 cutpoint geometry
 
@@ -520,9 +554,12 @@ class Cutpoints3:
     p_z: float
 
 
-def cutpoints3(y: float, z: float, cfg: MarketConfig) -> Cutpoints3:
-    y = cfg.require_bid(y)
-    z = cfg.require_bid(z)
+def cutpoints3(y, z, cfg: MarketConfig) -> Cutpoints3:
+    """The cutpoints of opponent bids (y, z); arrays of y and z give arrays."""
+    if np.ndim(y) or np.ndim(z):
+        y, z = cfg.require_bids(y), cfg.require_bids(z)
+    else:
+        y, z = cfg.require_bid(y), cfg.require_bid(z)
     E = cfg.E
     return Cutpoints3(
         t=(y + z + 3.0 * E) / 5.0,
@@ -540,6 +577,16 @@ class OrderingCell:
     mirrored: bool
 
 
+@dataclass(frozen=True)
+class OrderingCells:
+    """OrderingCell over arrays of (y, z); boundary marks the pairs that
+    ordering_cell refuses, and their tag is the empty string."""
+
+    tag: np.ndarray
+    mirrored: np.ndarray
+    boundary: np.ndarray
+
+
 _JUMP_SIGNS: dict[str, dict[str, int]] = {
     "O1": {"y": 0, "p_y": -1, "z": 1, "p_z": 0, "t": -1},
     "O2": {"y": 1, "p_y": -1, "z": 1, "p_z": -1, "t": -1},
@@ -549,35 +596,48 @@ _JUMP_SIGNS: dict[str, dict[str, int]] = {
 }
 
 
-def ordering_cell(
-    y: float, z: float, cfg: MarketConfig, tol: float = HYPERSURFACE_TOL
-) -> OrderingCell:
-    """Classify (y, z) by the strict order of the five N=3 cutpoints.
+def ordering_cells(
+    y: np.ndarray, z: np.ndarray, cfg: MarketConfig, tol: float = HYPERSURFACE_TOL
+) -> OrderingCells:
+    """Classify each pair (y[k], z[k]) by the strict order of the five N=3
+    cutpoints.
 
-    Raises BoundaryError when any two of {y, z, t, p_y, p_z} fall within
+    A pair is on a boundary when any two of {y, z, t, p_y, p_z} fall within
     tol of each other: there the order is not strict and adjacent cells
     merge.  The tolerance matters: pairs that coincide in exact arithmetic
     can land an ulp apart in floats, and classifying them would report a
     strict order that is pure rounding noise.
     """
+    y = np.asarray(y, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    if y.shape != z.shape:
+        raise DomainError(f"y and z shapes differ: {y.shape} vs {z.shape}")
     cut = cutpoints3(y, z, cfg)
-    values = {"y": y, "z": z, "t": cut.t, "p_y": cut.p_y, "p_z": cut.p_z}
-    items = sorted(values.items(), key=lambda kv: kv[1])
-    for (na, va), (nb, vb) in zip(items, items[1:]):
-        if vb - va <= tol:
-            raise BoundaryError(f"cutpoints {na} and {nb} coincide near {va}")
+    ordered = np.sort(np.stack([y, z, cut.t, cut.p_y, cut.p_z], axis=-1), axis=-1)
+    boundary = np.diff(ordered, axis=-1).min(axis=-1) <= tol
 
     mirrored = z < y
-    a, b = (y, z) if not mirrored else (z, y)  # a < b
+    a = np.where(mirrored, z, y)  # a < b
+    b = np.where(mirrored, y, z)
     p_a = 5.0 * a - 3.0 * cfg.E - b
     p_b = 5.0 * b - 3.0 * cfg.E - a
-    if b < cut.t:
-        tag = "O1" if p_b < a else "O2"
-    elif a < cut.t:
-        tag = "O3"
-    else:
-        tag = "O4" if p_a > b else "O5"
-    return OrderingCell(tag=tag, mirrored=mirrored)
+    tag = np.where(
+        b < cut.t,
+        np.where(p_b < a, "O1", "O2"),
+        np.where(a < cut.t, "O3", np.where(p_a > b, "O4", "O5")),
+    )
+    return OrderingCells(tag=np.where(boundary, "", tag), mirrored=mirrored, boundary=boundary)
+
+
+def ordering_cell(
+    y: float, z: float, cfg: MarketConfig, tol: float = HYPERSURFACE_TOL
+) -> OrderingCell:
+    """ordering_cells for one pair; raises BoundaryError on a boundary."""
+    cells = ordering_cells(np.array([y], dtype=np.float64), np.array([z], dtype=np.float64),
+                           cfg, tol)
+    if cells.boundary[0]:
+        raise BoundaryError(f"two cutpoints of (y, z) = ({y}, {z}) lie within {tol}")
+    return OrderingCell(tag=str(cells.tag[0]), mirrored=bool(cells.mirrored[0]))
 
 
 def jump_signs(cell: OrderingCell) -> dict[str, int]:

@@ -30,6 +30,7 @@ from procurelab.game_core import (
     WeightedKernel,
     maps_p,
     strict_win_regions,
+    win_region_ends,
 )
 
 
@@ -81,6 +82,14 @@ class Piece:
         if self.kind is PieceKind.UNIFORM:
             return self.w * (hi - lo) / (self.b - self.a)
         return self.normalizer(E) * math.log((E - lo) / (E - hi))
+
+    def masses(self, lo: np.ndarray, hi: np.ndarray, E: float) -> np.ndarray:
+        """mass over arrays of interval ends; empty intervals get 0.0."""
+        lo = np.clip(lo, self.a, self.b)
+        hi = np.maximum(np.minimum(hi, self.b), lo)
+        if self.kind is PieceKind.UNIFORM:
+            return self.w * (hi - lo) / (self.b - self.a)
+        return self.normalizer(E) * np.log((E - lo) / (E - hi))
 
 
 @dataclass(frozen=True)
@@ -345,13 +354,13 @@ def _panels(points: Iterable[float], lo: float, hi: float) -> list[tuple[float, 
 
 
 def expect_vs(
-    bid: float,
+    bid: float | np.ndarray,
     s: MixedStrategy,
     kernel: WeightedKernel,
     *,
     side: Side = Side.AS_ROW,
     method: str = "auto",
-) -> float:
+) -> float | np.ndarray:
     """Expected payoff of `bid` against an opponent playing `s`.
 
     side AS_ROW evaluates E[g(bid, Y)], AS_COLUMN evaluates E[g(X, bid)]
@@ -360,10 +369,19 @@ def expect_vs(
     each part, so no numeric integration happens at all); "quadrature"
     forces the adaptive panel integrator instead and exists to cross-check
     the closed forms.  Atom ties contribute the kernel's tie payoff.
+
+    A 1-D array of bids gives the array of their payoffs, on the exact path
+    only (0 < p < 1).  It adds the same terms in the same order as a float
+    bid does; reciprocal pieces may differ from the float path by an ulp,
+    because np.log and math.log may round differently.
     """
-    bid = kernel.cfg.require_bid(bid)
     if method not in ("auto", "exact", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
+    # a float bid stays on the scalar code: for one bid it is several times
+    # faster than a one-element array
+    if isinstance(bid, np.ndarray) and bid.ndim:
+        return _expect_vs_exact_array(bid, s, kernel, side, method)
+    bid = kernel.cfg.require_bid(bid)
 
     if side is Side.AS_ROW:
         f = lambda y: kernel(bid, y)
@@ -385,6 +403,24 @@ def expect_vs(
 
     # quadrature path: integrate the kernel against each piece density
     return _integrate_against(s, f, _region_cutpoints(bid, side, kernel))
+
+
+def _expect_vs_exact_array(bids: np.ndarray, s: MixedStrategy, kernel: WeightedKernel,
+                           side: Side, method: str) -> np.ndarray:
+    if bids.ndim != 1:
+        raise DomainError(f"array bids must be 1-D, got shape {bids.shape}")
+    if method == "quadrature" or not 0.0 < kernel.p < 1.0:
+        raise UnsupportedError("array bids take the exact path only, which needs 0 < p < 1")
+    bids = kernel.cfg.require_bids(bids)
+    atom_part = np.zeros_like(bids)
+    for a in s.atoms:
+        g = kernel.batch(bids, a.x) if side is Side.AS_ROW else kernel.batch(a.x, bids)
+        atom_part = atom_part + a.m * g
+    cont = np.zeros_like(bids)
+    for lo, hi in win_region_ends(bids, side, kernel.p, kernel.cfg):
+        for piece in s.pieces:
+            cont = cont + piece.masses(lo, hi, kernel.cfg.E)
+    return atom_part + cont
 
 
 def _sym_maps(cfg: MarketConfig):

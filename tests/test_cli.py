@@ -80,6 +80,24 @@ class TestRunConfig:
         code, d = run_json(["regimes", "--config", str(path)], capsys)
         assert code == 0 and d["run_config"]["A"] == 0
 
+    def test_int_config_value_echoes_like_the_flag(self, capsys, tmp_path):
+        path = tmp_path / "rc.json"
+        path.write_text('{"A": 0, "p": 0, "tol": 1}')
+        code, from_config, _ = run_cli(["regimes", "--format", "json", "--config", str(path)],
+                                       capsys)
+        assert code == 0
+        code, from_flags, _ = run_cli(
+            ["regimes", "--format", "json", "--A", "0", "--p", "0", "--tol", "1"], capsys)
+        assert code == 0 and from_config == from_flags
+        assert json.loads(from_config)["run_config"]["A"] == 0.0
+
+    def test_int_config_value_beyond_float_range_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "rc.json"
+        path.write_text('{"A": 1' + "0" * 400 + "}")
+        code, out, err = run_cli(["regimes", "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "config field A" in err
+
     def test_invalid_market_is_usage_error(self, capsys):
         assert run_cli(["regimes", "--A", "2", "--B", "1"], capsys)[0] == 2
 

@@ -36,7 +36,7 @@ from procurelab.game_core import (
     default_config,
     symmetric_kernel,
 )
-from procurelab.strategy import point_mass
+from procurelab.strategy import MixedStrategy, Piece, PieceKind, point_mass
 
 CFG = default_config()
 CONFIGS = [CFG, MarketConfig(0.2, 2.0, 1.1), MarketConfig(1e6, 1e6 + 1.5, 1e6 + 1)]
@@ -340,6 +340,22 @@ class TestEquilibriumChecks:
     def test_atom_only_strategy_is_domain_error(self):
         with pytest.raises(DomainError):
             equilibrium_inequalities([("atom", point_mass(CFG.A, CFG), 0.5)], [CFG.A])
+
+    def test_empty_grid_has_no_violation(self):
+        cases = [("log", log_equilibrium(CFG), 0.5), ("weighted-0.3",
+                 weighted_equilibrium(0.3, CFG), 0.3)]
+        assert equilibrium_inequalities(cases, []) == (0.0, [])
+        assert equilibrium_inequalities(cases, np.array([])) == (0.0, [])
+
+    def test_inequalities_find_the_worst_bid(self):
+        # a uniform opponent on [A, E) is no equilibrium: the first breach on
+        # the grid is found the same way bid by bid
+        flat = MixedStrategy((Piece(PieceKind.UNIFORM, CFG.A, CFG.E, 1.0),), (), CFG)
+        grid = np.linspace(CFG.A, CFG.B, 301)
+        top, worst = equilibrium_inequalities([("flat", flat, 0.5)], grid)
+        devs = [equilibrium_inequalities([("flat", flat, 0.5)], [x])[0] for x in grid]
+        k = int(np.argmax(devs))
+        assert top == devs[k] > 0.0 and worst == [("flat", float(grid[k]))]
 
     @pytest.mark.parametrize("p, systems", [
         (0.5, {"Symmetric", "WeightedRow", "WeightedColumn"}),

@@ -392,29 +392,27 @@ class TestCutpointGeometry:
         assert c.p_z == pytest.approx(5 * 0.6 - 3.0 - 0.8)
 
     def test_cells_match_their_patterns(self):
-        rng = np.random.default_rng(23)
-        seen = set()
-        for _ in range(50000):
-            y, z = rng.uniform(0.0, 1.5, 2)
-            try:
-                cell = gc.ordering_cell(y, z, CFG)
-            except BoundaryError:
-                continue
-            seen.add(cell.tag)
-            cut = gc.cutpoints3(y, z, CFG)
-            a, b = (y, z) if not cell.mirrored else (z, y)
-            p_a = 5 * a - 3 * CFG.E - b
-            p_b = 5 * b - 3 * CFG.E - a
-            patterns = {
-                "O1": [p_a, p_b, a, b, cut.t],
-                "O2": [p_a, a, p_b, b, cut.t],
-                "O3": [p_a, a, cut.t, b, p_b],
-                "O4": [cut.t, a, b, p_a, p_b],
-                "O5": [cut.t, a, p_a, b, p_b],
-            }
-            ordered = patterns[cell.tag]
-            assert all(u < v for u, v in zip(ordered, ordered[1:]))
-        assert seen == {"O1", "O2", "O3", "O4", "O5"}
+        # the same 50,000 draws as one pair per rng call, classified at once
+        ys, zs = np.random.default_rng(23).uniform(0.0, 1.5, (50000, 2)).T
+        cells = gc.ordering_cells(ys, zs, CFG)
+        inside = ~cells.boundary
+        y, z, tag, mirrored = ys[inside], zs[inside], cells.tag[inside], cells.mirrored[inside]
+        t = gc.cutpoints3(y, z, CFG).t
+        a = np.where(mirrored, z, y)
+        b = np.where(mirrored, y, z)
+        p_a = 5 * a - 3 * CFG.E - b
+        p_b = 5 * b - 3 * CFG.E - a
+        patterns = {
+            "O1": [p_a, p_b, a, b, t],
+            "O2": [p_a, a, p_b, b, t],
+            "O3": [p_a, a, t, b, p_b],
+            "O4": [t, a, b, p_a, p_b],
+            "O5": [t, a, p_a, b, p_b],
+        }
+        for name, ordered in patterns.items():
+            mine = tag == name
+            assert all((u[mine] < v[mine]).all() for u, v in zip(ordered, ordered[1:])), name
+        assert set(tag) == {"O1", "O2", "O3", "O4", "O5"}
 
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryError):
@@ -424,6 +422,53 @@ class TestCutpointGeometry:
         z = 4 * y - 3.0
         with pytest.raises(BoundaryError):
             gc.ordering_cell(y, z, CFG)
+
+    # one pair on each cell boundary, unmirrored (y < z): y = z, b = t,
+    # p_b = a and p_a = b, with a = min(y, z) and b = max(y, z)
+    BOUNDARY_PAIRS = [(0.6, 0.6), (0.6, 0.9), (0.25, 0.7), (1.1, 1.25)]
+
+    def test_boundary_pairs_rejected(self):
+        for y, z in self.BOUNDARY_PAIRS:
+            for pair in ((y, z), (z, y)):
+                with pytest.raises(BoundaryError):
+                    gc.ordering_cell(*pair, CFG)
+                cells = gc.ordering_cells(np.array([pair[0]]), np.array([pair[1]]), CFG)
+                assert cells.boundary[0] and cells.tag[0] == ""
+
+    def test_array_cells_match_scalar(self):
+        axis = np.linspace(CFG.A, CFG.B, 202)[1:-1]
+        ys, zs = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+        extra = np.array(self.BOUNDARY_PAIRS + [(0.55, 0.6), (0.3, 1.2), (1.05, 1.3)])
+        ys = np.concatenate([ys, extra[:, 0], extra[:, 1]])  # and each pair mirrored
+        zs = np.concatenate([zs, extra[:, 1], extra[:, 0]])
+        cells = gc.ordering_cells(ys, zs, CFG)
+        assert cells.tag.shape == cells.mirrored.shape == cells.boundary.shape == ys.shape
+        on_boundary = 0
+        for y, z, tag, mirrored, boundary in zip(ys.tolist(), zs.tolist(), cells.tag,
+                                                 cells.mirrored, cells.boundary):
+            try:
+                cell = gc.ordering_cell(y, z, CFG)
+            except BoundaryError:
+                assert boundary and tag == ""
+                on_boundary += 1
+                continue
+            assert not boundary
+            assert (cell.tag, cell.mirrored) == (tag, mirrored)
+        # the grid's own boundary pairs plus eight constructed ones
+        assert on_boundary == 376 + 2 * len(self.BOUNDARY_PAIRS)
+        assert set(cells.tag[~cells.boundary]) == {"O1", "O2", "O3", "O4", "O5"}
+        n = len(extra)
+        assert cells.mirrored[-3:].all() and not cells.mirrored[-n - 3:-n].any()
+
+    def test_array_cutpoints_match_scalar(self):
+        rng = np.random.default_rng(25)
+        ys, zs = rng.uniform(0.0, 1.5, (2, 500))
+        cut = gc.cutpoints3(ys, zs, CFG)
+        for k in range(len(ys)):
+            one = gc.cutpoints3(float(ys[k]), float(zs[k]), CFG)
+            assert (one.t, one.p_y, one.p_z) == (cut.t[k], cut.p_y[k], cut.p_z[k])
+        with pytest.raises(DomainError):
+            gc.cutpoints3(np.array([0.5, math.nan]), np.array([0.5, 0.5]), CFG)
 
     def test_jump_sign_tables(self):
         cell = gc.ordering_cell(0.55, 0.6, CFG)  # both below t, p_b < a

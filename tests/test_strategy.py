@@ -232,6 +232,89 @@ class TestExpectVs:
             st.expect_vs(0.5, uniform_pair(), SYM, None, gc.Side.AS_ROW, "quadrature")
 
 
+def _equilibrium_cases():
+    from procurelab import equilibria as eq
+
+    return [
+        ("uniform", eq.uniform_equilibrium(CFG), 0.5),
+        ("log", eq.log_equilibrium(CFG), 0.5),
+        ("critical", eq.critical_regime_strategy(CFG), gc.critical_p()),
+        ("weighted-0.3", eq.weighted_equilibrium(0.3, CFG), 0.3),
+        ("weighted-0.1", eq.weighted_equilibrium(0.1, CFG), 0.1),
+        ("point-mass", st.point_mass(0.9, CFG), 0.3),
+    ]
+
+
+def _probe_bids(s: MixedStrategy, p: float) -> np.ndarray:
+    """A, B, E, every piece end and atom, and the map images of grid points."""
+    maps = gc.maps_p(p, CFG)
+    grid = np.linspace(CFG.A, CFG.B, 301)
+    pts = [CFG.A, CFG.B, CFG.E]
+    pts += [q for pc in s.pieces for q in (pc.a, pc.b)] + [a.x for a in s.atoms]
+    for f in (maps.h1, maps.f1, maps.h2, maps.f2):
+        pts += f(grid).tolist()
+    bids = np.array(pts + grid.tolist())
+    return bids[(bids >= CFG.A) & (bids <= CFG.B)]
+
+
+class TestExpectVsArray:
+    @pytest.mark.parametrize("side", list(gc.Side))
+    @pytest.mark.parametrize("case", range(6), ids=[c[0] for c in _equilibrium_cases()])
+    def test_array_matches_float_bids(self, case, side):
+        label, s, p = _equilibrium_cases()[case]
+        kern = gc.WeightedKernel(p, CFG)
+        bids = _probe_bids(s, p)
+        arr = st.expect_vs(bids, s, kern, side=side)
+        one = np.array([st.expect_vs(float(x), s, kern, side=side) for x in bids])
+        assert arr.shape == bids.shape
+        if all(pc.kind is PieceKind.UNIFORM for pc in s.pieces):
+            assert np.array_equal(arr, one), label
+        else:
+            # np.log and math.log may round one ulp apart; the sum then
+            # differs by at most one ulp of a payoff in [1/2, 1)
+            assert np.abs(arr - one).max() <= np.spacing(0.5), label
+
+    def test_random_mixtures_with_atoms(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            s = random_mixture(rng)
+            p = float(rng.uniform(0.05, 0.95))
+            kern = gc.WeightedKernel(p, CFG)
+            bids = _probe_bids(s, p)
+            for side in gc.Side:
+                arr = st.expect_vs(bids, s, kern, side=side)
+                one = np.array([st.expect_vs(float(x), s, kern, side=side) for x in bids])
+                assert np.abs(arr - one).max() <= np.spacing(0.5)
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.5 + 1e-9, math.nan])
+    def test_bids_outside_interval_are_domain_errors(self, bad):
+        with pytest.raises(DomainError):
+            st.expect_vs(np.array([0.5, bad]), uniform_pair(), SYM)
+
+    def test_two_dimensional_bids_are_domain_errors(self):
+        with pytest.raises(DomainError):
+            st.expect_vs(np.full((2, 2), 0.5), uniform_pair(), SYM)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_weights_are_unsupported(self, p):
+        for method in ("auto", "exact"):
+            with pytest.raises(UnsupportedError):
+                st.expect_vs(np.array([0.5]), uniform_pair(), gc.WeightedKernel(p, CFG),
+                             method=method)
+
+    def test_quadrature_is_unsupported(self):
+        with pytest.raises(UnsupportedError):
+            st.expect_vs(np.array([0.5]), uniform_pair(), SYM, method="quadrature")
+
+    def test_empty_array_gives_empty_array(self):
+        out = st.expect_vs(np.array([]), uniform_pair(), SYM)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    def test_float_bid_still_gives_float(self):
+        assert type(st.expect_vs(0.5, uniform_pair(), SYM)) is float
+        assert type(st.expect_vs(np.float64(0.5), uniform_pair(), SYM)) is float
+
+
 class TestExpectJoint:
     def test_shared_point_mass_pays_tie(self):
         j = st.expect_joint(st.point_mass(0.6, CFG), st.point_mass(0.6, CFG), SYM)
