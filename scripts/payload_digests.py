@@ -17,13 +17,17 @@ The payloads are:
   commands come from ``perfbench.workloads.cli_args`` of the same ROOT;
 * ``verify/<strategy>[-p<p>]``: stdout and exit code of ``verify --format
   json`` for the uniform, log and critical strategies and the weighted one
-  at p in {0.5, 0.3, 0.1, 0.05}.
+  at p in {0.5, 0.3, 0.1, 0.05};
+* ``grid/p=<p>,n=<n>``: the ``value_curve_oracle`` row, as sorted-key JSON,
+  of the benchmark's grid-ladder solves (p*, 0.3 and 0.1 at n = 401, 801
+  and 1601 on the default market).
 
 A digest covers the bytes of the payload, so any moved digit shows.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +40,7 @@ VERIFY = (
     ["--strategy", "critical"],
     *(["--strategy", "weighted", "--p", p] for p in ("0.5", "0.3", "0.1", "0.05")),
 )
+LADDER_N = (401, 801, 1601)
 
 
 def digest(data: bytes) -> str:
@@ -62,6 +67,8 @@ def main(argv: list[str]) -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
 
     from procurelab.experiments import run_battery
+    from procurelab.game_core import critical_p, default_config
+    from procurelab.oracle_solver import value_curve_oracle
     from perfbench.workloads import cli_args
 
     for report in run_battery(seed=42):
@@ -73,6 +80,10 @@ def main(argv: list[str]) -> int:
         name = args[1] + (f"-p{args[3]}" if len(args) > 2 else "")
         print(f"verify/{name} "
               f"{cli_digest(root, env, ['verify', *args, '--format', 'json'])}")
+    for p in (critical_p(), 0.3, 0.1):
+        for n in LADDER_N:
+            (row,) = value_curve_oracle([p], default_config(), [n])
+            print(f"grid/p={p!r},n={n} {digest(json.dumps(row, sort_keys=True).encode())}")
     return 0
 
 

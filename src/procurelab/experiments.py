@@ -734,8 +734,9 @@ def run_battery(
         M = payoff_matrix(symmetric_kernel(cfg), g, g)
         top = max(top, float(np.abs(M + M.T - 1.0).max()))
         top = max(top, float(np.abs(np.diag(M) - 0.5).max()))
-        Mw = payoff_matrix(WeightedKernel(p=0.3, cfg=cfg), g, g)
-        Mo = payoff_matrix(WeightedKernel(p=0.7, cfg=cfg), g, g)
+        kern = WeightedKernel(p=0.3, cfg=cfg)
+        Mw = payoff_matrix(kern, g, g)
+        Mo = payoff_matrix(kern.swapped(), g, g)
         top = max(top, float(np.abs(Mw + Mo.T - 1.0).max()))
         top = max(top, float(np.abs(np.diag(Mw) - 0.3).max()))
         return top, []

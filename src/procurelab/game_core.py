@@ -197,7 +197,12 @@ def payoff_weighted(x: float, y: float, p: float, cfg: MarketConfig) -> float:
     y = cfg.require_bid(y)
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"weight p={p} outside [0, 1]")
-    price = (p * x + (1.0 - p) * y + cfg.E) / 2.0
+    return _weighted_award(x, y, p, 1.0 - p, cfg.E)
+
+
+def _weighted_award(x: float, y: float, w_row: float, w_col: float, E: float) -> float:
+    """Row payoff at price (w_row*x + w_col*y + E) / 2; ties pay w_row."""
+    price = (w_row * x + w_col * y + E) / 2.0
     if y < x <= price:
         return 1.0
     if price <= x < y:
@@ -205,7 +210,7 @@ def payoff_weighted(x: float, y: float, p: float, cfg: MarketConfig) -> float:
     if x <= price < y:
         return 1.0
     if x == y:
-        return p
+        return w_row
     return 0.0
 
 
@@ -712,14 +717,30 @@ def classify_discontinuity(
 
 @dataclass(frozen=True)
 class WeightedKernel:
-    """Two-player payoff kernel g_p(x, y) with vectorized evaluation."""
+    """Two-player payoff kernel g_p(x, y) with vectorized evaluation.
+
+    The price weighs the row bid by p and the column bid by w_col, which
+    is 1 - p unless given; ties pay p.  The two weights must sum to 1 in
+    floats.  swapped() is the column player's kernel: it exchanges the two
+    weights, so g(x, y) + g.swapped()(y, x) == 1 holds bit for bit, where
+    WeightedKernel(1 - p) can round the price differently.
+    """
 
     p: float
     cfg: MarketConfig
+    w_col: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"weight p={self.p} outside [0, 1]")
+        if self.w_col is None:
+            object.__setattr__(self, "w_col", 1.0 - self.p)
+        elif not (0.0 <= self.w_col <= 1.0 and self.p + self.w_col == 1.0):
+            raise DomainError(f"weights p={self.p} and w_col={self.w_col} do not sum to 1")
+
+    def swapped(self) -> WeightedKernel:
+        """The same game seen from the column player's seat."""
+        return WeightedKernel(p=self.w_col, cfg=self.cfg, w_col=self.p)
 
     @property
     def tie_value(self) -> float:
@@ -730,14 +751,15 @@ class WeightedKernel:
         return self.p == 0.5
 
     def __call__(self, x: float, y: float) -> float:
-        return payoff_weighted(x, y, self.p, self.cfg)
+        cfg = self.cfg
+        return _weighted_award(cfg.require_bid(x), cfg.require_bid(y), self.p, self.w_col, cfg.E)
 
     def batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise payoff over broadcast arrays of bids."""
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         p, E = self.p, self.cfg.E
-        price = (p * x + (1.0 - p) * y + E) / 2.0
+        price = (p * x + self.w_col * y + E) / 2.0
         x_in = x <= price
         y_in = y <= price
         row_wins = np.where(

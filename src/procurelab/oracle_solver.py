@@ -183,25 +183,36 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
 
 
 def _lp_solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row mix from the row player's LP, column mix from its duals."""
+    """Column mix from the column player's LP in tail sums, row mix from its duals.
+
+    With T_k = sum_{j>=k} c_j the row payoffs are M c = D T, where D holds
+    the steps of each row of M.  A kernel row changes value at only a few
+    columns, so D is sparse where M is not.
+    """
+    from scipy import sparse  # scipy.optimize loads it anyway
+
     n, m = M.shape
-    # row player: max v subject to v <= (r^T M)_j, sum r = 1
-    c_obj = np.zeros(n + 1)
-    c_obj[-1] = -1.0
-    A_ub = np.hstack([-M.T, np.ones((m, 1))])
-    A_eq = np.zeros((1, n + 1))
-    A_eq[0, :n] = 1.0
-    bounds = [(0.0, None)] * n + [(None, None)]
+    D = sparse.csr_matrix(np.diff(M, axis=1, prepend=0.0))
+    T_steps = sparse.eye(m - 1, m, k=1) - sparse.eye(m - 1, m)
+    # variables (T_0..T_{m-1}, w); rows: D T - w <= 0, then T_{k+1} - T_k <= 0
+    A_ub = sparse.bmat([[D, sparse.csr_matrix(np.full((n, 1), -1.0))],
+                        [T_steps, None]], format="csc")
+    c_obj = np.zeros(m + 1)
+    c_obj[-1] = 1.0
+    bounds = [(1.0, 1.0)] + [(0.0, None)] * (m - 1) + [(None, None)]
     # at HiGHS's default feasibility tolerances (1e-7) the mixes can miss the
-    # default 1e-9 certificate on a few-hundred-point grid; 1e-10 meets it
-    res = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(m), A_eq=A_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
+    # default 1e-9 certificate on a few-hundred-point grid; 1e-10 meets it.
+    # Presolve is off: at p* on markets far from the unit interval its
+    # postsolve left dual values near 1e58 and HiGHS stopped with an error.
+    res = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(n + m - 1), bounds=bounds,
+                  method="highs",
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise RuntimeError(f"HiGHS failed (status {res.status}): {res.message}")
-    # the multiplier of v <= (r^T M)_j is -c_j: the column player's mix
-    return res.x[:-1], -res.ineqlin.marginals
+    # the multiplier of (M c)_i <= w is -r_i: the row player's mix
+    return -res.ineqlin.marginals[:n], -np.diff(res.x[:-1], append=0.0)
 
 
 def _normalize(mix: np.ndarray) -> np.ndarray:

@@ -537,6 +537,24 @@ class TestKernels:
         m = k.matrix(xs, xs)
         assert np.array_equal(m + m.T, np.ones_like(m))
 
+    def test_swapped_is_the_exact_complement(self):
+        rng = np.random.default_rng(23)
+        for cfg in (CFG, gc.MarketConfig(A=0.2, B=2.0, E=1.1),
+                    gc.MarketConfig(A=1e6, B=1e6 + 1.5, E=1e6 + 1)):
+            for p in (0.3, 0.1, gc.critical_p(), *rng.uniform(0.0, 1.0, 5)):
+                k = gc.WeightedKernel(p=float(p), cfg=cfg)
+                s = k.swapped()
+                assert s.p == k.w_col and s.w_col == k.p and s.swapped() == k
+                xs = np.unique(np.concatenate([np.linspace(cfg.A, cfg.B, 61), [cfg.E]]))
+                assert np.array_equal(k.matrix(xs, xs) + s.matrix(xs, xs).T, np.ones((xs.size,) * 2))
+                for x, y in rng.uniform(cfg.A, cfg.B, (50, 2)):
+                    assert k(x, y) + s(y, x) == 1.0
+                    assert k(x, y) == gc.payoff_weighted(x, y, k.p, cfg)
+
     def test_weight_validation(self):
         with pytest.raises(DomainError):
             gc.WeightedKernel(p=-0.1, cfg=CFG)
+        with pytest.raises(DomainError):
+            gc.WeightedKernel(p=0.3, cfg=CFG, w_col=0.6)
+        with pytest.raises(DomainError):
+            gc.WeightedKernel(p=1.0, cfg=CFG, w_col=-1e-17)

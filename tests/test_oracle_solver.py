@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy import sparse
+from scipy.optimize import OptimizeResult, linprog
 
 from procurelab import oracle_solver
 from procurelab.game_core import (
@@ -39,6 +40,20 @@ from procurelab.strategy import point_mass
 
 CFG = default_config()
 MP = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+
+def _dense_value(M) -> float:
+    """Value of M from the row player's LP over the dense matrix."""
+    n, m = M.shape
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.hstack([-M.T, np.ones((m, 1))]), b_ub=np.zeros(m),
+                  A_eq=np.append(np.ones(n), 0.0)[None, :], b_eq=[1.0],
+                  bounds=[(0.0, None)] * n + [(None, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return -res.fun
 
 
 class TestGrid:
@@ -84,10 +99,21 @@ class TestPayoffMatrix:
 
     def test_constant_sum_weighted(self):
         g = make_grid(41, CFG)
-        M = payoff_matrix(WeightedKernel(p=0.3, cfg=CFG), g, g)
-        opp = payoff_matrix(WeightedKernel(p=0.7, cfg=CFG), g, g)
+        k = WeightedKernel(p=0.3, cfg=CFG)
+        M = payoff_matrix(k, g, g)
+        opp = payoff_matrix(k.swapped(), g, g)
         assert np.abs(M + opp.T - 1.0).max() == 0.0
         assert (np.diag(M) == 0.3).all()
+
+    def test_swapped_kernel_is_exact_off_the_unit_market(self):
+        # WeightedKernel(0.7) rounds the price of some grid pairs differently
+        # from WeightedKernel(0.3) here, and both roles "win" those cells
+        cfg = MarketConfig(A=0.2, B=2.0, E=1.1)
+        g = make_grid(201, cfg)
+        k = WeightedKernel(p=0.3, cfg=cfg)
+        M = payoff_matrix(k, g, g)
+        assert np.abs(M + payoff_matrix(k.swapped(), g, g).T - 1.0).max() == 0.0
+        assert np.abs(M + payoff_matrix(WeightedKernel(p=0.7, cfg=cfg), g, g).T - 1.0).max() == 1.0
 
     def test_config_mismatch(self):
         other = MarketConfig(A=0.0, B=2.0, E=1.0)
@@ -183,6 +209,46 @@ class TestSolver:
         g = make_grid(51, CFG, mandatory=regime_breakpoints(0.3, CFG))
         sol = solve_matrix_game(payoff_matrix(WeightedKernel(p=0.3, cfg=CFG), g, g))
         assert len(calls) == 1 and sol.converged
+
+    def test_lp_is_sparse(self, monkeypatch):
+        seen = {}
+        real = oracle_solver.linprog
+
+        def capturing(*args, **kwargs):
+            seen["A_ub"] = kwargs["A_ub"]
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_solver, "linprog", capturing)
+        g = make_grid(401, CFG, mandatory=regime_breakpoints(0.3, CFG))
+        sol = solve_matrix_game(payoff_matrix(WeightedKernel(p=0.3, cfg=CFG), g, g))
+        A = seen["A_ub"]
+        n = m = g.size
+        assert sparse.issparse(A)
+        assert A.nnz <= 8 * (n + m)
+        assert sol.converged
+
+    @pytest.mark.parametrize("cfg", [
+        MarketConfig(A=0.0, B=1.5e6, E=1e6),
+        MarketConfig(A=1e6, B=1e6 + 1.5, E=1e6 + 1),
+    ])
+    def test_critical_solve_far_from_unit_market(self, cfg):
+        # with HiGHS presolve on, these solves stopped with a solver error
+        p = critical_p()
+        g = make_grid(801, cfg, mandatory=regime_breakpoints(p, cfg))
+        sol = solve_matrix_game(payoff_matrix(WeightedKernel(p=p, cfg=cfg), g, g))
+        assert sol.converged
+
+    @pytest.mark.parametrize("p", [0.5, critical_p(), 0.3, 0.1])
+    def test_value_matches_dense_reference(self, p):
+        g = make_grid(201, CFG, mandatory=regime_breakpoints(p, CFG))
+        M = payoff_matrix(WeightedKernel(p=p, cfg=CFG), g, g)
+        assert solve_matrix_game(M).value == pytest.approx(_dense_value(M), abs=1e-12)
+
+    def test_value_matches_dense_reference_off_the_kernel(self):
+        M = np.random.default_rng(5).uniform(-1.0, 1.0, (7, 5))
+        assert np.count_nonzero(np.diff(M, axis=1, prepend=0.0)) == M.size
+        for game in (MP, M):
+            assert solve_matrix_game(game).value == pytest.approx(_dense_value(game), abs=1e-12)
 
     def test_solver_failure_raises(self, monkeypatch):
         def failing(*args, **kwargs):

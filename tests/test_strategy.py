@@ -214,8 +214,9 @@ class TestExpectVs:
             s = random_mixture(rng)
             y = float(rng.uniform(0.0, 1.5))
             p = float(rng.uniform(0.05, 0.95))
-            col = st.expect_vs(y, s, gc.WeightedKernel(p, CFG), side=gc.Side.AS_COLUMN)
-            swap = 1.0 - st.expect_vs(y, s, gc.WeightedKernel(1.0 - p, CFG))
+            kern = gc.WeightedKernel(p, CFG)
+            col = st.expect_vs(y, s, kern, side=gc.Side.AS_COLUMN)
+            swap = 1.0 - st.expect_vs(y, s, kern.swapped())
             assert col == pytest.approx(swap, abs=1e-10)
 
     def test_exact_refused_outside_open_interval(self):
