@@ -17,7 +17,8 @@ The payloads are:
   commands come from ``perfbench.workloads.cli_args`` of the same ROOT;
 * ``verify/<strategy>[-p<p>]``: stdout and exit code of ``verify --format
   json`` for the uniform, log and critical strategies and the weighted one
-  at p in {0.5, 0.3, 0.1, 0.05};
+  at p in {0.5, 0.3, 0.1, 0.05, 0.01} (the last in the low-p regime, where
+  the quadrature halves its panels toward E most often);
 * ``grid/p=<p>,n=<n>``: the ``value_curve_oracle`` row, as sorted-key JSON,
   of the benchmark's grid-ladder solves (p*, 0.3 and 0.1 at n = 401, 801
   and 1601 on the default market).
@@ -38,7 +39,7 @@ VERIFY = (
     ["--strategy", "uniform"],
     ["--strategy", "log"],
     ["--strategy", "critical"],
-    *(["--strategy", "weighted", "--p", p] for p in ("0.5", "0.3", "0.1", "0.05")),
+    *(["--strategy", "weighted", "--p", p] for p in ("0.5", "0.3", "0.1", "0.05", "0.01")),
 )
 LADDER_N = (401, 801, 1601)
 

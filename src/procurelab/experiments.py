@@ -469,8 +469,12 @@ def run_battery(
     run("combinatorial-agreement", {"profiles": 3 * 3_334, "tie_share": 0.25}, 0.0, combinatorial)
 
     def three_way():
+        # the scalar indicator cascade, not payoff_3_batch: that one is
+        # payoff_n_batch itself and would compare it with itself.  Blocks of
+        # 1,000 rows keep few Python floats alive at once.
         bids = draw_bids("three", 100_000, 3)
-        direct = payoff_3_batch(bids[:, 0], bids[:, 1], bids[:, 2], cfg)
+        direct = np.array([payoff_3(x, y, z, cfg)
+                           for block in np.split(bids, 100) for x, y, z in block.tolist()])
         general = payoff_n_batch(bids, cfg)[:, 0]
         dev = np.abs(direct - general)
         k = int(dev.argmax())

@@ -211,8 +211,9 @@ def _lp_solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise RuntimeError(f"HiGHS failed (status {res.status}): {res.message}")
-    # the multiplier of (M c)_i <= w is -r_i: the row player's mix
-    return -res.ineqlin.marginals[:n], -np.diff(res.x[:-1], append=0.0)
+    # the multiplier of (M c)_i <= w is -r_i: the row player's mix.  HiGHS
+    # may let the tail sums rise by ~1e-9; their running minimum keeps c >= 0
+    return -res.ineqlin.marginals[:n], -np.diff(np.minimum.accumulate(res.x[:-1]), append=0.0)
 
 
 def _normalize(mix: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ A strategy is a finite mixture of uniform pieces, reciprocal pieces (density
 proportional to 1/(E - x), the shape every non-uniform equilibrium here
 uses), and point masses.  CDF, quantile, interval measure, and the piece
 masses inside a win region all have closed forms, so expected payoffs
-against the procurement kernels are computed exactly; adaptive quadrature is
-kept as an independent cross-check path.
+against the procurement kernels are computed exactly; Gauss-Legendre
+quadrature at two fixed orders is kept as an independent cross-check path.
 
 Sampling is inverse-transform driven by the deterministic stream in _rng,
 so a seed pins results bit-for-bit across platforms.
@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from procurelab._rng import uniform_stream
 from procurelab.game_core import (
@@ -315,8 +316,13 @@ def point_mass(x: float, cfg: MarketConfig) -> MixedStrategy:
 # Expected payoffs
 
 
-_QUAD_REL_TOL = 1e-9  # per-panel relative tolerance of the quadrature path
-_QUAD_LIMIT = 200  # subdivisions per panel
+_QUAD_REL_TOL = 1e-9  # relative tolerance of the quadrature path
+# Gauss-Legendre nodes and weights on [-1, 1] at two orders, side by side;
+# the gap between the orders is the quadrature's error estimate
+_GL_LOW = 16
+_GL_NODES, _GL_WEIGHTS = (
+    np.concatenate(parts) for parts in zip(*(leggauss(n) for n in (_GL_LOW, 2 * _GL_LOW)))
+)
 
 
 @dataclass(frozen=True)
@@ -341,16 +347,25 @@ def _region_cutpoints(bid: float, side: Side, kernel: WeightedKernel) -> list[fl
             pts += [maps.h2(bid), maps.f2(bid)]
     else:
         # limiting boundaries when one bid has no influence on the price
-        if p == 0.0:
-            pts += [2.0 * bid - cfg.E, (bid + cfg.E) / 2.0]
-        else:
-            pts += [(bid + cfg.E) / 2.0, 2.0 * bid - cfg.E]
+        pts += [2.0 * bid - cfg.E, (bid + cfg.E) / 2.0]
     return [q for q in pts if cfg.A < q < cfg.B]
 
 
-def _panels(points: Iterable[float], lo: float, hi: float) -> list[tuple[float, float]]:
+def _panels(points: Iterable[float], lo: float, hi: float, E: float) -> list[tuple[float, float]]:
+    """Panels of [lo, hi] between the points inside it, halved toward E.
+
+    The reciprocal densities, and the payoffs against them, are singular at
+    E; a panel below E is cut at its midpoints toward E until none lies
+    closer to E than its own length, so a fixed-order rule resolves it.
+    """
     cuts = sorted({lo, hi} | {q for q in points if lo < q < hi})
-    return list(zip(cuts, cuts[1:]))
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        while b < E and (mid := (a + E) / 2.0) < b:
+            out.append((a, mid))
+            a = mid
+        out.append((a, b))
+    return out
 
 
 def expect_vs(
@@ -367,8 +382,9 @@ def expect_vs(
     where g is the row player's payoff.  The default method decomposes the
     opponent's pieces over the exact win regions (the kernel is constant on
     each part, so no numeric integration happens at all); "quadrature"
-    forces the adaptive panel integrator instead and exists to cross-check
-    the closed forms.  Atom ties contribute the kernel's tie payoff.
+    integrates the kernel itself against the pieces instead and exists to
+    cross-check the closed forms.  Atom ties contribute the kernel's tie
+    payoff.
 
     A 1-D array of bids gives the array of their payoffs, on the exact path
     only (0 < p < 1).  It adds the same terms in the same order as a float
@@ -382,18 +398,14 @@ def expect_vs(
     if isinstance(bid, np.ndarray) and bid.ndim:
         return _expect_vs_exact_array(bid, s, kernel, side, method)
     bid = kernel.cfg.require_bid(bid)
-
-    if side is Side.AS_ROW:
-        f = lambda y: kernel(bid, y)
-    else:
-        f = lambda y: kernel(y, bid)
+    pair = (lambda y: (bid, y)) if side is Side.AS_ROW else (lambda y: (y, bid))
 
     use_exact = method in ("auto", "exact") and 0.0 < kernel.p < 1.0
     if method == "exact" and not use_exact:
         raise UnsupportedError("exact win regions need 0 < p < 1")
 
     if use_exact:
-        atom_part = sum(a.m * f(a.x) for a in s.atoms)
+        atom_part = sum(a.m * kernel(*pair(a.x)) for a in s.atoms)
         regions = strict_win_regions(bid, side, kernel.p, kernel.cfg)
         cont = 0.0
         for region in regions:
@@ -401,8 +413,10 @@ def expect_vs(
                 cont += piece.mass(region.lo, region.hi, kernel.cfg.E)
         return atom_part + cont
 
-    # quadrature path: integrate the kernel against each piece density
-    return _integrate_against(s, f, _region_cutpoints(bid, side, kernel))
+    # quadrature path: the kernel at the nodes, not its win regions, so the
+    # cross-check stays independent of the exact path
+    return _integrate_against(s, lambda ys: kernel.batch(*pair(ys)),
+                              _region_cutpoints(bid, side, kernel))
 
 
 def _expect_vs_exact_array(bids: np.ndarray, s: MixedStrategy, kernel: WeightedKernel,
@@ -423,12 +437,6 @@ def _expect_vs_exact_array(bids: np.ndarray, s: MixedStrategy, kernel: WeightedK
     return atom_part + cont
 
 
-def _sym_maps(cfg: MarketConfig):
-    lower = lambda t: 3.0 * t - 2.0 * cfg.E
-    upper = lambda t: (t + 2.0 * cfg.E) / 3.0
-    return lower, upper
-
-
 def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float]:
     """Bid values at which the expected payoff against `inner` can kink."""
     cfg = kernel.cfg
@@ -442,8 +450,8 @@ def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float
         maps = maps_p(kernel.p, cfg)
         preimages = (lambda q: q, maps.f2, maps.h2, maps.f1, maps.h1)
     else:
-        lower, upper = _sym_maps(cfg)
-        preimages = (lambda q: q, lower, upper)
+        # the limits of those maps when one bid has no influence on the price
+        preimages = (lambda q: q, lambda q: (q + cfg.E) / 2.0, lambda q: 2.0 * q - cfg.E)
     for q in qs:
         for f in preimages:
             t = f(q)
@@ -452,101 +460,76 @@ def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float
     return sorted(out)
 
 
-def _integrate_against(mu: MixedStrategy, f: Callable[[float], float],
+def _integrate_against(mu: MixedStrategy, f: Callable[[np.ndarray], np.ndarray],
                        cuts: Sequence[float]) -> float:
-    """∫ f dμ with f piecewise smooth between cuts; atoms added exactly."""
-    from scipy import integrate  # imported here so the exact paths never load scipy
+    """∫ f dμ with f piecewise smooth between cuts; atoms added exactly.
 
-    total = sum(a.m * f(a.x) for a in mu.atoms)
+    f takes an array of points and is called once, on the Gauss-Legendre
+    nodes of every panel at both orders and on the atoms.  The summed gap
+    between the orders over the panels is the error estimate.
+    """
     E = mu.cfg.E
-    worst = 0.0
+    nodes, weights = [], [np.empty((0, _GL_NODES.size))]
     for piece in mu.pieces:
-        dens = piece.density(E)
-        for lo, hi in _panels(cuts, piece.a, piece.b):
-            val, err = integrate.quad(lambda x: f(x) * dens(x), lo, hi, epsrel=_QUAD_REL_TOL,
-                                      epsabs=1e-13, limit=_QUAD_LIMIT)
-            total += val
-            worst = max(worst, err)
-    if worst > max(_QUAD_REL_TOL * max(abs(total), 1.0), 1e-12) * 10.0:
-        raise QuadratureError("integration did not converge", worst)
+        lo, hi = np.array(_panels(cuts, piece.a, piece.b, E)).T[:, :, None]
+        half = (hi - lo) / 2.0
+        x = lo + half * (_GL_NODES + 1.0)
+        nodes.append(x.ravel())
+        weights.append(half * _GL_WEIGHTS * piece.density(E)(x))
+    x = np.concatenate(nodes + [[a.x for a in mu.atoms]])
+    fx = f(x)
+    k = x.size - len(mu.atoms)
+    wf = np.concatenate(weights) * fx[:k].reshape(-1, _GL_NODES.size)
+    low, high = wf[:, :_GL_LOW].sum(axis=1), wf[:, _GL_LOW:].sum(axis=1)
+    total = float(np.dot([a.m for a in mu.atoms], fx[k:]) + high.sum())
+    gap = float(np.abs(high - low).sum())
+    if gap > max(_QUAD_REL_TOL * max(abs(total), 1.0), 1e-12) * 10.0:
+        raise QuadratureError("Gauss-Legendre orders disagree", gap)
     return total
 
 
-def _shared_atom_term(mu: MixedStrategy, nu: MixedStrategy, tie_value: float) -> float:
-    return sum(
-        tie_value * a.m * nu.atom_mass_at(a.x) for a in mu.atoms
-    )
-
-
-def expect_joint(
-    mu: MixedStrategy,
-    nu: MixedStrategy,
-    kernel: WeightedKernel,
-    forms: tuple[str, ...] | None = None,
-) -> JointExpectation:
+def expect_joint(mu: MixedStrategy, nu: MixedStrategy, kernel: WeightedKernel) -> JointExpectation:
     """E[g(X, Y)] for X ~ mu, Y ~ nu, computed several independent ways.
 
     Forms: "outer" integrates the exact conditional expectation over mu;
     "cdf" evaluates the swapped-order closed form that queries mu-measures
     of the win regions as a function of y; "swapped" does the mirror with
     nu-measures as a function of x.  The last two bake in the symmetric
-    price (both bids weighted equally), so they refuse kernels with p != 1/2.
-    Defaults: all three for a symmetric kernel, outer only otherwise.
+    price (both bids weighted equally), so only a symmetric kernel gets them.
     """
     if mu.cfg != kernel.cfg or nu.cfg != kernel.cfg:
         raise DomainError("strategies and kernel use different market configs")
-    if forms is None:
-        forms = ("outer", "cdf", "swapped") if kernel.is_symmetric else ("outer",)
-    if not forms:
-        raise DomainError("need at least one form")
-    bad = set(forms) - {"outer", "cdf", "swapped"}
-    if bad:
-        raise DomainError(f"unknown forms {sorted(bad)}")
-    if not kernel.is_symmetric and set(forms) & {"cdf", "swapped"}:
-        raise UnsupportedError("closed Fubini forms assume the symmetric price")
-
     cfg = kernel.cfg
     E = cfg.E
-    by_form: dict[str, float] = {}
 
-    if "outer" in forms:
-        cuts = _outer_cutpoints(nu, kernel)
-        f = lambda x: expect_vs(x, nu, kernel, side=Side.AS_ROW)
-        by_form["outer"] = _integrate_against(mu, f, cuts)
+    if 0.0 < kernel.p < 1.0:
+        outer = lambda xs: expect_vs(xs, nu, kernel, side=Side.AS_ROW)
+    else:  # array bids take the exact path only, which needs 0 < p < 1
+        outer = lambda xs: np.array([expect_vs(float(x), nu, kernel) for x in xs])
+    by_form = {"outer": _integrate_against(mu, outer, _outer_cutpoints(nu, kernel))}
 
-    if "cdf" in forms:
-        lower, upper = _sym_maps(cfg)
+    if kernel.is_symmetric:
+        # at p = 1/2, h1(t) = 3t - 2E and f1(t) = (t + 2E)/3
+        maps = maps_p(0.5, cfg)
+        tie = sum(kernel.tie_value * a.m * nu.atom_mass_at(a.x) for a in mu.atoms)
 
-        def below(y: float) -> float:
-            win_low = mu.measure(Interval(y, upper(y), False, True))
-            win_high = mu.measure(Interval(cfg.A, lower(y), True, False))
-            return win_low + win_high
+        # mu-measure of the row bids that beat y: (y, f1(y)] and [A, h1(y))
+        # below E, [A, y) from E on.  At an atom of nu this is also its exact
+        # term: at y = E the two split regions coincide, so it counts once
+        def row_beats(y: np.ndarray) -> np.ndarray:
+            split = mu.cdf(maps.f1(y)) - mu.cdf(y) + mu._cdf_left(maps.h1(y))
+            return np.where(y < E, split, mu._cdf_left(y))
 
-        def integrand(y: float) -> float:
-            return below(y) if y < E else float(mu.measure(Interval(cfg.A, y, True, False)))
+        by_form["cdf"] = _integrate_against(nu, row_beats, _outer_cutpoints(mu, kernel)) + tie
 
-        # integrand(a.x) is also the exact term of an atom of nu: at y = E the
-        # two split regions coincide, so the region is counted once
-        cuts = _outer_cutpoints(mu, kernel)
-        total = _integrate_against(nu, integrand, cuts)
-        total += _shared_atom_term(mu, nu, kernel.tie_value)
-        by_form["cdf"] = total
+        # nu-measure of the column bids x beats: [h1(x), x) and (f1(x), B]
+        # below E, (x, B] from E on
+        def row_win(x: np.ndarray) -> np.ndarray:
+            total = nu.cdf(cfg.B)
+            split = nu._cdf_left(x) - nu._cdf_left(maps.h1(x)) + total - nu.cdf(maps.f1(x))
+            return np.where(x < E, split, total - nu.cdf(x))
 
-    if "swapped" in forms:
-        lower, upper = _sym_maps(cfg)
+        by_form["swapped"] = _integrate_against(mu, row_win, _outer_cutpoints(nu, kernel)) + tie
 
-        def row_win(x: float) -> float:
-            if x < E:
-                lo_part = nu.measure(Interval(max(lower(x), cfg.A), x, True, False))
-                hi_part = nu.measure(Interval(upper(x), cfg.B, False, True))
-                return lo_part + hi_part
-            return nu.measure(Interval(x, cfg.B, False, True))
-
-        cuts = _outer_cutpoints(nu, kernel)
-        total = _integrate_against(mu, row_win, cuts)
-        total += _shared_atom_term(mu, nu, kernel.tie_value)
-        by_form["swapped"] = total
-
-    vals = [by_form[name] for name in forms]
-    max_gap = max(vals) - min(vals) if len(vals) > 1 else 0.0
-    return JointExpectation(value=by_form[forms[0]], by_form=by_form, max_gap=max_gap)
+    vals = list(by_form.values())
+    return JointExpectation(value=by_form["outer"], by_form=by_form, max_gap=max(vals) - min(vals))

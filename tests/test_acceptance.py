@@ -28,7 +28,7 @@ from procurelab.game_core import (
     critical_p,
     default_config,
     maps_p,
-    payoff_3_batch,
+    payoff_3,
     payoff_n,
     payoff_n_batch,
     payoff_n_combinatorial,
@@ -203,7 +203,7 @@ def test_criterion_07_payoff_implementations_agree(capsys):
         )
     u = uniform_stream(derive_seed(42, "acceptance-three"), 300_000)
     triples = CFG.A + span * u.reshape(100_000, 3)
-    direct = payoff_3_batch(triples[:, 0], triples[:, 1], triples[:, 2], CFG)
+    direct = np.array([payoff_3(x, y, z, CFG) for x, y, z in triples.tolist()])
     general = payoff_n_batch(triples, CFG)
     three_dev = float(np.abs(direct - general[:, 0]).max())
     conservation = max(conservation, float(np.abs(general.sum(axis=1) - 1.0).max()))

@@ -373,7 +373,9 @@ import procurelab
 assert "scipy" not in sys.modules, "import procurelab"
 from procurelab import cli
 for argv in (["regimes", "--p", "0.1"], ["br-dynamics", "--steps", "50"],
-             ["simulate", "--row", "log", "--col", "log", "--samples", "1000"]):
+             ["simulate", "--row", "log", "--col", "log", "--samples", "1000"],
+             ["verify", "--strategy", "log", "--grid", "50"],
+             ["verify", "--strategy", "weighted", "--p", "0.05", "--grid", "50"]):
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv

@@ -190,9 +190,11 @@ class TestSolver:
     @pytest.mark.parametrize("cfg, p, n", [
         (MarketConfig(A=0.2, B=2.0, E=1.1), critical_p(), 201),
         (CFG, 0.0846806, 401),
+        (CFG, 0.23360440691267048, 201),
     ])
     def test_certificate_meets_default_tol(self, cfg, p, n):
-        # measured with two LPs at HiGHS's default tolerances: 3.0e-9 and 8.4e-8
+        # measured with two LPs at HiGHS's default tolerances: 3.0e-9 and 8.4e-8;
+        # the third missed it at 1.23e-9 while rising tail sums gave negative weights
         g = make_grid(n, cfg, mandatory=regime_breakpoints(p, cfg))
         sol = solve_matrix_game(payoff_matrix(WeightedKernel(p=p, cfg=cfg), g, g))
         assert sol.exploitability <= 1e-9 and sol.converged

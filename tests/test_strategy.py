@@ -316,6 +316,53 @@ class TestExpectVsArray:
         assert type(st.expect_vs(np.float64(0.5), uniform_pair(), SYM)) is float
 
 
+class TestQuadrature:
+    @pytest.mark.parametrize("side", list(gc.Side))
+    @pytest.mark.parametrize("p", [0.5, gc.critical_p(), 0.3, 0.1, 0.05, 0.01, 0.001])
+    def test_matches_exact_expect_vs(self, p, side):
+        from procurelab import equilibria as eq
+
+        s = eq.weighted_equilibrium(p, CFG)
+        kern = gc.WeightedKernel(p, CFG)
+        rng = np.random.default_rng(31)
+        ends = [q for pc in s.pieces for q in (pc.a, pc.b)]
+        bids = np.concatenate([[CFG.A, CFG.B, CFG.E], ends, rng.uniform(CFG.A, CFG.B, 200)])
+        exact = st.expect_vs(bids, s, kern, side=side)
+        quad = np.array([st.expect_vs(float(x), s, kern, side=side, method="quadrature")
+                         for x in bids])
+        assert np.abs(quad - exact).max() <= 1e-12
+
+    @pytest.mark.parametrize("pair", [uniform_pair, log_curve])
+    def test_joint_at_degenerate_weights(self, pair):
+        # the limiting kinks of p in {0, 1} sit at (q + E)/2 and 2q - E;
+        # with the p = 1/2 ones the fixed-order rule straddles them
+        s = pair()
+        j0 = st.expect_joint(s, s, gc.WeightedKernel(0.0, CFG)).value
+        j1 = st.expect_joint(s, s, gc.WeightedKernel(1.0, CFG)).value
+        assert abs(j0 + j1 - 1.0) <= 1e-12
+        if pair is uniform_pair:
+            assert abs(j0 - 0.265625) <= 1e-12
+
+    @pytest.mark.parametrize("b", [0.999, 0.99999])
+    def test_joint_against_reciprocal_ending_near_estimate(self, b):
+        # the payoff against nu is log-singular at E, so the uniform piece of
+        # mu is halved toward E too; halving only reciprocal pieces raised here
+        mu = MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 1.5, 1.0),), (), CFG).validate()
+        nu = MixedStrategy((Piece(PieceKind.RECIPROCAL, 0.2, b, 1.0),), (), CFG).validate()
+        assert st.expect_joint(mu, nu, SYM).max_gap <= 1e-12
+        st.expect_joint(mu, nu, gc.WeightedKernel(0.3, CFG))
+
+    def test_missing_cut_raises(self):
+        s = MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 1.0, 1.0),), (), CFG).validate()
+        f = lambda ys: SYM.batch(0.6, ys)
+        cuts = st._region_cutpoints(0.6, gc.Side.AS_ROW, SYM)
+        assert st._integrate_against(s, f, cuts) == pytest.approx(
+            st.expect_vs(0.6, s, SYM), abs=1e-12)
+        # without the cut at the bid itself the kernel jumps inside a panel
+        with pytest.raises(st.QuadratureError):
+            st._integrate_against(s, f, [q for q in cuts if q != 0.6])
+
+
 class TestExpectJoint:
     def test_shared_point_mass_pays_tie(self):
         j = st.expect_joint(st.point_mass(0.6, CFG), st.point_mass(0.6, CFG), SYM)
@@ -358,15 +405,6 @@ class TestExpectJoint:
         j = st.expect_joint(st.point_mass(0.4, CFG), st.point_mass(0.4, CFG), kern)
         assert set(j.by_form) == {"outer"}
         assert j.value == pytest.approx(0.3, abs=1e-15)
-
-    def test_closed_forms_refused_for_asymmetric(self):
-        kern = gc.WeightedKernel(0.3, CFG)
-        with pytest.raises(UnsupportedError):
-            st.expect_joint(uniform_pair(), uniform_pair(), kern, forms=("cdf",))
-
-    def test_form_validation(self):
-        with pytest.raises(DomainError):
-            st.expect_joint(uniform_pair(), uniform_pair(), SYM, forms=("magic",))
 
     def test_atom_at_estimate_boundary(self):
         # a point mass at E loses to everything below and wins above
