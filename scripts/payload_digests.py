@@ -15,6 +15,10 @@ The payloads are:
 * ``cli/seed=<s>/<args>``: stdout and exit code of each of the benchmark's
   cli-cold commands at seeds 1-3, in a fresh interpreter each; the
   commands come from ``perfbench.workloads.cli_args`` of the same ROOT;
+* ``scan/seed=<s>/<label>``: the payload of each of the four ops of the
+  benchmark's equilibrium-scan workload at seeds 1-3 (exact and quadrature
+  ``expect_vs``, residuals, joint value and Monte Carlo), run in this
+  process from ``perfbench.workloads.equilibrium_scan`` of the same ROOT;
 * ``verify/<strategy>[-p<p>]``: stdout and exit code of ``verify --format
   json`` for the uniform, log and critical strategies and the weighted one
   at p in {0.5, 0.3, 0.1, 0.05, 0.01} (the last in the low-p regime, where
@@ -70,13 +74,18 @@ def main(argv: list[str]) -> int:
     from procurelab.experiments import run_battery
     from procurelab.game_core import critical_p, default_config
     from procurelab.oracle_solver import value_curve_oracle
-    from perfbench.workloads import cli_args
+    from perfbench.workloads import cli_args, equilibrium_scan
 
     for report in run_battery(seed=42):
         print(f"battery/{report.check} {digest(report.to_json().encode())}")
     for seed in SEEDS:
         for args in cli_args(seed):
             print(f"cli/seed={seed}/{'_'.join(args)} {cli_digest(root, env, args)}")
+    for seed in SEEDS:
+        ops, _ = equilibrium_scan(seed, root)
+        for label, op in ops:
+            _, payload, _ = op(False)
+            print(f"scan/seed={seed}/{label} {digest(payload.encode())}")
     for args in VERIFY:
         name = args[1] + (f"-p{args[3]}" if len(args) > 2 else "")
         print(f"verify/{name} "

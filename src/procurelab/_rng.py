@@ -17,17 +17,25 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The SplitMix64 output mix; overwrites an array argument in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:
     """n floats in [0, 1) from the SplitMix64 sequence for `seed`."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _finalize(np.uint64(seed & _MASK) + idx * _GAMMA)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed & _MASK)
+    z = _finalize(z)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 def derive_seed(seed: int, *salts: int | str) -> int:

@@ -56,7 +56,7 @@ from .oracle_solver import (
     value_curve_oracle,
     ddpm_probe,
 )
-from .strategy import MixedStrategy, Piece, PieceKind, expect_joint, expect_vs
+from .strategy import MixedStrategy, Piece, PieceKind, expect_joint, expect_vs, require_market
 
 __all__ = [
     "VerificationReport",
@@ -108,6 +108,12 @@ def mc_tournament(
     """
     if samples < 2:
         raise DomainError("need at least two samples")
+    if kernel is not None and len(strategies) != 2:
+        raise DomainError("a two-player kernel needs exactly two strategies")
+    if len(strategies) < 2:
+        raise DomainError("need at least two players")
+    cfg = strategies[0].cfg if kernel is None else kernel.cfg
+    require_market(cfg, *strategies)
     bids = np.column_stack(
         [
             s.sample(derive_seed(seed, "tournament", i), samples)
@@ -115,14 +121,10 @@ def mc_tournament(
         ]
     )
     if kernel is not None:
-        if len(strategies) != 2:
-            raise DomainError("a two-player kernel needs exactly two strategies")
         row = kernel.batch(bids[:, 0], bids[:, 1])
         stats = [_mean_stderr(row), _mean_stderr(1.0 - row)]
     else:
-        if len(strategies) < 2:
-            raise DomainError("need at least two players")
-        pays = payoff_n_batch(bids, strategies[0].cfg)
+        pays = payoff_n_batch(bids, cfg)
         stats = [_mean_stderr(pays[:, i]) for i in range(len(strategies))]
     return TournamentResult(
         means=tuple(m for m, _ in stats),

@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -502,21 +503,29 @@ def strict_win_regions(
     E every strictly lower row bid wins, so the region collapses to [A, y).
     """
     bid = cfg.require_bid(bid)
-    maps = maps_p(p, cfg)
+    (lo1, hi1), (lo2, hi2) = win_ends(bid, side, maps_p(p, cfg), cfg)
+    regions = (Interval(lo1, hi1, True, False), Interval(lo2, hi2, False, True))
+    return tuple(r for r in regions if not r.is_empty)
+
+
+def win_ends(
+    bid: float, side: Side, maps: AffineMaps, cfg: MarketConfig
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The (lo, hi) ends of the lower, then the upper, strict win region of
+    an admissible bid, as plain floats; a region is empty where hi <= lo.
+
+    The lower region is closed-open and the upper one open-closed, as
+    strict_win_regions builds them from these ends; win_region_ends is the
+    array form.
+    """
     A, B, E = cfg.A, cfg.B, cfg.E
     if side is Side.AS_ROW:
-        lower = Interval(max(maps.h1(bid), A), bid, True, False)
-        upper = Interval(max(maps.f1(bid), bid), B, False, True)
-    elif side is Side.AS_COLUMN:
+        return (max(maps.h1(bid), A), bid), (max(maps.f1(bid), bid), B)
+    if side is Side.AS_COLUMN:
         if bid > E:
-            lower = Interval(A, bid, True, False)
-            upper = Interval(bid, bid, False, False)
-        else:
-            lower = Interval(A, maps.h2(bid), True, False)
-            upper = Interval(bid, maps.f2(bid), False, True)
-    else:
-        raise DomainError(f"unknown side {side!r}")
-    return tuple(r for r in (lower, upper) if not r.is_empty)
+            return (A, bid), (bid, bid)
+        return (A, maps.h2(bid)), (bid, maps.f2(bid))
+    raise DomainError(f"unknown side {side!r}")
 
 
 def win_region_ends(
@@ -738,6 +747,11 @@ class WeightedKernel:
         elif not (0.0 <= self.w_col <= 1.0 and self.p + self.w_col == 1.0):
             raise DomainError(f"weights p={self.p} and w_col={self.w_col} do not sum to 1")
 
+    @cached_property
+    def maps(self) -> AffineMaps:
+        """maps_p of this kernel, built on first use; needs 0 < p < 1."""
+        return maps_p(self.p, self.cfg)
+
     def swapped(self) -> WeightedKernel:
         """The same game seen from the column player's seat."""
         return WeightedKernel(p=self.w_col, cfg=self.cfg, w_col=self.p)
@@ -760,12 +774,10 @@ class WeightedKernel:
         y = np.asarray(y, dtype=np.float64)
         p, E = self.p, self.cfg.E
         price = (p * x + self.w_col * y + E) / 2.0
-        x_in = x <= price
-        y_in = y <= price
-        row_wins = np.where(
-            x_in & y_in, x > y, np.where(x_in, True, np.where(y_in, False, x < y))
-        )
-        return np.where(x == y, p, np.where(row_wins, 1.0, 0.0))
+        # the higher bid at or below the price wins; when both are above it,
+        # the lower one
+        row_wins = ((y < x) & (x <= price)) | ((x < y) & (price < y))
+        return np.where(x == y, p, row_wins)
 
     def matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Payoff matrix M[i, j] = g_p(xs[i], ys[j])."""

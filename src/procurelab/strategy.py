@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from procurelab.game_core import (
     UnsupportedError,
     WeightedKernel,
     maps_p,
-    strict_win_regions,
+    win_ends,
     win_region_ends,
 )
 
@@ -63,29 +64,9 @@ class Piece:
             return self.w / (self.b - self.a)
         return self.w / math.log((E - self.a) / (E - self.b))
 
-    def density(self, E: float) -> Callable[[float], float]:
-        """The density as a function of x in [a, b).
-
-        Returned as a function so quadrature loops compute the normalizer
-        once per piece, not once per integrand evaluation.
-        """
-        c = self.normalizer(E)
-        if self.kind is PieceKind.UNIFORM:
-            return lambda x: c
-        return lambda x: c / (E - x)
-
-    def mass(self, lo: float, hi: float, E: float) -> float:
-        """Mass on (lo, hi); endpoints carry no mass."""
-        lo = max(lo, self.a)
-        hi = min(hi, self.b)
-        if hi <= lo:
-            return 0.0
-        if self.kind is PieceKind.UNIFORM:
-            return self.w * (hi - lo) / (self.b - self.a)
-        return self.normalizer(E) * math.log((E - lo) / (E - hi))
-
     def masses(self, lo: np.ndarray, hi: np.ndarray, E: float) -> np.ndarray:
-        """mass over arrays of interval ends; empty intervals get 0.0."""
+        """Mass on each (lo, hi) of arrays of interval ends; endpoints carry
+        no mass and empty intervals get 0.0."""
         lo = np.clip(lo, self.a, self.b)
         hi = np.maximum(np.minimum(hi, self.b), lo)
         if self.kind is PieceKind.UNIFORM:
@@ -133,6 +114,17 @@ class MixedStrategy:
             if atom.m <= 0.0:
                 raise DomainError(f"atom mass {atom.m} must be positive")
 
+    @cached_property
+    def piece_constants(self) -> tuple[tuple[bool, float, float, float, float], ...]:
+        """(flat, a, b, w, normalizer) of each piece, computed on first use.
+
+        flat is True for a uniform piece.  The cache sits outside the
+        dataclass fields, so ==, hash and repr do not see it.
+        """
+        E = self.cfg.E
+        return tuple((p.kind is PieceKind.UNIFORM, p.a, p.b, p.w, p.normalizer(E))
+                     for p in self.pieces)
+
     @property
     def total_mass(self) -> float:
         return sum(p.w for p in self.pieces) + sum(a.m for a in self.atoms)
@@ -148,12 +140,12 @@ class MixedStrategy:
         """Continuous-part CDF (pieces only), vectorized."""
         E = self.cfg.E
         out = np.zeros_like(x, dtype=np.float64)
-        for p in self.pieces:
-            xe = np.clip(x, p.a, p.b)
-            if p.kind is PieceKind.UNIFORM:
-                out += p.w * (xe - p.a) / (p.b - p.a)
+        for flat, a, b, w, c in self.piece_constants:
+            xe = np.clip(x, a, b)
+            if flat:
+                out += w * (xe - a) / (b - a)
             else:
-                out += p.normalizer(E) * np.log((E - p.a) / (E - xe))
+                out += c * np.log((E - a) / (E - xe))
         return out
 
     def cdf(self, x) -> float | np.ndarray:
@@ -174,7 +166,9 @@ class MixedStrategy:
 
     def density(self, x: float) -> float:
         """Density of the pieces at x, zero outside them; [a, b) as in the cdf."""
-        return sum((p.density(self.cfg.E)(x) for p in self.pieces if p.a <= x < p.b), 0.0)
+        E = self.cfg.E
+        return sum((c if flat else c / (E - x)
+                    for flat, a, b, _, c in self.piece_constants if a <= x < b), 0.0)
 
     def atom_mass_at(self, x: float) -> float:
         return sum(a.m for a in self.atoms if a.x == x)
@@ -231,23 +225,19 @@ class MixedStrategy:
         masses = np.array([c.w if isinstance(c, Piece) else c.m for c in comps])
         edges = np.cumsum(masses)
         u = np.minimum(u, edges[-1])
-        idx = np.searchsorted(edges, u, side="left")
-        idx = np.minimum(idx, len(comps) - 1)
-        out = np.empty_like(u)
         base = edges - masses
-        for k, comp in enumerate(comps):
-            sel = idx == k
-            if not sel.any():
-                continue
-            if isinstance(comp, Atom):
-                out[sel] = comp.x
-            else:
-                local = u[sel] - base[k]
-                if comp.kind is PieceKind.UNIFORM:
-                    out[sel] = comp.a + (comp.b - comp.a) * local / comp.w
-                else:
-                    out[sel] = E - (E - comp.a) * np.exp(-local / comp.normalizer(E))
-        return np.clip(out, self.cfg.A, self.cfg.B)
+        if len(comps) == 1:
+            # every u falls in the one component: no search and no masks
+            out = _component_quantile(comps[0], u - base[0], E)
+        else:
+            idx = np.searchsorted(edges, u, side="left")
+            idx = np.minimum(idx, len(comps) - 1)
+            out = np.empty_like(u)
+            for k, comp in enumerate(comps):
+                sel = idx == k
+                if sel.any():
+                    out[sel] = _component_quantile(comp, u[sel] - base[k], E)
+        return np.clip(out, self.cfg.A, self.cfg.B, out=out)
 
     def _quantile_bisect(self, u: np.ndarray) -> np.ndarray:
         # overlapping components: fall back to monotone bisection on the CDF
@@ -308,6 +298,15 @@ class MixedStrategy:
         return cls(tuple(pieces), tuple(atoms), cfg).validate()
 
 
+def _component_quantile(comp: Piece | Atom, local: np.ndarray, E: float) -> np.ndarray:
+    """Quantile of one component at masses `local` measured from its start."""
+    if isinstance(comp, Atom):
+        return np.full_like(local, comp.x)
+    if comp.kind is PieceKind.UNIFORM:
+        return comp.a + (comp.b - comp.a) * local / comp.w
+    return E - (E - comp.a) * np.exp(-local / comp.normalizer(E))
+
+
 def point_mass(x: float, cfg: MarketConfig) -> MixedStrategy:
     return MixedStrategy((), (Atom(cfg.require_bid(x), 1.0),), cfg).validate()
 
@@ -317,12 +316,14 @@ def point_mass(x: float, cfg: MarketConfig) -> MixedStrategy:
 
 
 _QUAD_REL_TOL = 1e-9  # relative tolerance of the quadrature path
-# Gauss-Legendre nodes and weights on [-1, 1] at two orders, side by side;
-# the gap between the orders is the quadrature's error estimate
+# Gauss-Legendre nodes, shifted from [-1, 1] to [0, 2], and weights at two
+# orders, side by side; the gap between the orders is the quadrature's error
+# estimate
 _GL_LOW = 16
 _GL_NODES, _GL_WEIGHTS = (
     np.concatenate(parts) for parts in zip(*(leggauss(n) for n in (_GL_LOW, 2 * _GL_LOW)))
 )
+_GL_NODES += 1.0
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ def _region_cutpoints(bid: float, side: Side, kernel: WeightedKernel) -> list[fl
     pts = [bid, cfg.E]
     p = kernel.p
     if 0.0 < p < 1.0:
-        maps = maps_p(p, cfg)
+        maps = kernel.maps
         if side is Side.AS_ROW:
             pts += [maps.h1(bid), maps.f1(bid)]
         else:
@@ -368,6 +369,16 @@ def _panels(points: Iterable[float], lo: float, hi: float, E: float) -> list[tup
     return out
 
 
+def require_market(cfg: MarketConfig, *strategies: MixedStrategy) -> None:
+    """Raise DomainError unless every strategy is built on the market cfg.
+
+    Identity is tried first, so the usual case costs one comparison.
+    """
+    for s in strategies:
+        if s.cfg is not cfg and s.cfg != cfg:
+            raise DomainError(f"strategy on market {s.cfg} played on market {cfg}")
+
+
 def expect_vs(
     bid: float | np.ndarray,
     s: MixedStrategy,
@@ -390,27 +401,37 @@ def expect_vs(
     only (0 < p < 1).  It adds the same terms in the same order as a float
     bid does; reciprocal pieces may differ from the float path by an ulp,
     because np.log and math.log may round differently.
+
+    A side that is not a Side, or a strategy built on another market than
+    the kernel's, raises DomainError on every path.
     """
     if method not in ("auto", "exact", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
+    if not isinstance(side, Side):
+        raise DomainError(f"unknown side {side!r}")
+    require_market(kernel.cfg, s)
     # a float bid stays on the scalar code: for one bid it is several times
     # faster than a one-element array
     if isinstance(bid, np.ndarray) and bid.ndim:
         return _expect_vs_exact_array(bid, s, kernel, side, method)
     bid = kernel.cfg.require_bid(bid)
     pair = (lambda y: (bid, y)) if side is Side.AS_ROW else (lambda y: (y, bid))
-
     use_exact = method in ("auto", "exact") and 0.0 < kernel.p < 1.0
     if method == "exact" and not use_exact:
         raise UnsupportedError("exact win regions need 0 < p < 1")
 
     if use_exact:
-        atom_part = sum(a.m * kernel(*pair(a.x)) for a in s.atoms)
-        regions = strict_win_regions(bid, side, kernel.p, kernel.cfg)
+        # each piece's mass inside the two win regions, from plain floats and
+        # the per-strategy constants; an empty region adds no term
+        E = kernel.cfg.E
+        atom_part = sum(a.m * kernel(*pair(a.x)) for a in s.atoms) if s.atoms else 0.0
         cont = 0.0
-        for region in regions:
-            for piece in s.pieces:
-                cont += piece.mass(region.lo, region.hi, kernel.cfg.E)
+        for lo, hi in win_ends(bid, side, kernel.maps, kernel.cfg):
+            for flat, a, b, w, c in s.piece_constants:
+                lo_in, hi_in = max(lo, a), min(hi, b)
+                if hi_in > lo_in:
+                    cont += (w * (hi_in - lo_in) / (b - a) if flat
+                             else c * math.log((E - lo_in) / (E - hi_in)))
         return atom_part + cont
 
     # quadrature path: the kernel at the nodes, not its win regions, so the
@@ -447,7 +468,7 @@ def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float
         qs.add(a.x)
     out = set()
     if 0.0 < kernel.p < 1.0:
-        maps = maps_p(kernel.p, cfg)
+        maps = kernel.maps
         preimages = (lambda q: q, maps.f2, maps.h2, maps.f1, maps.h1)
     else:
         # the limits of those maps when one bid has no influence on the price
@@ -465,23 +486,24 @@ def _integrate_against(mu: MixedStrategy, f: Callable[[np.ndarray], np.ndarray],
     """∫ f dμ with f piecewise smooth between cuts; atoms added exactly.
 
     f takes an array of points and is called once, on the Gauss-Legendre
-    nodes of every panel at both orders and on the atoms.  The summed gap
-    between the orders over the panels is the error estimate.
+    nodes of every panel of every piece at both orders and on the atoms.
+    The summed gap between the orders over the panels is the error estimate.
     """
     E = mu.cfg.E
-    nodes, weights = [], [np.empty((0, _GL_NODES.size))]
-    for piece in mu.pieces:
-        lo, hi = np.array(_panels(cuts, piece.a, piece.b, E)).T[:, :, None]
-        half = (hi - lo) / 2.0
-        x = lo + half * (_GL_NODES + 1.0)
-        nodes.append(x.ravel())
-        weights.append(half * _GL_WEIGHTS * piece.density(E)(x))
-    x = np.concatenate(nodes + [[a.x for a in mu.atoms]])
-    fx = f(x)
-    k = x.size - len(mu.atoms)
-    wf = np.concatenate(weights) * fx[:k].reshape(-1, _GL_NODES.size)
-    low, high = wf[:, :_GL_LOW].sum(axis=1), wf[:, _GL_LOW:].sum(axis=1)
-    total = float(np.dot([a.m for a in mu.atoms], fx[k:]) + high.sum())
+    panels = [(lo, hi, c, flat) for flat, a, b, _, c in mu.piece_constants
+              for lo, hi in _panels(cuts, a, b, E)]
+    lo, hi, c, flat = np.array(panels).reshape(-1, 4).T[:, :, None]
+    half = (hi - lo) / 2.0
+    x = lo + half * _GL_NODES
+    # each panel's density: c on a uniform piece, c/(E - x) on a reciprocal one
+    weights = half * _GL_WEIGHTS * (c / np.where(flat, 1.0, E - x))
+    k = x.size
+    fx = f(np.concatenate((x.ravel(), [a.x for a in mu.atoms])) if mu.atoms else x.ravel())
+    wf = weights * fx[:k].reshape(weights.shape)
+    low = np.add.reduce(wf[:, :_GL_LOW], axis=1)
+    high = np.add.reduce(wf[:, _GL_LOW:], axis=1)
+    atom_part = np.dot([a.m for a in mu.atoms], fx[k:]) if mu.atoms else 0.0
+    total = float(atom_part + high.sum())
     gap = float(np.abs(high - low).sum())
     if gap > max(_QUAD_REL_TOL * max(abs(total), 1.0), 1e-12) * 10.0:
         raise QuadratureError("Gauss-Legendre orders disagree", gap)
@@ -497,8 +519,7 @@ def expect_joint(mu: MixedStrategy, nu: MixedStrategy, kernel: WeightedKernel) -
     nu-measures as a function of x.  The last two bake in the symmetric
     price (both bids weighted equally), so only a symmetric kernel gets them.
     """
-    if mu.cfg != kernel.cfg or nu.cfg != kernel.cfg:
-        raise DomainError("strategies and kernel use different market configs")
+    require_market(kernel.cfg, mu, nu)
     cfg = kernel.cfg
     E = cfg.E
 

@@ -140,6 +140,28 @@ class TestScalarPayoffs:
             total = gc.payoff_weighted(x, y, p, CFG) + gc.payoff_weighted(y, x, 1.0 - p, CFG)
             assert total == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "cfg", [CFG, MarketConfig(0.0, 1.5e6, 1e6), MarketConfig(-3.0, 0.0, -1.0)])
+    def test_kernel_batch_matches_case_by_case_reference(self, cfg):
+        def reference(x, y, p, w_col):
+            # the award spelled out case by case over the two price tests
+            price = (p * x + w_col * y + cfg.E) / 2.0
+            x_in, y_in = x <= price, y <= price
+            row_wins = np.where(x_in & y_in, x > y,
+                                np.where(x_in, True, np.where(y_in, False, x < y)))
+            return np.where(x == y, p, np.where(row_wins, 1.0, 0.0))
+
+        rng = np.random.default_rng(47)
+        grid = np.linspace(cfg.A, cfg.B, 201)
+        xs = np.concatenate([np.repeat(grid, grid.size), rng.uniform(cfg.A, cfg.B, 20_000)])
+        ys = np.concatenate([np.tile(grid, grid.size), rng.uniform(cfg.A, cfg.B, 20_000)])
+        for p in (0.0, 0.01, 0.1, gc.critical_p(), 0.3, 0.5, 1.0):
+            kern = gc.WeightedKernel(p, cfg)
+            for k in (kern, kern.swapped()):
+                got = k.batch(xs, ys)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, reference(xs, ys, k.p, k.w_col)), (p, k.p)
+
     def test_weighted_rejects_bad_weight(self):
         with pytest.raises(DomainError):
             gc.payoff_weighted(0.5, 0.6, 1.2, CFG)
@@ -206,6 +228,16 @@ class TestMaps:
         assert maps.f2(0.0) == pytest.approx(1 / 1.7)
         assert maps.h1(0.7) == pytest.approx((1.7 * 0.7 - 1.0) / 0.7)
         assert maps.h2(0.7) == pytest.approx((1.3 * 0.7 - 1.0) / 0.3)
+
+    def test_kernel_maps_are_cached_outside_equality_and_hash(self):
+        kern = gc.WeightedKernel(0.3, CFG)
+        assert "maps" not in vars(kern)  # built on first use only
+        assert kern.maps is kern.maps and kern.maps == gc.maps_p(0.3, CFG)
+        assert kern == gc.WeightedKernel(0.3, CFG)
+        assert hash(kern) == hash(gc.WeightedKernel(0.3, CFG))
+        assert repr(kern) == repr(gc.WeightedKernel(0.3, CFG))
+        with pytest.raises(DomainError):
+            gc.WeightedKernel(0.0, CFG).maps
 
     def test_domain(self):
         with pytest.raises(DomainError):

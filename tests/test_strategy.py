@@ -1,12 +1,21 @@
 """Tests for mixed-strategy representation and expected payoffs."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from procurelab import _rng
 from procurelab import game_core as gc
 from procurelab import strategy as st
-from procurelab.game_core import DomainError, Interval, UnsupportedError, default_config
+from procurelab.experiments import mc_tournament
+from procurelab.game_core import (
+    DomainError,
+    Interval,
+    MarketConfig,
+    UnsupportedError,
+    default_config,
+)
 from procurelab.strategy import Atom, MixedStrategy, Piece, PieceKind
 
 CFG = default_config()
@@ -87,6 +96,26 @@ class TestConstruction:
         ).validate()
         assert MixedStrategy.from_json(s.to_json(), CFG) == s
 
+    def test_piece_constants_are_outside_equality_hash_and_json(self):
+        def build():
+            return MixedStrategy(
+                (Piece(PieceKind.UNIFORM, 0.0, 0.5, 0.25),
+                 Piece(PieceKind.RECIPROCAL, 0.5, 0.9, 0.25)),
+                (Atom(1.1, 0.5),), CFG,
+            ).validate()
+
+        cached, fresh = build(), build()
+        assert "piece_constants" not in vars(cached)  # built on first use only
+        assert cached.piece_constants == (
+            (True, 0.0, 0.5, 0.25, 0.25 / 0.5),
+            (False, 0.5, 0.9, 0.25, 0.25 / math.log((1.0 - 0.5) / (1.0 - 0.9))),
+        )
+        assert "piece_constants" in vars(cached) and "piece_constants" not in vars(fresh)
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)
+        assert cached.to_json() == fresh.to_json()
+        assert MixedStrategy.from_json(cached.to_json(), CFG) == cached
+
     def test_json_rejects_unknown_fields(self):
         with pytest.raises(DomainError):
             MixedStrategy.from_json('{"pieces": [], "atoms": [], "extra": 1}', CFG)
@@ -155,7 +184,83 @@ class TestCdfQuantile:
         assert s.measure(Interval(0.7, 1.5, False, True)) == 0.0
 
 
+# the SplitMix64 increment and its two mixing multipliers
+_GAMMA, _MIX1, _MIX2 = map(np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                       0x94D049BB133111EB))
+
+
+def _reference_finalize(z):
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def _reference_stream(seed: int, n: int) -> np.ndarray:
+    """The SplitMix64 stream as whole-array expressions, one new array per step."""
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = _reference_finalize(np.uint64(seed & (2**64 - 1)) + idx * _GAMMA)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _reference_quantile(s: MixedStrategy, u: np.ndarray) -> np.ndarray:
+    """The ordered-component quantile with a search and a mask per component."""
+    E = s.cfg.E
+    comps = s._ordered_components()
+    masses = np.array([c.w if isinstance(c, Piece) else c.m for c in comps])
+    edges = np.cumsum(masses)
+    u = np.minimum(u, edges[-1])
+    idx = np.minimum(np.searchsorted(edges, u, side="left"), len(comps) - 1)
+    out = np.empty_like(u)
+    base = edges - masses
+    for k, comp in enumerate(comps):
+        sel = idx == k
+        if not sel.any():
+            continue
+        if isinstance(comp, Atom):
+            out[sel] = comp.x
+        else:
+            local = u[sel] - base[k]
+            if comp.kind is PieceKind.UNIFORM:
+                out[sel] = comp.a + (comp.b - comp.a) * local / comp.w
+            else:
+                out[sel] = E - (E - comp.a) * np.exp(-local / comp.normalizer(E))
+    return np.clip(out, s.cfg.A, s.cfg.B)
+
+
 class TestSampling:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 - 1, -1, 2**70 + 3])
+    def test_uniform_stream_matches_reference(self, seed):
+        for n in (1, 7, 100_000):
+            assert np.array_equal(_rng.uniform_stream(seed, n), _reference_stream(seed, n))
+
+    def test_derive_seed_matches_reference(self):
+        for seed, salts in ((42, ("br", 2, 7)), (2**64 - 1, ("tournament", 0)), (0, (5,))):
+            z = np.uint64(seed & (2**64 - 1))
+            with np.errstate(over="ignore"):
+                for salt in salts:
+                    if isinstance(salt, str):
+                        salt = int.from_bytes(hashlib.blake2s(
+                            salt.encode(), digest_size=8).digest(), "big")
+                    z = _reference_finalize((z ^ np.uint64(salt)) + _GAMMA)
+            assert _rng.derive_seed(seed, *salts) == int(z)
+
+    def test_quantile_matches_reference(self):
+        from procurelab import equilibria as eq
+
+        rng = np.random.default_rng(37)
+        strategies = [log_curve(), uniform_pair(), st.point_mass(0.7, CFG),
+                      eq.weighted_equilibrium(0.1, CFG), eq.critical_regime_strategy(CFG)]
+        strategies += [random_mixture(rng) for _ in range(20)]
+        # overlapping components take the bisection, which this does not cover
+        strategies = [s for s in strategies if s._ordered_components() is not None]
+        assert len(strategies) > 20
+        for s in strategies:
+            edges = np.cumsum([pc.w for pc in s.pieces] + [a.m for a in s.atoms])
+            us = np.concatenate([[0.0, 1.0], edges[edges <= 1.0], _rng.uniform_stream(5, 5_000)])
+            assert np.array_equal(s.quantile(us), _reference_quantile(s, us)), s
+            assert s.quantile(0.5) == _reference_quantile(s, np.array([0.5]))[0]
+
     def test_determinism(self):
         s = log_curve()
         assert np.array_equal(s.sample(99, 1000), s.sample(99, 1000))
@@ -226,11 +331,71 @@ class TestExpectVs:
         v = st.expect_vs(0.5, uniform_pair(), gc.WeightedKernel(0.0, CFG))
         assert 0.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("method", ["auto", "exact", "quadrature"])
+    def test_unknown_side_is_domain_error(self, method):
+        for side in ("AsRow", "AsColumn", None):
+            with pytest.raises(DomainError):
+                st.expect_vs(0.5, uniform_pair(), SYM, side=side, method=method)
+        with pytest.raises(DomainError):
+            st.expect_vs(np.array([0.5]), uniform_pair(), SYM, side="AsRow", method=method)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_unknown_side_is_domain_error_at_degenerate_weights(self, p):
+        # p in {0, 1} takes the quadrature path under method="auto"
+        with pytest.raises(DomainError):
+            st.expect_vs(0.5, uniform_pair(), gc.WeightedKernel(p, CFG), side="AsRow")
+
     def test_side_and_method_are_keyword_only(self):
         with pytest.raises(TypeError):
             st.expect_vs(0.5, uniform_pair(), SYM, gc.Side.AS_COLUMN)
         with pytest.raises(TypeError):
             st.expect_vs(0.5, uniform_pair(), SYM, None, gc.Side.AS_ROW, "quadrature")
+
+
+OTHER_CFG = MarketConfig(0.0, 1.5, 1.2)
+
+
+class TestMarketCheck:
+    """A strategy built on another market than the kernel's is refused."""
+
+    @staticmethod
+    def other_market():
+        from procurelab import equilibria as eq
+
+        return eq.weighted_equilibrium(0.3, OTHER_CFG)
+
+    @pytest.mark.parametrize("method", ["auto", "exact", "quadrature"])
+    def test_expect_vs_float(self, method):
+        with pytest.raises(DomainError):
+            st.expect_vs(0.5, self.other_market(), SYM, method=method)
+
+    def test_expect_vs_array(self):
+        with pytest.raises(DomainError):
+            st.expect_vs(np.array([0.5, 0.9]), self.other_market(), SYM)
+
+    def test_expect_vs_degenerate_weight(self):
+        with pytest.raises(DomainError):
+            st.expect_vs(0.5, self.other_market(), gc.WeightedKernel(0.0, CFG))
+
+    def test_expect_joint(self):
+        with pytest.raises(DomainError):
+            st.expect_joint(self.other_market(), log_curve(), SYM)
+
+    def test_mc_tournament(self):
+        other = self.other_market()
+        with pytest.raises(DomainError):
+            mc_tournament([log_curve(), other], SYM, 100, 1)
+        with pytest.raises(DomainError):
+            mc_tournament([log_curve(), other, log_curve()], None, 100, 1)
+
+    def test_equal_market_is_accepted(self):
+        # an equal config passes, not only the very same object
+        twin = MarketConfig(CFG.A, CFG.B, CFG.E)
+        assert twin is not CFG
+        s = MixedStrategy((Piece(PieceKind.RECIPROCAL, 0.0, A2, 1.0),), (), twin).validate()
+        assert st.expect_vs(0.93, s, SYM) == st.expect_vs(0.93, log_curve(), SYM)
+        assert mc_tournament([s, log_curve()], SYM, 100, 1) == mc_tournament(
+            [log_curve(), log_curve()], SYM, 100, 1)
 
 
 def _equilibrium_cases():
@@ -256,6 +421,63 @@ def _probe_bids(s: MixedStrategy, p: float) -> np.ndarray:
         pts += f(grid).tolist()
     bids = np.array(pts + grid.tolist())
     return bids[(bids >= CFG.A) & (bids <= CFG.B)]
+
+
+def _reference_mass(piece: Piece, lo: float, hi: float, E: float) -> float:
+    """Mass of one piece on (lo, hi), its normalizer recomputed per call."""
+    lo = max(lo, piece.a)
+    hi = min(hi, piece.b)
+    if hi <= lo:
+        return 0.0
+    if piece.kind is PieceKind.UNIFORM:
+        return piece.w * (hi - lo) / (piece.b - piece.a)
+    return piece.normalizer(E) * math.log((E - lo) / (E - hi))
+
+
+def _reference_expect_vs(bid: float, s: MixedStrategy, kernel: gc.WeightedKernel,
+                         side: gc.Side) -> float:
+    """The float exact path as a loop over Interval win regions and pieces."""
+    pair = (lambda y: (bid, y)) if side is gc.Side.AS_ROW else (lambda y: (y, bid))
+    atom_part = sum(a.m * kernel(*pair(a.x)) for a in s.atoms)
+    cont = 0.0
+    for region in gc.strict_win_regions(bid, side, kernel.p, kernel.cfg):
+        for piece in s.pieces:
+            cont += _reference_mass(piece, region.lo, region.hi, kernel.cfg.E)
+    return atom_part + cont
+
+
+def _reference_cases():
+    from procurelab import equilibria as eq
+
+    cases = [
+        ("uniform", eq.uniform_equilibrium(CFG), 0.5),
+        ("log", eq.log_equilibrium(CFG), 0.5),
+        ("critical", eq.critical_regime_strategy(CFG), gc.critical_p()),
+        *((f"weighted-{p}", eq.weighted_equilibrium(p, CFG), p) for p in (0.3, 0.1, 0.01)),
+    ]
+    rng = np.random.default_rng(41)
+    while len(cases) < 18:
+        s = random_mixture(rng)
+        if s.atoms:
+            cases.append((f"mixture-{len(cases)}", s, float(rng.uniform(0.05, 0.95))))
+    return cases
+
+
+class TestExpectVsReference:
+    @pytest.mark.parametrize("side", list(gc.Side))
+    @pytest.mark.parametrize("case", range(18), ids=[c[0] for c in _reference_cases()])
+    def test_float_path_equals_reference(self, case, side):
+        label, s, p = _reference_cases()[case]
+        kern = gc.WeightedKernel(p, CFG)
+        maps = gc.maps_p(p, CFG)
+        ends = [q for pc in s.pieces for q in (pc.a, pc.b)] + [a.x for a in s.atoms]
+        images = [f(q) for q in ends for f in (maps.h1, maps.f1, maps.h2, maps.f2)]
+        draw = np.random.default_rng(43).uniform(CFG.A, CFG.B, 2_000).tolist()
+        bids = [CFG.A, CFG.B, CFG.E, *ends, *images, *_probe_bids(s, p).tolist(), *draw]
+        bids = [float(x) for x in bids if CFG.A <= x <= CFG.B]
+        for x in bids:
+            got = st.expect_vs(x, s, kern, side=side)
+            assert got == _reference_expect_vs(x, s, kern, side), (label, x)
 
 
 class TestExpectVsArray:
