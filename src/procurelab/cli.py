@@ -384,9 +384,16 @@ def _cmd_ddpm_probe(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     return _dump(payload), 0 if report.passed else 1
 
 
+def _parse_start(raw: str) -> list[float]:
+    try:
+        return [float(tok) for tok in raw.split(",")]
+    except ValueError:
+        raise _UsageError(f"start must be comma-separated numbers, got {raw!r}")
+
+
 def _cmd_br_dynamics(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     cfg = rc.market()
-    start = [float(tok) for tok in args.start.split(",")] if args.start else [cfg.A, cfg.A]
+    start = _parse_start(args.start) if args.start else [cfg.A, cfg.A]
     if len(start) < 2:
         raise _UsageError("start needs at least two comma-separated bids")
     if args.steps < 1:

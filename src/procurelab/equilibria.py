@@ -363,17 +363,16 @@ def functional_residual(
     if which is FunctionalSystem.SYMMETRIC and p != 0.5:
         raise DomainError("the symmetric system fixes p = 1/2")
     m = maps_p(p, cfg)
-    seq = weighted_sequences(p, 1, cfg)
     if which in (FunctionalSystem.SYMMETRIC, FunctionalSystem.WEIGHTED_ROW):
         if x >= cfg.E:
             return -f.density(x)
         r = f.density(x) - (p / (p + 1.0)) * f.density(m.f1(x))
-        if x >= seq.a_check[1]:
+        if x >= m.f2(cfg.A):  # a_check[1]
             r -= ((2.0 - p) / (1.0 - p)) * f.density(m.h1(x))
         return r
     if x >= cfg.E:
         return f.density(x)
     r = ((1.0 - p) / (2.0 - p)) * f.density(m.f2(x)) - f.density(x)
-    if x >= seq.a_hat[1]:
+    if x >= m.f1(cfg.A):  # a_hat[1]
         r += ((p + 1.0) / p) * f.density(m.h2(x))
     return r

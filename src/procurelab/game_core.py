@@ -8,8 +8,8 @@ award evenly.
 
 This module evaluates those rules exactly and exposes the analytic objects
 attached to them: deviation thresholds, the four affine reflection maps of the
-weighted two-player game, cutpoint sequences, regime classification, strict
-win regions, the N=3 cutpoint geometry, and the discontinuity taxonomy used
+weighted two-player game, cutpoint sequences, regime classification, win
+regions, the N=3 cutpoint geometry, and the discontinuity taxonomy used
 by the numeric probes.
 
 Everything here is a pure function of its arguments.  Payoff comparisons are
@@ -186,19 +186,6 @@ def payoff_n_combinatorial(bids: Profile, cfg: MarketConfig) -> tuple[float, ...
                     total += 1.0 / (size + 1)
         out.append(total)
     return tuple(out)
-
-
-def payoff_weighted(x: float, y: float, p: float, cfg: MarketConfig) -> float:
-    """Weighted-influence payoff of player 1; ties pay p.
-
-    The reference price weighs player 1's bid by p and player 2's by 1 - p:
-    P = (p*x + (1-p)*y + E) / 2.
-    """
-    x = cfg.require_bid(x)
-    y = cfg.require_bid(y)
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"weight p={p} outside [0, 1]")
-    return _weighted_award(x, y, p, 1.0 - p, cfg.E)
 
 
 def _weighted_award(x: float, y: float, w_row: float, w_col: float, E: float) -> float:
@@ -461,61 +448,17 @@ class Side(Enum):
     AS_COLUMN = "AsColumn"
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Interval with explicit endpoint membership; empty when lo > hi or
-    when lo == hi with either end open."""
-
-    lo: float
-    hi: float
-    lo_closed: bool = True
-    hi_closed: bool = False
-
-    @property
-    def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-
-    @property
-    def length(self) -> float:
-        return max(self.hi - self.lo, 0.0)
-
-    def contains(self, x: float) -> bool:
-        if self.is_empty:
-            return False
-        above = x > self.lo or (self.lo_closed and x == self.lo)
-        below = x < self.hi or (self.hi_closed and x == self.hi)
-        return above and below
-
-
-def strict_win_regions(
-    bid: float,
-    side: Side,
-    p: float,
-    cfg: MarketConfig,
-) -> tuple[Interval, ...]:
-    """Opponent bids against which the given bid strictly wins (payoff 1).
-
-    Endpoints are derived from the award rules, not quoted: a weak win at
-    the reference price makes the lower row boundary closed and the upper
-    one open, and symmetrically for the column side.  For a column bid above
-    E every strictly lower row bid wins, so the region collapses to [A, y).
-    """
-    bid = cfg.require_bid(bid)
-    (lo1, hi1), (lo2, hi2) = win_ends(bid, side, maps_p(p, cfg), cfg)
-    regions = (Interval(lo1, hi1, True, False), Interval(lo2, hi2, False, True))
-    return tuple(r for r in regions if not r.is_empty)
-
-
 def win_ends(
     bid: float, side: Side, maps: AffineMaps, cfg: MarketConfig
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The (lo, hi) ends of the lower, then the upper, strict win region of
-    an admissible bid, as plain floats; a region is empty where hi <= lo.
+    """Opponent bids against which an admissible bid strictly wins (payoff 1).
 
-    The lower region is closed-open and the upper one open-closed, as
-    strict_win_regions builds them from these ends; win_region_ends is the
+    Returns the (lo, hi) ends of the lower, then the upper, region as plain
+    floats; a region is empty where hi <= lo.  Endpoints follow from the
+    award rules: a weak win at the reference price makes the lower region
+    closed-open, [lo, hi), and the upper one open-closed, (lo, hi].  For a
+    column bid above E every strictly lower row bid wins, so the lower
+    region is [A, bid) and the upper one is empty.  win_region_ends is the
     array form.
     """
     A, B, E = cfg.A, cfg.B, cfg.E
@@ -529,18 +472,9 @@ def win_ends(
 
 
 def win_region_ends(
-    bids: np.ndarray,
-    side: Side,
-    p: float,
-    cfg: MarketConfig,
+    bids: np.ndarray, side: Side, maps: AffineMaps, cfg: MarketConfig
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """strict_win_regions over an array of admissible bids, as (lo, hi) arrays.
-
-    Returns the lower and the upper region, in that order; where a region
-    is empty, hi <= lo.  Endpoint membership is left out: these ends serve
-    to measure continuous mass, which endpoints do not carry.
-    """
-    maps = maps_p(p, cfg)
+    """win_ends over an array of admissible bids, as (lo, hi) arrays."""
     A, B, E = cfg.A, cfg.B, cfg.E
     if side is Side.AS_ROW:
         lower = (np.maximum(maps.h1(bids), A), bids)
@@ -610,17 +544,15 @@ _JUMP_SIGNS: dict[str, dict[str, int]] = {
 }
 
 
-def ordering_cells(
-    y: np.ndarray, z: np.ndarray, cfg: MarketConfig, tol: float = HYPERSURFACE_TOL
-) -> OrderingCells:
+def ordering_cells(y: np.ndarray, z: np.ndarray, cfg: MarketConfig) -> OrderingCells:
     """Classify each pair (y[k], z[k]) by the strict order of the five N=3
     cutpoints.
 
     A pair is on a boundary when any two of {y, z, t, p_y, p_z} fall within
-    tol of each other: there the order is not strict and adjacent cells
-    merge.  The tolerance matters: pairs that coincide in exact arithmetic
-    can land an ulp apart in floats, and classifying them would report a
-    strict order that is pure rounding noise.
+    HYPERSURFACE_TOL of each other: there the order is not strict and
+    adjacent cells merge.  The tolerance matters: pairs that coincide in
+    exact arithmetic can land an ulp apart in floats, and classifying them
+    would report a strict order that is pure rounding noise.
     """
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -628,7 +560,7 @@ def ordering_cells(
         raise DomainError(f"y and z shapes differ: {y.shape} vs {z.shape}")
     cut = cutpoints3(y, z, cfg)
     ordered = np.sort(np.stack([y, z, cut.t, cut.p_y, cut.p_z], axis=-1), axis=-1)
-    boundary = np.diff(ordered, axis=-1).min(axis=-1) <= tol
+    boundary = np.diff(ordered, axis=-1).min(axis=-1) <= HYPERSURFACE_TOL
 
     mirrored = z < y
     a = np.where(mirrored, z, y)  # a < b
@@ -643,14 +575,13 @@ def ordering_cells(
     return OrderingCells(tag=np.where(boundary, "", tag), mirrored=mirrored, boundary=boundary)
 
 
-def ordering_cell(
-    y: float, z: float, cfg: MarketConfig, tol: float = HYPERSURFACE_TOL
-) -> OrderingCell:
+def ordering_cell(y: float, z: float, cfg: MarketConfig) -> OrderingCell:
     """ordering_cells for one pair; raises BoundaryError on a boundary."""
-    cells = ordering_cells(np.array([y], dtype=np.float64), np.array([z], dtype=np.float64),
-                           cfg, tol)
+    cells = ordering_cells(np.array([y], dtype=np.float64),
+                           np.array([z], dtype=np.float64), cfg)
     if cells.boundary[0]:
-        raise BoundaryError(f"two cutpoints of (y, z) = ({y}, {z}) lie within {tol}")
+        raise BoundaryError(
+            f"two cutpoints of (y, z) = ({y}, {z}) lie within {HYPERSURFACE_TOL}")
     return OrderingCell(tag=str(cells.tag[0]), mirrored=bool(cells.mirrored[0]))
 
 
@@ -674,12 +605,7 @@ class DiscontinuityClass(Enum):
     CONTINUITY = "Continuity"
 
 
-def classify_discontinuity(
-    i: int,
-    bids: Profile,
-    cfg: MarketConfig,
-    tol: float = HYPERSURFACE_TOL,
-) -> DiscontinuityClass:
+def classify_discontinuity(i: int, bids: Profile, cfg: MarketConfig) -> DiscontinuityClass:
     """Locate player i's bid relative to the discontinuity hypersurfaces.
 
     Tie: i shares its bid with someone and the tied group wins.
@@ -691,10 +617,10 @@ def classify_discontinuity(
     Anything else is a continuity point.
 
     Checks run in that order and the first hit wins.  Membership is decided
-    from the defining geometry within tol; the payoff values the surfaces
-    carry (1 at a fixed point, 0 at a transition) follow from the geometry
-    exactly on the surface, and re-testing them at a float-rounded profile
-    would misclassify points an ulp away.
+    from the defining geometry within HYPERSURFACE_TOL; the payoff values
+    the surfaces carry (1 at a fixed point, 0 at a transition) follow from
+    the geometry exactly on the surface, and re-testing them at a
+    float-rounded profile would misclassify points an ulp away.
     """
     bids = check_profile(bids, cfg)
     if not (0 <= i < len(bids)):
@@ -703,19 +629,19 @@ def classify_discontinuity(
     xi = bids[i]
     others = [b for j, b in enumerate(bids) if j != i]
 
-    if g > 0.0 and any(abs(b - xi) <= tol for b in others):
+    if g > 0.0 and any(abs(b - xi) <= HYPERSURFACE_TOL for b in others):
         return DiscontinuityClass.TIE
 
     t = threshold_t(others, cfg)
-    if abs(xi - t) <= tol:
+    if abs(xi - t) <= HYPERSURFACE_TOL:
         return DiscontinuityClass.FIXED_POINT
 
     n = len(bids)
-    candidates = [b for b in others if b <= t + tol]
+    candidates = [b for b in others if b <= t + HYPERSURFACE_TOL]
     if candidates:
         b_low = max(candidates)
         surface = (2.0 * n - 1.0) * b_low - (sum(others) - b_low) - n * cfg.E
-        if abs(xi - surface) <= tol:
+        if abs(xi - surface) <= HYPERSURFACE_TOL:
             return DiscontinuityClass.TRANSITION
     return DiscontinuityClass.CONTINUITY
 

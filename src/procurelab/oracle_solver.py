@@ -49,9 +49,6 @@ __all__ = [
     "grid_sup_inf",
     "pure_ne_scan",
     "value_curve_oracle",
-    "value_curve_csv",
-    "SelfplayReport",
-    "symmetric_selfplay",
     "ddpm_probe",
 ]
 
@@ -376,113 +373,6 @@ def value_curve_oracle(
                 }
             )
     return rows
-
-
-_CSV_COLUMNS = (
-    "p", "n", "value_n", "v_formula", "gap",
-    "regime", "benchmark", "benchmark_gap", "closer", "converged",
-)
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
-def value_curve_csv(rows: Sequence[dict]) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[k]) for k in _CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Symmetric self-play
-
-
-@dataclass(frozen=True)
-class SelfplayReport:
-    N: int
-    n: int
-    iters: int
-    seed: int
-    checkpoints: tuple[int, ...]
-    exploitability: tuple[float, ...]
-    value_estimate: float
-    final_mix: tuple[float, ...]
-
-
-def _selfplay_payoff_fn(
-    kernel_n: Callable, N: int, pts: np.ndarray, cfg: MarketConfig
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Returns u(sigma): expected payoff of each pure bid vs N-1 copies of sigma."""
-    s = len(pts)
-    idx = np.indices((s,) * N).reshape(N, -1).T
-    profiles = pts[idx]
-    tensor = _profile_payoffs(kernel_n, profiles, cfg)[:, 0].reshape((s,) * N)
-    if N == 2:
-        return lambda sigma: tensor @ sigma
-    flat = tensor.reshape(s * s, s)
-
-    def u(sigma: np.ndarray) -> np.ndarray:
-        return (flat @ sigma).reshape(s, s) @ sigma
-
-    return u
-
-
-def symmetric_selfplay(
-    kernel_n: Callable, N: int, g: Grid, iters: int, seed: int
-) -> SelfplayReport:
-    """Regret-matching self-play with one shared strategy for all players.
-
-    Diagnostic: reports the exploitability of the time-averaged strategy at
-    power-of-two checkpoints.  Convergence is only a gate for the N=2
-    sanity mode; for N=3 the trajectory is informative output.
-    """
-    if N not in (2, 3):
-        raise UnsupportedError(f"selfplay supports N in (2, 3), got {N}")
-    if g.n > 201:
-        raise UnsupportedError(f"selfplay capped at n <= 201, got {g.n}")
-    if iters < 1:
-        raise DomainError("iters must be positive")
-    pts = g.array
-    s = len(pts)
-    u_of = _selfplay_payoff_fn(kernel_n, N, pts, g.cfg)
-    jitter = uniform_stream(derive_seed(seed, "selfplay-init"), s)
-    sigma = _normalize(1.0 + 0.01 * jitter)
-    regret = np.zeros(s)
-    acc = np.zeros(s)
-    wsum = 0.0
-    marks = sorted({min(2**k, iters) for k in range(1, 64) if 2**k <= iters} | {iters})
-    checkpoints = []
-    gaps = []
-    for t in range(1, iters + 1):
-        u = u_of(sigma)
-        regret = np.maximum(regret + u - float(sigma @ u), 0.0)
-        acc += t * sigma
-        wsum += t
-        total = regret.sum()
-        sigma = regret / total if total > 0 else np.full(s, 1.0 / s)
-        if t in marks:
-            avg = acc / wsum
-            u_avg = u_of(avg)
-            checkpoints.append(t)
-            gaps.append(max(float(u_avg.max()) - float(avg @ u_avg), 0.0))
-    avg = acc / wsum
-    u_avg = u_of(avg)
-    return SelfplayReport(
-        N=N,
-        n=g.n,
-        iters=iters,
-        seed=seed,
-        checkpoints=tuple(checkpoints),
-        exploitability=tuple(gaps),
-        value_estimate=float(avg @ u_avg),
-        final_mix=tuple(float(x) for x in avg),
-    )
 
 
 # ---------------------------------------------------------------------------

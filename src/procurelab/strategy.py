@@ -2,8 +2,8 @@
 
 A strategy is a finite mixture of uniform pieces, reciprocal pieces (density
 proportional to 1/(E - x), the shape every non-uniform equilibrium here
-uses), and point masses.  CDF, quantile, interval measure, and the piece
-masses inside a win region all have closed forms, so expected payoffs
+uses), and point masses.  CDF, quantile, and the piece masses inside a
+win region all have closed forms, so expected payoffs
 against the procurement kernels are computed exactly; Gauss-Legendre
 quadrature at two fixed orders is kept as an independent cross-check path.
 
@@ -25,7 +25,6 @@ from numpy.polynomial.legendre import leggauss
 from procurelab._rng import uniform_stream
 from procurelab.game_core import (
     DomainError,
-    Interval,
     MarketConfig,
     Side,
     UnsupportedError,
@@ -63,15 +62,6 @@ class Piece:
         if self.kind is PieceKind.UNIFORM:
             return self.w / (self.b - self.a)
         return self.w / math.log((E - self.a) / (E - self.b))
-
-    def masses(self, lo: np.ndarray, hi: np.ndarray, E: float) -> np.ndarray:
-        """Mass on each (lo, hi) of arrays of interval ends; endpoints carry
-        no mass and empty intervals get 0.0."""
-        lo = np.clip(lo, self.a, self.b)
-        hi = np.maximum(np.minimum(hi, self.b), lo)
-        if self.kind is PieceKind.UNIFORM:
-            return self.w * (hi - lo) / (self.b - self.a)
-        return self.normalizer(E) * np.log((E - lo) / (E - hi))
 
 
 @dataclass(frozen=True)
@@ -172,18 +162,6 @@ class MixedStrategy:
 
     def atom_mass_at(self, x: float) -> float:
         return sum(a.m for a in self.atoms if a.x == x)
-
-    def measure(self, region: Interval) -> float:
-        """Exact probability of an interval, honoring endpoint membership."""
-        if region.is_empty:
-            return 0.0
-        lo = max(region.lo, self.cfg.A)
-        hi = min(region.hi, self.cfg.B)
-        if lo > hi:
-            return 0.0
-        cont = float(self._piece_cdf(np.float64(hi)) - self._piece_cdf(np.float64(lo)))
-        atoms = sum(a.m for a in self.atoms if region.contains(a.x))
-        return cont + atoms
 
     # -- quantile and sampling ------------------------------------------
 
@@ -451,10 +429,16 @@ def _expect_vs_exact_array(bids: np.ndarray, s: MixedStrategy, kernel: WeightedK
     for a in s.atoms:
         g = kernel.batch(bids, a.x) if side is Side.AS_ROW else kernel.batch(a.x, bids)
         atom_part = atom_part + a.m * g
+    # each piece's mass inside the two win regions; endpoints carry no mass
+    # and an empty region gives 0.0
+    E = kernel.cfg.E
     cont = np.zeros_like(bids)
-    for lo, hi in win_region_ends(bids, side, kernel.p, kernel.cfg):
-        for piece in s.pieces:
-            cont = cont + piece.masses(lo, hi, kernel.cfg.E)
+    for lo, hi in win_region_ends(bids, side, kernel.maps, kernel.cfg):
+        for flat, a, b, w, c in s.piece_constants:
+            lo_in = np.clip(lo, a, b)
+            hi_in = np.maximum(np.minimum(hi, b), lo_in)
+            cont = cont + (w * (hi_in - lo_in) / (b - a) if flat
+                           else c * np.log((E - lo_in) / (E - hi_in)))
     return atom_part + cont
 
 

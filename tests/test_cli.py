@@ -319,6 +319,14 @@ class TestScansAndProbes:
         assert d["fixed_point_step"] is None
         assert d["min_winner_payoff"] == 1.0
 
+    @pytest.mark.parametrize("start, want", [("0.2,abc", 2), (",0.3", 2), ("0.2,9", 1)])
+    def test_br_dynamics_bad_start(self, capsys, start, want):
+        # malformed is a usage error naming the flag; out of range, as for
+        # cutpoints3, a library failure
+        code, _, err = run_cli(["br-dynamics", "--start", start, "--steps", "5"], capsys)
+        assert code == want and err
+        assert ("start" in err) == (want == 2)
+
 
 class TestRegionGrid:
     def test_csv_golden(self, capsys):

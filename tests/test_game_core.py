@@ -13,7 +13,6 @@ from procurelab.game_core import (
     BoundaryError,
     DiscontinuityClass,
     DomainError,
-    Interval,
     MarketConfig,
     Regime,
     Side,
@@ -118,17 +117,18 @@ class TestScalarPayoffs:
             x, y = rng.uniform(0.0, 1.5, 2)
             if trial % 5 == 0:
                 y = x
-            assert gc.payoff_weighted(x, y, 0.5, CFG) == gc.payoff_n([x, y], CFG)[0]
+            assert gc.WeightedKernel(0.5, CFG)(x, y) == gc.payoff_n([x, y], CFG)[0]
 
     def test_weighted_reduces_to_symmetric_at_half(self):
         # the column player's side: its payoff is the weighted rule with roles swapped
+        kern = gc.WeightedKernel(0.5, CFG)
         rng = np.random.default_rng(10)
         for _ in range(2000):
             x, y = rng.uniform(0.0, 1.5, 2)
-            assert gc.payoff_weighted(y, x, 0.5, CFG) == gc.payoff_n([x, y], CFG)[1]
+            assert kern(y, x) == gc.payoff_n([x, y], CFG)[1]
 
     def test_weighted_tie_pays_p(self):
-        assert gc.payoff_weighted(0.7, 0.7, 0.3, CFG) == 0.3
+        assert gc.WeightedKernel(0.3, CFG)(0.7, 0.7) == 0.3
 
     def test_weighted_constant_sum_under_role_swap(self):
         rng = np.random.default_rng(12)
@@ -137,7 +137,7 @@ class TestScalarPayoffs:
             x, y = rng.uniform(0.0, 1.5, 2)
             if trial % 4 == 0:
                 y = x
-            total = gc.payoff_weighted(x, y, p, CFG) + gc.payoff_weighted(y, x, 1.0 - p, CFG)
+            total = gc.WeightedKernel(p, CFG)(x, y) + gc.WeightedKernel(1.0 - p, CFG)(y, x)
             assert total == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize(
@@ -164,7 +164,9 @@ class TestScalarPayoffs:
 
     def test_weighted_rejects_bad_weight(self):
         with pytest.raises(DomainError):
-            gc.payoff_weighted(0.5, 0.6, 1.2, CFG)
+            gc.WeightedKernel(1.2, CFG)
+        with pytest.raises(DomainError):
+            gc.WeightedKernel(0.3, CFG)(1.6, 0.6)
 
     def test_three_player_cascade_matches_rules(self):
         rng = np.random.default_rng(13)
@@ -341,55 +343,53 @@ class TestRegimes:
                 gc.low_p_m(p, CFG)
 
 
-class TestIntervals:
-    def test_membership(self):
-        r = Interval(0.2, 0.7, lo_closed=True, hi_closed=False)
-        assert r.contains(0.2) and r.contains(0.5) and not r.contains(0.7)
-        r = Interval(0.2, 0.7, lo_closed=False, hi_closed=True)
-        assert not r.contains(0.2) and r.contains(0.7)
-
-    def test_emptiness(self):
-        assert Interval(0.7, 0.2).is_empty
-        assert Interval(0.5, 0.5, lo_closed=True, hi_closed=False).is_empty
-        assert not Interval(0.5, 0.5, lo_closed=True, hi_closed=True).is_empty
-        assert Interval(0.3, 0.3, True, True).contains(0.3)
-
-    def test_length(self):
-        assert Interval(0.2, 0.7).length == pytest.approx(0.5)
-        assert Interval(0.7, 0.2).length == 0.0
+def _inside(opp: float, ends) -> bool:
+    """Membership in the win regions: lower closed-open, upper open-closed."""
+    (lo1, hi1), (lo2, hi2) = ends
+    return lo1 <= opp < hi1 or lo2 < opp <= hi2
 
 
 class TestWinRegions:
+    M03 = gc.maps_p(0.3, CFG)
+
     def test_row_structure_p03(self):
-        regions = gc.strict_win_regions(0.7, Side.AS_ROW, 0.3, CFG)
-        assert len(regions) == 2
-        lo, hi = regions
-        assert lo.lo == pytest.approx(0.19 / 0.7) and lo.hi == 0.7
-        assert lo.lo_closed and not lo.hi_closed
-        assert hi.lo == pytest.approx(1.21 / 1.3) and hi.hi == CFG.B
-        assert not hi.lo_closed and hi.hi_closed
+        lower, upper = gc.win_ends(0.7, Side.AS_ROW, self.M03, CFG)
+        assert lower[0] == pytest.approx(0.19 / 0.7) and lower[1] == 0.7
+        assert upper[0] == pytest.approx(1.21 / 1.3) and upper[1] == CFG.B
 
     def test_row_clips_to_a(self):
-        regions = gc.strict_win_regions(0.3, Side.AS_ROW, 0.3, CFG)
-        assert regions[0].lo == CFG.A and regions[0].hi == 0.3
+        lower, _ = gc.win_ends(0.3, Side.AS_ROW, self.M03, CFG)
+        assert lower == (CFG.A, 0.3)
 
     def test_row_above_estimate_has_no_lower_part(self):
-        regions = gc.strict_win_regions(1.05, Side.AS_ROW, 0.3, CFG)
-        assert len(regions) == 1
-        assert regions[0].lo == 1.05 and regions[0].hi == CFG.B
-        assert not regions[0].lo_closed
+        lower, upper = gc.win_ends(1.05, Side.AS_ROW, self.M03, CFG)
+        assert lower[1] <= lower[0]
+        assert upper == (1.05, CFG.B)
 
     def test_column_structure_p03(self):
-        regions = gc.strict_win_regions(0.7, Side.AS_COLUMN, 0.3, CFG)
+        lower, upper = gc.win_ends(0.7, Side.AS_COLUMN, self.M03, CFG)
         # h2(0.7) < A, so only the upper part survives
-        assert len(regions) == 1
-        assert regions[0].lo == 0.7 and regions[0].hi == pytest.approx(1.49 / 1.7)
+        assert lower[1] <= lower[0]
+        assert upper[0] == 0.7 and upper[1] == pytest.approx(1.49 / 1.7)
 
     def test_column_above_estimate_collapses(self):
-        regions = gc.strict_win_regions(1.2, Side.AS_COLUMN, 0.3, CFG)
-        assert len(regions) == 1
-        assert regions[0].lo == CFG.A and regions[0].hi == 1.2
-        assert regions[0].lo_closed and not regions[0].hi_closed
+        lower, upper = gc.win_ends(1.2, Side.AS_COLUMN, self.M03, CFG)
+        assert lower == (CFG.A, 1.2)
+        assert upper[1] <= upper[0]
+
+    @pytest.mark.parametrize("side", [Side.AS_ROW, Side.AS_COLUMN])
+    def test_endpoints_follow_the_award(self, side):
+        # the ends that random draws never hit: each is in a region exactly
+        # when the award there is a strict win.  Only the bid, A and B are
+        # tried; a map image is a rounded end, where membership holds in
+        # exact arithmetic only.  The bid E is left out for that reason: the
+        # maps fix E, but h2(E) rounds an ulp above it
+        kern = gc.WeightedKernel(0.3, CFG)
+        for bid in (0.0, 0.3, 0.45, 0.7, 0.95, 1.05, 1.2, 1.5):
+            ends = gc.win_ends(bid, side, kern.maps, CFG)
+            for opp in {q for lo_hi in ends for q in lo_hi if q in (bid, CFG.A, CFG.B)}:
+                g = kern(bid, opp) if side is Side.AS_ROW else kern(opp, bid)
+                assert _inside(opp, ends) == (g == 1.0), (side, bid, opp)
 
     @pytest.mark.parametrize("side", [Side.AS_ROW, Side.AS_COLUMN])
     def test_membership_matches_payoff(self, side):
@@ -398,13 +398,27 @@ class TestWinRegions:
             p = rng.uniform(0.05, 0.95)
             bid = rng.uniform(0.0, 1.5)
             opp = rng.uniform(0.0, 1.5)
-            regions = gc.strict_win_regions(bid, side, p, CFG)
-            inside = any(r.contains(opp) for r in regions)
-            if side is Side.AS_ROW:
-                g = gc.payoff_weighted(bid, opp, p, CFG)
-            else:
-                g = gc.payoff_weighted(opp, bid, p, CFG)
+            kern = gc.WeightedKernel(p, CFG)
+            inside = _inside(opp, gc.win_ends(bid, side, kern.maps, CFG))
+            g = kern(bid, opp) if side is Side.AS_ROW else kern(opp, bid)
             assert inside == (g == 1.0), (side, p, bid, opp)
+
+    @pytest.mark.parametrize("cfg", [CFG, MarketConfig(0.2, 2.0, 1.1)])
+    @pytest.mark.parametrize("p", [0.5, gc.critical_p(), 0.3, 0.1, 0.01])
+    @pytest.mark.parametrize("side", [Side.AS_ROW, Side.AS_COLUMN])
+    def test_array_ends_equal_scalar_ends(self, side, p, cfg):
+        maps = gc.maps_p(p, cfg)
+        grid = np.linspace(cfg.A, cfg.B, 61)
+        images = [f(grid) for f in (maps.h1, maps.f1, maps.h2, maps.f2)]
+        draw = np.random.default_rng(53).uniform(cfg.A, cfg.B, 2_000)
+        bids = np.concatenate([[cfg.A, cfg.B, cfg.E], *images, draw])
+        bids = bids[(bids >= cfg.A) & (bids <= cfg.B)]
+        arrays = np.array(gc.win_region_ends(bids, side, maps, cfg))  # (region, end, bid)
+        scalars = np.array([gc.win_ends(float(x), side, maps, cfg) for x in bids])
+        assert arrays.dtype == scalars.dtype == np.float64
+        # bit for bit, so a signed zero or an ulp apart would show
+        assert np.array_equal(arrays.transpose(2, 0, 1).view(np.uint64),
+                              scalars.view(np.uint64))
 
 
 class TestCutpointGeometry:
@@ -581,7 +595,7 @@ class TestKernels:
                 assert np.array_equal(k.matrix(xs, xs) + s.matrix(xs, xs).T, np.ones((xs.size,) * 2))
                 for x, y in rng.uniform(cfg.A, cfg.B, (50, 2)):
                     assert k(x, y) + s(y, x) == 1.0
-                    assert k(x, y) == gc.payoff_weighted(x, y, k.p, cfg)
+                    assert k(x, y) == k.batch(x, y)
 
     def test_weight_validation(self):
         with pytest.raises(DomainError):

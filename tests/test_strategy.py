@@ -11,7 +11,6 @@ from procurelab import strategy as st
 from procurelab.experiments import mc_tournament
 from procurelab.game_core import (
     DomainError,
-    Interval,
     MarketConfig,
     UnsupportedError,
     default_config,
@@ -178,10 +177,11 @@ class TestCdfQuantile:
         s = MixedStrategy(
             (Piece(PieceKind.UNIFORM, 0.0, 0.5, 0.5),), (Atom(0.7, 0.5),), CFG
         ).validate()
-        assert s.measure(Interval(0.0, 0.7, True, False)) == pytest.approx(0.5)
-        assert s.measure(Interval(0.0, 0.7, True, True)) == pytest.approx(1.0)
-        assert s.measure(Interval(0.7, 0.7, True, True)) == pytest.approx(0.5)
-        assert s.measure(Interval(0.7, 1.5, False, True)) == 0.0
+        # [A, 0.7), [A, 0.7], {0.7} and (0.7, B] from the right and left CDF
+        assert s._cdf_left(0.7) == pytest.approx(0.5)
+        assert s.cdf(0.7) == pytest.approx(1.0)
+        assert s.cdf(0.7) - s._cdf_left(0.7) == pytest.approx(0.5)
+        assert s.cdf(1.5) - s.cdf(0.7) == 0.0
 
 
 # the SplitMix64 increment and its two mixing multipliers
@@ -436,13 +436,13 @@ def _reference_mass(piece: Piece, lo: float, hi: float, E: float) -> float:
 
 def _reference_expect_vs(bid: float, s: MixedStrategy, kernel: gc.WeightedKernel,
                          side: gc.Side) -> float:
-    """The float exact path as a loop over Interval win regions and pieces."""
+    """The float exact path as a loop over the win-region ends and pieces."""
     pair = (lambda y: (bid, y)) if side is gc.Side.AS_ROW else (lambda y: (y, bid))
     atom_part = sum(a.m * kernel(*pair(a.x)) for a in s.atoms)
     cont = 0.0
-    for region in gc.strict_win_regions(bid, side, kernel.p, kernel.cfg):
+    for lo, hi in gc.win_ends(bid, side, gc.maps_p(kernel.p, kernel.cfg), kernel.cfg):
         for piece in s.pieces:
-            cont += _reference_mass(piece, region.lo, region.hi, kernel.cfg.E)
+            cont += _reference_mass(piece, lo, hi, kernel.cfg.E)
     return atom_part + cont
 
 
