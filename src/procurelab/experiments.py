@@ -455,14 +455,15 @@ def run_battery(
     run("payoff-conservation", {"profiles": 10_000, "N": [2, 3, 5]}, 1e-12, conservation)
 
     def combinatorial():
+        # the scalar payoff_n, profile by profile, against the array oracle
         bad, worst = 0, []
         for n_players in (2, 3, 4):
             bids = draw_bids("comb", 3_334, n_players)
             ties = len(bids) // 4
             bids[:ties, 1] = bids[:ties, 0]
-            for row in bids:
-                prof = tuple(row)
-                if payoff_n(prof, cfg) != payoff_n_combinatorial(prof, cfg):
+            oracle = payoff_n_combinatorial(bids, cfg).tolist()
+            for prof, want in zip(map(tuple, bids.tolist()), oracle):
+                if list(payoff_n(prof, cfg)) != want:
                     bad += 1
                     if len(worst) < 5:
                         worst.append(prof)
@@ -471,12 +472,10 @@ def run_battery(
     run("combinatorial-agreement", {"profiles": 3 * 3_334, "tie_share": 0.25}, 0.0, combinatorial)
 
     def three_way():
-        # the scalar indicator cascade, not payoff_3_batch: that one is
-        # payoff_n_batch itself and would compare it with itself.  Blocks of
-        # 1,000 rows keep few Python floats alive at once.
+        # the indicator cascade, not payoff_3_batch: that one is
+        # payoff_n_batch itself and would compare it with itself
         bids = draw_bids("three", 100_000, 3)
-        direct = np.array([payoff_3(x, y, z, cfg)
-                           for block in np.split(bids, 100) for x, y, z in block.tolist()])
+        direct = payoff_3(*bids.T, cfg)
         general = payoff_n_batch(bids, cfg)[:, 0]
         dev = np.abs(direct - general)
         k = int(dev.argmax())
@@ -545,8 +544,12 @@ def run_battery(
     def jump_sign_scan():
         delta = 1e-7 * span
         per_cell = 1_000
+        keys = ("y", "z", "t", "p_y", "p_z")
         filled = {tag: 0 for tag in ("O1", "O2", "O3", "O4", "O5")}
-        bad, worst = 0, []
+        # each cell's expected sign of every cutpoint, plain and mirrored
+        signs = {(tag, m): [jump_signs(OrderingCell(tag, m))[key] for key in keys]
+                 for tag in filled for m in (False, True)}
+        picked = []  # (y, z, cutpoints, expected signs) of the kept pairs
         stream = uniform_stream(derive_seed(seed, "jumps"), 2_000_000).reshape(-1, 2)
         # classify the stream in chunks, keeping in stream order the first
         # per_cell pairs of each cell whose cutpoints lie more than 3·delta apart
@@ -564,19 +567,23 @@ def run_battery(
                 idx = np.flatnonzero(keep & (cells.tag == tag))[:per_cell - filled[tag]]
                 take[idx] = True
                 filled[tag] += len(idx)
-            for k in np.flatnonzero(take):
-                cell = OrderingCell(str(cells.tag[k]), bool(cells.mirrored[k]))
-                signs = jump_signs(cell)
-                yk, zk = float(y[k]), float(z[k])
-                for key, v0 in zip(("y", "z", "t", "p_y", "p_z"), values[k].tolist()):
-                    if not (cfg.A + delta < v0 < cfg.B - delta):
-                        continue
-                    jump = payoff_3(v0 + delta, yk, zk, cfg) - payoff_3(v0 - delta, yk, zk, cfg)
-                    got = (jump > 0) - (jump < 0)
-                    if got != signs[key]:
-                        bad += 1
-                        if len(worst) < 5:
-                            worst.append((yk, zk, key, signs[key], got))
+            idx = np.flatnonzero(take)
+            expected = [signs[key] for key in zip(cells.tag[idx].tolist(),
+                                                   cells.mirrored[idx].tolist())]
+            picked.append((y[idx], z[idx], values[idx],
+                           np.array(expected, dtype=int).reshape(-1, len(keys))))
+        y, z, v0, expected = (np.concatenate(parts) for parts in zip(*picked))
+        # every probe pair at once: the payoff just above each cutpoint, then
+        # just below it, for the cutpoints at least delta inside (A, B)
+        row, col = np.nonzero((cfg.A + delta < v0) & (v0 < cfg.B - delta))
+        x = v0[row, col]
+        pay = payoff_3(np.concatenate((x + delta, x - delta)),
+                       np.tile(y[row], 2), np.tile(z[row], 2), cfg)
+        got = np.sign(pay[:len(x)] - pay[len(x):]).astype(int)
+        miss = np.flatnonzero(got != expected[row, col])
+        bad = len(miss)
+        worst = [(float(y[row[k]]), float(z[row[k]]), keys[col[k]], int(expected[row[k], col[k]]),
+                  int(got[k])) for k in miss[:5]]
         if min(filled.values()) < per_cell:
             bad += 1
             worst.append(("under-filled", filled))
@@ -657,12 +664,11 @@ def run_battery(
             curve = closed_form_curves(which, p, cfg, side=side)
             kern = WeightedKernel(p=p, cfg=cfg)
             us = uniform_stream(derive_seed(seed, "curves", which.value, side.value), 500)
-            for u in us:
-                xx = cfg.A + span * float(u)
-                ref = expect_vs(xx, s, kern, side=side, method="quadrature")
-                dev = abs(curve(xx) - ref)
-                if dev > top:
-                    top, worst = dev, [(which.value, side.value, xx)]
+            xs = cfg.A + span * us
+            dev = np.abs(curve(xs) - expect_vs(xs, s, kern, side=side, method="quadrature"))
+            k = int(dev.argmax())
+            if dev[k] > top:
+                top, worst = float(dev[k]), [(which.value, side.value, float(xs[k]))]
         return top, worst
 
     run("curve-quadrature-agreement", {"curves": 6, "points": 500}, 1e-6, curve_quadrature)

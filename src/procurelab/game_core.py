@@ -94,11 +94,6 @@ def check_profile(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
 # Award rules
 
 
-def reference_price(bids: Profile, cfg: MarketConfig) -> float:
-    """(E + mean bid) / 2, the award benchmark."""
-    return _price(check_profile(bids, cfg), cfg)
-
-
 def _price(bids: tuple[float, ...], cfg: MarketConfig) -> float:
     n = len(bids)
     return (sum(bids) + n * cfg.E) / (2.0 * n)
@@ -152,40 +147,49 @@ def payoff_n_batch(bids: np.ndarray, cfg: MarketConfig) -> np.ndarray:
     return winners / winners.sum(axis=1, keepdims=True)
 
 
-def payoff_n_combinatorial(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
-    """Subset-sum form of the payoff vector, used as an oracle for payoff_n.
+def payoff_n_combinatorial(bids: np.ndarray, cfg: MarketConfig) -> np.ndarray:
+    """Subset-sum form of the payoff vectors, used as an oracle for payoff_n.
 
-    Evaluates, for each player, the double sum over tie groups J of
+    Takes an (m, N) array of profiles and evaluates, for each player i of
+    each profile, the double sum over tie groups J of
 
         1/(|J|+1) * prod_{k in J} 1{x_i = x_k} * (below-branch + above-branch)
 
     where the below branch requires every opponent outside J that bids
     strictly under the reference price to bid strictly under x_i, and the
     above branch requires every opponent outside J to bid strictly over x_i.
-    Exponential in N, so refused for N > 6.
+    Each group is a boolean mask over the profiles.  Exponential in N, so
+    refused for N > 6.
     """
-    bids = check_profile(bids, cfg)
-    n_players = len(bids)
+    bids = np.asarray(bids, dtype=np.float64)
+    if bids.ndim != 2 or bids.shape[1] < 2:
+        raise DomainError("expected an (m, N) array with N >= 2")
+    n_players = bids.shape[1]
     if n_players > 6:
         raise UnsupportedError(f"subset enumeration refused for N={n_players} > 6")
-    price = _price(bids, cfg)
-    out = []
-    for i, xi in enumerate(bids):
+    cfg.require_bids(bids)
+    # the bids summed left to right, as _price sums a profile
+    total = bids[:, 0]
+    for j in range(1, n_players):
+        total = total + bids[:, j]
+    price = (total + n_players * cfg.E) / (2.0 * n_players)
+    under = bids < price[:, None]
+    out = np.zeros_like(bids)
+    for i in range(n_players):
+        xi = bids[:, i]
         others = [j for j in range(n_players) if j != i]
-        total = 0.0
+        at_or_below = xi <= price
         for size in range(n_players):
             for group in itertools.combinations(others, size):
-                if any(bids[k] != xi for k in group):
-                    continue
-                rest = [j for j in others if j not in group]
-                if xi <= price:
-                    ok = all(not (bids[j] < price) or bids[j] < xi for j in rest)
-                else:
-                    ok = all(xi < bids[j] for j in rest)
-                if ok:
-                    total += 1.0 / (size + 1)
-        out.append(total)
-    return tuple(out)
+                ok = np.ones(len(bids), dtype=bool)
+                for k in group:
+                    ok &= bids[:, k] == xi
+                for j in others:
+                    if j not in group:
+                        ok &= np.where(at_or_below, ~under[:, j] | (bids[:, j] < xi),
+                                       xi < bids[:, j])
+                out[:, i] += np.where(ok, 1.0 / (size + 1), 0.0)
+    return out
 
 
 def _weighted_award(x: float, y: float, w_row: float, w_col: float, E: float) -> float:
@@ -202,47 +206,37 @@ def _weighted_award(x: float, y: float, w_row: float, w_col: float, E: float) ->
     return 0.0
 
 
-def payoff_3(x: float, y: float, z: float, cfg: MarketConfig) -> float:
+def payoff_3(x, y, z, cfg: MarketConfig) -> float | np.ndarray:
     """Three-player payoff of player 1 as an explicit indicator cascade.
 
     Spelled out case by case (rather than delegating to payoff_n) so the
     N=3 cutpoint analysis has an independent formulation to test against.
+    Arrays of x, y and z broadcast and give an array: np.select takes the
+    first case that holds, in cascade order.
     """
-    x = cfg.require_bid(x)
-    y = cfg.require_bid(y)
-    z = cfg.require_bid(z)
+    scalar = not (np.ndim(x) or np.ndim(y) or np.ndim(z))
+    x, y, z = np.broadcast_arrays(cfg.require_bids(x), cfg.require_bids(y), cfg.require_bids(z))
     t = (x + y + z + 3.0 * cfg.E) / 6.0
-    if z <= y < x <= t:
-        return 1.0
-    if y < z < x <= t:
-        return 1.0
-    if y < x <= t < z:
-        return 1.0
-    if z < x <= t < y:
-        return 1.0
-    if x <= t < z <= y:
-        return 1.0
-    if x <= t < y < z:
-        return 1.0
-    if t < x < z <= y:
-        return 1.0
-    if t < x < y < z:
-        return 1.0
-    if z < y == x <= t:
-        return 0.5
-    if y < z == x <= t:
-        return 0.5
-    if y == x <= t < z:
-        return 0.5
-    if z == x <= t < y:
-        return 0.5
-    if t <= y == x < z:
-        return 0.5
-    if t <= z == x < y:
-        return 0.5
-    if x == y == z:
-        return 1.0 / 3.0
-    return 0.0
+    cases = (
+        (z <= y) & (y < x) & (x <= t),   # z <= y < x <= t
+        (y < z) & (z < x) & (x <= t),    # y < z < x <= t
+        (y < x) & (x <= t) & (t < z),    # y < x <= t < z
+        (z < x) & (x <= t) & (t < y),    # z < x <= t < y
+        (x <= t) & (t < z) & (z <= y),   # x <= t < z <= y
+        (x <= t) & (t < y) & (y < z),    # x <= t < y < z
+        (t < x) & (x < z) & (z <= y),    # t < x < z <= y
+        (t < x) & (x < y) & (y < z),     # t < x < y < z
+        (z < y) & (y == x) & (x <= t),   # z < y == x <= t
+        (y < z) & (z == x) & (x <= t),   # y < z == x <= t
+        (y == x) & (x <= t) & (t < z),   # y == x <= t < z
+        (z == x) & (x <= t) & (t < y),   # z == x <= t < y
+        (t <= y) & (y == x) & (x < z),   # t <= y == x < z
+        (t <= z) & (z == x) & (x < y),   # t <= z == x < y
+        (x == y) & (y == z),             # x == y == z
+    )
+    pays = (1.0,) * 8 + (0.5,) * 6 + (1.0 / 3.0,)
+    out = np.select(cases, pays, default=0.0)
+    return float(out) if scalar else out
 
 
 def payoff_3_batch(
@@ -457,15 +451,15 @@ def win_ends(
     floats; a region is empty where hi <= lo.  Endpoints follow from the
     award rules: a weak win at the reference price makes the lower region
     closed-open, [lo, hi), and the upper one open-closed, (lo, hi].  For a
-    column bid above E every strictly lower row bid wins, so the lower
-    region is [A, bid) and the upper one is empty.  win_region_ends is the
-    array form.
+    column bid at or above E every strictly lower row bid wins, so the lower
+    region is [A, bid) and the upper one is empty; at E this keeps the tie
+    out, where h2(E) may round above E.  win_region_ends is the array form.
     """
     A, B, E = cfg.A, cfg.B, cfg.E
     if side is Side.AS_ROW:
         return (max(maps.h1(bid), A), bid), (max(maps.f1(bid), bid), B)
     if side is Side.AS_COLUMN:
-        if bid > E:
+        if bid >= E:
             return (A, bid), (bid, bid)
         return (A, maps.h2(bid)), (bid, maps.f2(bid))
     raise DomainError(f"unknown side {side!r}")
@@ -480,7 +474,7 @@ def win_region_ends(
         lower = (np.maximum(maps.h1(bids), A), bids)
         upper = (np.maximum(maps.f1(bids), bids), np.full_like(bids, B))
     elif side is Side.AS_COLUMN:
-        above = bids > E
+        above = bids >= E
         lower = (np.full_like(bids, A), np.where(above, bids, maps.h2(bids)))
         upper = (bids, np.where(above, bids, maps.f2(bids)))
     else:

@@ -35,6 +35,9 @@ from procurelab.game_core import (
 )
 
 
+_QUANTILE_BLOCK = 1 << 16  # draws per quantile block
+
+
 class QuadratureError(RuntimeError):
     """Numeric integration failed to reach the requested tolerance."""
 
@@ -200,21 +203,44 @@ class MixedStrategy:
 
     def _quantile_ordered(self, u: np.ndarray, comps) -> np.ndarray:
         E = self.cfg.E
+        # per-component constants.  An atom at x is the linear quantile of a
+        # zero-width piece, a + 0·local/w = x; a reciprocal piece gets 1.0 as
+        # its linear span and normalizer, values that its element never uses
+        rec = np.array([isinstance(c, Piece) and c.kind is PieceKind.RECIPROCAL
+                        for c in comps])
         masses = np.array([c.w if isinstance(c, Piece) else c.m for c in comps])
+        start = np.array([c.a if isinstance(c, Piece) else c.x for c in comps])
+        span = np.array([c.b - c.a if isinstance(c, Piece) else 0.0 for c in comps])
+        to_e = np.array([E - c.a if r else 1.0 for c, r in zip(comps, rec)])
+        norm = np.array([c.normalizer(E) if r else 1.0 for c, r in zip(comps, rec)])
         edges = np.cumsum(masses)
-        u = np.minimum(u, edges[-1])
         base = edges - masses
-        if len(comps) == 1:
-            # every u falls in the one component: no search and no masks
-            out = _component_quantile(comps[0], u - base[0], E)
-        else:
-            idx = np.searchsorted(edges, u, side="left")
-            idx = np.minimum(idx, len(comps) - 1)
-            out = np.empty_like(u)
-            for k, comp in enumerate(comps):
-                sel = idx == k
-                if sel.any():
-                    out[sel] = _component_quantile(comp, u[sel] - base[k], E)
+
+        def block(u: np.ndarray) -> np.ndarray:
+            if len(comps) == 1:
+                # every u falls in the one component: no search and no gathers
+                pick = lambda v: v[0]
+            else:
+                # the component of each u: how many of the first len(comps) - 1
+                # edges lie below it; for a few components this is several
+                # times faster than np.searchsorted
+                idx = np.zeros(u.shape, dtype=np.intp)
+                for e in edges[:-1]:
+                    idx += u > e
+                pick = lambda v: np.take(v, idx)
+            local = u - pick(base)
+            if rec.all():
+                return E - pick(to_e) * np.exp(-local / pick(norm))
+            lin = pick(start) + pick(span) * local / pick(masses)
+            if not rec.any():
+                return lin
+            return np.where(pick(rec), E - pick(to_e) * np.exp(-local / pick(norm)), lin)
+
+        # blocks bound the temporaries, a few per-element constants each, to
+        # a few MiB however many draws there are
+        out = np.minimum(u, edges[-1])
+        for i in range(0, out.size, _QUANTILE_BLOCK):
+            out[i:i + _QUANTILE_BLOCK] = block(out[i:i + _QUANTILE_BLOCK])
         return np.clip(out, self.cfg.A, self.cfg.B, out=out)
 
     def _quantile_bisect(self, u: np.ndarray) -> np.ndarray:
@@ -243,7 +269,7 @@ class MixedStrategy:
             raise DomainError(f"sample count must be >= 1, got {n}")
         return self.quantile(uniform_stream(rng_seed, n))
 
-    # -- JSON round trip -------------------------------------------------
+    # -- JSON ------------------------------------------------------------
 
     def to_json(self) -> str:
         doc = {
@@ -254,35 +280,6 @@ class MixedStrategy:
             "atoms": [{"x": a.x, "m": a.m} for a in self.atoms],
         }
         return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str, cfg: MarketConfig) -> "MixedStrategy":
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or set(doc) - {"pieces", "atoms"}:
-            raise DomainError(f"unknown strategy fields {set(doc) - {'pieces', 'atoms'}}")
-        pieces = []
-        for entry in doc.get("pieces", []):
-            if set(entry) != {"kind", "a", "b", "w"}:
-                raise DomainError(f"bad piece fields {sorted(entry)}")
-            pieces.append(
-                Piece(PieceKind(entry["kind"]), float(entry["a"]),
-                      float(entry["b"]), float(entry["w"]))
-            )
-        atoms = []
-        for entry in doc.get("atoms", []):
-            if set(entry) != {"x", "m"}:
-                raise DomainError(f"bad atom fields {sorted(entry)}")
-            atoms.append(Atom(float(entry["x"]), float(entry["m"])))
-        return cls(tuple(pieces), tuple(atoms), cfg).validate()
-
-
-def _component_quantile(comp: Piece | Atom, local: np.ndarray, E: float) -> np.ndarray:
-    """Quantile of one component at masses `local` measured from its start."""
-    if isinstance(comp, Atom):
-        return np.full_like(local, comp.x)
-    if comp.kind is PieceKind.UNIFORM:
-        return comp.a + (comp.b - comp.a) * local / comp.w
-    return E - (E - comp.a) * np.exp(-local / comp.normalizer(E))
 
 
 def point_mass(x: float, cfg: MarketConfig) -> MixedStrategy:
@@ -375,10 +372,13 @@ def expect_vs(
     cross-check the closed forms.  Atom ties contribute the kernel's tie
     payoff.
 
-    A 1-D array of bids gives the array of their payoffs, on the exact path
-    only (0 < p < 1).  It adds the same terms in the same order as a float
-    bid does; reciprocal pieces may differ from the float path by an ulp,
-    because np.log and math.log may round differently.
+    A 1-D array of bids gives the array of their payoffs.  The exact path
+    adds the same terms in the same order as a float bid does; reciprocal
+    pieces may differ from the float path by an ulp, because np.log and
+    math.log may round differently.  At p in {0, 1} an array needs
+    method="quadrature".  A float bid is the one-element case of the
+    quadrature routine, so each bid's quadrature value is its float value
+    bit for bit.
 
     A side that is not a Side, or a strategy built on another market than
     the kernel's, raises DomainError on every path.
@@ -388,13 +388,20 @@ def expect_vs(
     if not isinstance(side, Side):
         raise DomainError(f"unknown side {side!r}")
     require_market(kernel.cfg, s)
-    # a float bid stays on the scalar code: for one bid it is several times
-    # faster than a one-element array
+    use_exact = method != "quadrature" and 0.0 < kernel.p < 1.0
     if isinstance(bid, np.ndarray) and bid.ndim:
-        return _expect_vs_exact_array(bid, s, kernel, side, method)
+        if bid.ndim != 1:
+            raise DomainError(f"array bids must be 1-D, got shape {bid.shape}")
+        if method != "quadrature" and not use_exact:
+            raise UnsupportedError("array bids need 0 < p < 1 unless method='quadrature'")
+        bids = kernel.cfg.require_bids(bid)
+        if use_exact:
+            return _expect_vs_exact_array(bids, s, kernel, side)
+        return _expect_vs_quadrature(bids, s, kernel, side)
+    # a float bid stays on scalar code for the exact path: for one bid it is
+    # several times faster than a one-element array
     bid = kernel.cfg.require_bid(bid)
     pair = (lambda y: (bid, y)) if side is Side.AS_ROW else (lambda y: (y, bid))
-    use_exact = method in ("auto", "exact") and 0.0 < kernel.p < 1.0
     if method == "exact" and not use_exact:
         raise UnsupportedError("exact win regions need 0 < p < 1")
 
@@ -412,19 +419,13 @@ def expect_vs(
                              else c * math.log((E - lo_in) / (E - hi_in)))
         return atom_part + cont
 
-    # quadrature path: the kernel at the nodes, not its win regions, so the
-    # cross-check stays independent of the exact path
-    return _integrate_against(s, lambda ys: kernel.batch(*pair(ys)),
-                              _region_cutpoints(bid, side, kernel))
+    # the one-bid case of the array quadrature below
+    return _integrate_against(s, lambda _, ys: kernel.batch(*pair(ys)),
+                              [_region_cutpoints(bid, side, kernel)], at=(bid,))[0]
 
 
 def _expect_vs_exact_array(bids: np.ndarray, s: MixedStrategy, kernel: WeightedKernel,
-                           side: Side, method: str) -> np.ndarray:
-    if bids.ndim != 1:
-        raise DomainError(f"array bids must be 1-D, got shape {bids.shape}")
-    if method == "quadrature" or not 0.0 < kernel.p < 1.0:
-        raise UnsupportedError("array bids take the exact path only, which needs 0 < p < 1")
-    bids = kernel.cfg.require_bids(bids)
+                           side: Side) -> np.ndarray:
     atom_part = np.zeros_like(bids)
     for a in s.atoms:
         g = kernel.batch(bids, a.x) if side is Side.AS_ROW else kernel.batch(a.x, bids)
@@ -440,6 +441,18 @@ def _expect_vs_exact_array(bids: np.ndarray, s: MixedStrategy, kernel: WeightedK
             cont = cont + (w * (hi_in - lo_in) / (b - a) if flat
                            else c * np.log((E - lo_in) / (E - hi_in)))
     return atom_part + cont
+
+
+def _expect_vs_quadrature(bids: np.ndarray, s: MixedStrategy, kernel: WeightedKernel,
+                          side: Side) -> np.ndarray:
+    # the kernel at the nodes, not its win regions, so the cross-check stays
+    # independent of the exact path
+    if side is Side.AS_ROW:
+        f = lambda k, ys: kernel.batch(bids[k], ys)
+    else:
+        f = lambda k, ys: kernel.batch(ys, bids[k])
+    cuts = [_region_cutpoints(bid, side, kernel) for bid in bids.tolist()]
+    return np.array(_integrate_against(s, f, cuts, at=bids), dtype=np.float64)
 
 
 def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float]:
@@ -465,33 +478,61 @@ def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float
     return sorted(out)
 
 
-def _integrate_against(mu: MixedStrategy, f: Callable[[np.ndarray], np.ndarray],
-                       cuts: Sequence[float]) -> float:
-    """∫ f dμ with f piecewise smooth between cuts; atoms added exactly.
+def _integrate_against(mu: MixedStrategy, f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       cuts: Sequence[Sequence[float]], at: Sequence[float] | None = None
+                       ) -> list[float]:
+    """The floats ∫ f(k, ·) dμ for k < len(cuts); f(k, ·) is smooth between cuts[k].
 
-    f takes an array of points and is called once, on the Gauss-Legendre
-    nodes of every panel of every piece at both orders and on the atoms.
-    The summed gap between the orders over the panels is the error estimate.
+    f takes integrand indices (an integer array, or the scalar 0 when there
+    is one integrand) and points that broadcast against them, and returns
+    values of the broadcast shape.
+    It is called once on the Gauss-Legendre nodes of every panel of every
+    piece at both orders, for all integrands at once, and once more on the
+    atoms, whose mass is added exactly.  Integrand k's summed gap between
+    the orders over its panels is its error estimate; when one misses the
+    tolerance, QuadratureError names the worst, as at[k] when at is given.
     """
     E = mu.cfg.E
-    panels = [(lo, hi, c, flat) for flat, a, b, _, c in mu.piece_constants
-              for lo, hi in _panels(cuts, a, b, E)]
-    lo, hi, c, flat = np.array(panels).reshape(-1, 4).T[:, :, None]
+    m = len(cuts)
+    panels, ends = [], []
+    for ck in cuts:
+        panels += [(lo, hi, c, flat) for flat, a, b, _, c in mu.piece_constants
+                   for lo, hi in _panels(ck, a, b, E)]
+        ends.append(len(panels))
+    lo, hi, c, flat = np.array(panels, dtype=np.float64).reshape(-1, 4).T[:, :, None]
     half = (hi - lo) / 2.0
     x = lo + half * _GL_NODES
     # each panel's density: c on a uniform piece, c/(E - x) on a reciprocal one
     weights = half * _GL_WEIGHTS * (c / np.where(flat, 1.0, E - x))
-    k = x.size
-    fx = f(np.concatenate((x.ravel(), [a.x for a in mu.atoms])) if mu.atoms else x.ravel())
-    wf = weights * fx[:k].reshape(weights.shape)
+    # each panel's integrand; a lone integrand's index is passed as a scalar,
+    # which numpy broadcasts faster
+    owner = 0 if m == 1 else np.repeat(np.arange(m), np.diff([0, *ends]))[:, None]
+    wf = weights * f(owner, x)
     low = np.add.reduce(wf[:, :_GL_LOW], axis=1)
     high = np.add.reduce(wf[:, _GL_LOW:], axis=1)
-    atom_part = np.dot([a.m for a in mu.atoms], fx[k:]) if mu.atoms else 0.0
-    total = float(atom_part + high.sum())
-    gap = float(np.abs(high - low).sum())
-    if gap > max(_QUAD_REL_TOL * max(abs(total), 1.0), 1e-12) * 10.0:
-        raise QuadratureError("Gauss-Legendre orders disagree", gap)
-    return total
+    spread = np.abs(high - low)
+    if mu.atoms:
+        masses = [a.m for a in mu.atoms]
+        at_atoms = f(np.arange(m)[:, None], np.tile([a.x for a in mu.atoms], (m, 1)))
+        atom_part = [np.dot(masses, row) for row in at_atoms]
+    else:
+        atom_part = [0.0] * m
+    # each integrand's sums run over its own panels only, in the order they
+    # would have alone, so its value does not depend on the other integrands
+    totals, worst, i = [], None, 0
+    for j, a in zip(ends, atom_part):
+        total = float(a + np.add.reduce(high[i:j]))
+        gap = float(np.add.reduce(spread[i:j]))
+        bound = max(_QUAD_REL_TOL * max(abs(total), 1.0), 1e-12) * 10.0
+        if gap > bound and (worst is None or gap / bound > worst[0]):
+            worst = (gap / bound, len(totals), gap)
+        totals.append(total)
+        i = j
+    if worst is not None:
+        _, k, gap = worst
+        where = f" at {float(at[k])!r}" if at is not None else f" in integrand {k}"
+        raise QuadratureError(f"Gauss-Legendre orders disagree{where}", gap)
+    return totals
 
 
 def expect_joint(mu: MixedStrategy, nu: MixedStrategy, kernel: WeightedKernel) -> JointExpectation:
@@ -507,11 +548,14 @@ def expect_joint(mu: MixedStrategy, nu: MixedStrategy, kernel: WeightedKernel) -
     cfg = kernel.cfg
     E = cfg.E
 
-    if 0.0 < kernel.p < 1.0:
-        outer = lambda xs: expect_vs(xs, nu, kernel, side=Side.AS_ROW)
-    else:  # array bids take the exact path only, which needs 0 < p < 1
-        outer = lambda xs: np.array([expect_vs(float(x), nu, kernel) for x in xs])
-    by_form = {"outer": _integrate_against(mu, outer, _outer_cutpoints(nu, kernel))}
+    def integral(dist: MixedStrategy, f, cuts: list[float]) -> float:
+        return _integrate_against(dist, lambda _, ys: f(ys), [cuts])[0]
+
+    # at p in {0, 1} array bids need the quadrature, which "auto" takes for
+    # a float bid there
+    method = "auto" if 0.0 < kernel.p < 1.0 else "quadrature"
+    outer = lambda xs: expect_vs(xs.ravel(), nu, kernel, method=method).reshape(xs.shape)
+    by_form = {"outer": integral(mu, outer, _outer_cutpoints(nu, kernel))}
 
     if kernel.is_symmetric:
         # at p = 1/2, h1(t) = 3t - 2E and f1(t) = (t + 2E)/3
@@ -525,7 +569,7 @@ def expect_joint(mu: MixedStrategy, nu: MixedStrategy, kernel: WeightedKernel) -
             split = mu.cdf(maps.f1(y)) - mu.cdf(y) + mu._cdf_left(maps.h1(y))
             return np.where(y < E, split, mu._cdf_left(y))
 
-        by_form["cdf"] = _integrate_against(nu, row_beats, _outer_cutpoints(mu, kernel)) + tie
+        by_form["cdf"] = integral(nu, row_beats, _outer_cutpoints(mu, kernel)) + tie
 
         # nu-measure of the column bids x beats: [h1(x), x) and (f1(x), B]
         # below E, (x, B] from E on
@@ -534,7 +578,7 @@ def expect_joint(mu: MixedStrategy, nu: MixedStrategy, kernel: WeightedKernel) -
             split = nu._cdf_left(x) - nu._cdf_left(maps.h1(x)) + total - nu.cdf(maps.f1(x))
             return np.where(x < E, split, total - nu.cdf(x))
 
-        by_form["swapped"] = _integrate_against(mu, row_win, _outer_cutpoints(nu, kernel)) + tie
+        by_form["swapped"] = integral(mu, row_win, _outer_cutpoints(nu, kernel)) + tie
 
     vals = list(by_form.values())
     return JointExpectation(value=by_form["outer"], by_form=by_form, max_gap=max(vals) - min(vals))

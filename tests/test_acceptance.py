@@ -74,12 +74,10 @@ def test_criterion_01_symmetric_grid_value(capsys):
 def _symmetric_scan(s):
     kern = symmetric_kernel(CFG)
     a2 = sym_sequence_A(2, CFG)
-    over = flat = 0.0
-    for x in np.linspace(CFG.A, CFG.B, 2_000):
-        g = expect_vs(float(x), s, kern, method="quadrature")
-        over = max(over, g - 0.5)
-        if x <= a2:
-            flat = max(flat, abs(g - 0.5))
+    xs = np.linspace(CFG.A, CFG.B, 2_000)
+    g = expect_vs(xs, s, kern, method="quadrature")
+    over = max(0.0, float((g - 0.5).max()))
+    flat = max(0.0, float(np.abs(g[xs <= a2] - 0.5).max()))
     return over, flat
 
 
@@ -89,11 +87,11 @@ def test_criterion_02_uniform_based_equilibrium(capsys):
     agree = 0.0
     kern = symmetric_kernel(CFG)
     s = uniform_equilibrium(CFG)
+    xs = np.linspace(CFG.A, CFG.B, 500)
     for side in (Side.AS_ROW, Side.AS_COLUMN):
         curve = closed_form_curves(CurveKind.SYM_UNIFORM, 0.5, CFG, side=side)
-        for x in np.linspace(CFG.A, CFG.B, 500):
-            ref = expect_vs(float(x), s, kern, side=side, method="quadrature")
-            agree = max(agree, abs(curve(float(x)) - ref))
+        ref = expect_vs(xs, s, kern, side=side, method="quadrature")
+        agree = max(agree, float(np.abs(curve(xs) - ref).max()))
     elapsed = time.perf_counter() - t0
     ok = over <= 1e-6 and flat <= 1e-6 and agree <= 1e-6 and elapsed < 10.0
     announce(capsys, 2, ok, "uniform-based equilibrium holds the game at 1/2",
@@ -134,17 +132,21 @@ def test_criterion_04_value_formula_anchors(capsys):
     assert ok
 
 
+def _quadrature_bounds(s, kern, v):
+    """How far the row payoff rises above v, and the column payoff falls
+    below it, on 2,000 bids across [A, B] (0.0 when it never does)."""
+    xs = np.linspace(CFG.A, CFG.B, 2_000)
+    row = expect_vs(xs, s, kern, method="quadrature", side=Side.AS_ROW)
+    col = expect_vs(xs, s, kern, method="quadrature", side=Side.AS_COLUMN)
+    return max(0.0, float((row - v).max())), max(0.0, float((v - col).max()))
+
+
 def test_criterion_05_weighted_equilibrium_p03(capsys):
     s = weighted_equilibrium(0.3, CFG)
     kern = WeightedKernel(p=0.3, cfg=CFG)
     v = value_weighted(0.3).v
     mass_dev = abs(s.total_mass - 1.0)
-    row_over = col_under = 0.0
-    for x in np.linspace(CFG.A, CFG.B, 2_000):
-        row = expect_vs(float(x), s, kern, method="quadrature", side=Side.AS_ROW)
-        col = expect_vs(float(x), s, kern, method="quadrature", side=Side.AS_COLUMN)
-        row_over = max(row_over, row - v)
-        col_under = max(col_under, v - col)
+    row_over, col_under = _quadrature_bounds(s, kern, v)
     seq = weighted_sequences(0.3, 1, CFG)
     xs = np.linspace(CFG.A, seq.d_check[1] - 1e-9, 1_000)
     for avoid in (seq.a_check[1], seq.a_hat[1]):
@@ -194,16 +196,15 @@ def test_criterion_07_payoff_implementations_agree(capsys):
                            10_000 * n_players)
         bids = CFG.A + span * u.reshape(10_000, n_players)
         bids[: 2_500, 1] = bids[: 2_500, 0]  # forced ties
-        for row in bids:
-            prof = tuple(row)
-            if payoff_n(prof, CFG) != payoff_n_combinatorial(prof, CFG):
-                mismatches += 1
+        oracle = payoff_n_combinatorial(bids, CFG).tolist()
+        mismatches += sum(list(payoff_n(prof, CFG)) != want
+                          for prof, want in zip(bids.tolist(), oracle))
         conservation = max(
             conservation, float(np.abs(payoff_n_batch(bids, CFG).sum(axis=1) - 1.0).max())
         )
     u = uniform_stream(derive_seed(42, "acceptance-three"), 300_000)
     triples = CFG.A + span * u.reshape(100_000, 3)
-    direct = np.array([payoff_3(x, y, z, CFG) for x, y, z in triples.tolist()])
+    direct = payoff_3(*triples.T, CFG)
     general = payoff_n_batch(triples, CFG)
     three_dev = float(np.abs(direct - general[:, 0]).max())
     conservation = max(conservation, float(np.abs(general.sum(axis=1) - 1.0).max()))
@@ -237,12 +238,7 @@ def test_criterion_09_no_pure_equilibrium(battery, capsys):
 def test_criterion_10_critical_regime(capsys):
     s = critical_regime_strategy(CFG)
     kern = WeightedKernel(p=P_STAR, cfg=CFG)
-    row_over = col_under = 0.0
-    for x in np.linspace(CFG.A, CFG.B, 2_000):
-        row = expect_vs(float(x), s, kern, method="quadrature", side=Side.AS_ROW)
-        col = expect_vs(float(x), s, kern, method="quadrature", side=Side.AS_COLUMN)
-        row_over = max(row_over, row - 1.0 / 3.0)
-        col_under = max(col_under, 1.0 / 3.0 - col)
+    row_over, col_under = _quadrature_bounds(s, kern, 1.0 / 3.0)
     ok = row_over <= 1e-6 and col_under <= 1e-6
     announce(capsys, 10, ok, "critical-weight strategy pins the value at 1/3",
              f"row over {row_over:.2e}, col under {col_under:.2e}")

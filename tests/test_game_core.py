@@ -36,15 +36,6 @@ def test_config_ordering_enforced():
         cfg.require_bid(float("nan"))
 
 
-def test_reference_price_two_player_anchor():
-    # (x + y + 2E) / 4 for N=2
-    assert gc.reference_price([0.8, 1.1], CFG) == pytest.approx((0.8 + 1.1 + 2.0) / 4.0)
-    with pytest.raises(DomainError):
-        gc.reference_price([0.8], CFG)
-    with pytest.raises(DomainError):
-        gc.reference_price([0.8, 1.6], CFG)
-
-
 class TestAwardRules:
     def test_below_beats_above(self):
         # P = 0.975: the lower bid is at-or-below and wins
@@ -96,18 +87,24 @@ class TestAwardRules:
             assert tuple(out[k]) == gc.payoff_n(bids[k], CFG)
 
     def test_combinatorial_oracle_agreement(self):
-        rng = np.random.default_rng(42)
-        for trial in range(400):
-            n = int(rng.integers(2, 6))
-            bids = list(rng.uniform(0.0, 1.5, n))
-            if trial % 3 == 0:
-                i, j = rng.choice(n, 2, replace=False)
-                bids[i] = bids[j]
-            assert gc.payoff_n_combinatorial(bids, CFG) == gc.payoff_n(bids, CFG)
+        # tie-heavy draws: a quarter of the profiles copy one bid onto
+        # another, a further eighth copy it onto a third player as well
+        for n in (2, 3, 4, 5, 6):
+            rng = np.random.default_rng(42 + n)
+            bids = rng.uniform(0.0, 1.5, (2_000, n))
+            bids[:500, 1] = bids[:500, 0]
+            if n > 2:
+                bids[500:750, 2] = bids[500:750, 1] = bids[500:750, 0]
+            oracle = gc.payoff_n_combinatorial(bids, CFG)
+            assert oracle.shape == bids.shape
+            for prof, row in zip(bids.tolist(), oracle.tolist()):
+                assert tuple(row) == gc.payoff_n(prof, CFG), prof
 
     def test_combinatorial_refuses_large_n(self):
         with pytest.raises(UnsupportedError):
-            gc.payoff_n_combinatorial([0.5] * 7, CFG)
+            gc.payoff_n_combinatorial(np.full((3, 7), 0.5), CFG)
+        with pytest.raises(DomainError):
+            gc.payoff_n_combinatorial(np.array([[0.5, 1.6]]), CFG)
 
 
 class TestScalarPayoffs:
@@ -170,21 +167,73 @@ class TestScalarPayoffs:
 
     def test_three_player_cascade_matches_rules(self):
         rng = np.random.default_rng(13)
-        for trial in range(5000):
-            x, y, z = rng.uniform(0.0, 1.5, 3)
-            if trial % 4 == 0:
-                z = y
-            if trial % 7 == 0:
-                y = x
-            assert gc.payoff_3(x, y, z, CFG) == gc.payoff_n([x, y, z], CFG)[0]
+        x, y, z = rng.uniform(0.0, 1.5, (3, 5000))
+        z[::4] = y[::4]
+        y[::7] = x[::7]
+        ref = [gc.payoff_n(prof, CFG)[0] for prof in zip(x.tolist(), y.tolist(), z.tolist())]
+        assert np.array_equal(gc.payoff_3(x, y, z, CFG), ref)
         assert gc.payoff_3(0.5, 0.5, 0.5, CFG) == pytest.approx(1 / 3)
+        assert type(gc.payoff_3(0.5, 0.7, 0.9, CFG)) is float
+
+    # the fifteen cases of payoff_3's cascade, in its order
+    CASES = (
+        "z <= y < x <= t", "y < z < x <= t", "y < x <= t < z", "z < x <= t < y",
+        "x <= t < z <= y", "x <= t < y < z", "t < x < z <= y", "t < x < y < z",
+        "z < y == x <= t", "y < z == x <= t", "y == x <= t < z", "z == x <= t < y",
+        "t <= y == x < z", "t <= z == x < y", "x == y == z",
+    )
+    # a profile (x, y, z) for each case, the first that holds for it at the
+    # default market's t = (x + y + z + 3E) / 6 (None: no case holds), and
+    # what it pays; ties between bids and bids exactly on t included
+    CASCADE = [
+        (0, (0.5, 0.25, 0.25), 1.0),
+        (1, (0.5, 0.125, 0.25), 1.0),
+        (1, (0.75, 0.25, 0.5), 1.0),  # x == t
+        (2, (0.5, 0.25, 1.375), 1.0),
+        (3, (0.5, 1.375, 0.25), 1.0),
+        (4, (0.5, 1.25, 1.25), 1.0),
+        (4, (1.125, 1.375, 1.25), 1.0),  # x == t
+        (5, (0.5, 1.125, 1.25), 1.0),
+        (5, (1.125, 1.25, 1.375), 1.0),  # x == t
+        (6, (1.25, 1.375, 1.375), 1.0),
+        (7, (1.25, 1.375, 1.5), 1.0),
+        (8, (0.5, 0.5, 0.125), 0.5),
+        (9, (0.5, 0.125, 0.5), 0.5),
+        (10, (0.5, 0.5, 1.375), 0.5),
+        (10, (1.125, 1.125, 1.5), 0.5),  # x == y == t
+        (11, (0.5, 1.375, 0.5), 0.5),
+        (12, (1.25, 1.25, 1.5), 0.5),
+        (13, (1.25, 1.5, 1.25), 0.5),
+        (14, (0.75, 0.75, 0.75), 1.0 / 3.0),
+        (None, (1.375, 0.25, 0.5), 0.0),
+        (None, (1.25, 1.25, 0.25), 0.0),
+    ]
+
+    @pytest.mark.parametrize("row", range(len(CASCADE)),
+                             ids=[str(c[0]) for c in CASCADE])
+    def test_array_cascade_equals_float_cascade(self, row):
+        case, (x, y, z), pay = self.CASCADE[row]
+        env = {"x": x, "y": y, "z": z, "t": (x + y + z + 3.0 * CFG.E) / 6.0}
+        first = next((i for i, c in enumerate(self.CASES) if eval(c, env)), None)
+        assert first == case, "the profile takes another case"
+        assert gc.payoff_3(x, y, z, CFG) == pay
+        # the profile amid the others, so a case cannot borrow another's row
+        profiles = np.array([c[1] for c in self.CASCADE]).T
+        arr = gc.payoff_3(*profiles, CFG)
+        assert arr[row] == pay
+        assert np.array_equal(arr, [gc.payoff_3(*prof, CFG) for prof in profiles.T.tolist()])
 
     def test_three_player_batch(self):
         rng = np.random.default_rng(14)
         b = rng.uniform(0.0, 1.5, (1000, 3))
         out = gc.payoff_3_batch(b[:, 0], b[:, 1], b[:, 2], CFG)
-        ref = np.array([gc.payoff_3(x, y, z, CFG) for x, y, z in b.tolist()])
-        assert np.array_equal(out, ref)
+        assert np.array_equal(out, gc.payoff_3(*b.T, CFG))
+
+    def test_three_player_arrays_are_checked(self):
+        with pytest.raises(DomainError):
+            gc.payoff_3(np.array([0.5, 1.6]), 0.5, 0.5, CFG)
+        with pytest.raises(DomainError):
+            gc.payoff_3(0.5, np.array([0.5, math.nan]), 0.5, CFG)
 
 
 class TestDeviation:
@@ -382,10 +431,10 @@ class TestWinRegions:
         # the ends that random draws never hit: each is in a region exactly
         # when the award there is a strict win.  Only the bid, A and B are
         # tried; a map image is a rounded end, where membership holds in
-        # exact arithmetic only.  The bid E is left out for that reason: the
-        # maps fix E, but h2(E) rounds an ulp above it
+        # exact arithmetic only.  The bid E is tried too: a column bid there
+        # ends its lower region at E itself, not at h2(E)
         kern = gc.WeightedKernel(0.3, CFG)
-        for bid in (0.0, 0.3, 0.45, 0.7, 0.95, 1.05, 1.2, 1.5):
+        for bid in (0.0, 0.3, 0.45, 0.7, 0.95, CFG.E, 1.05, 1.2, 1.5):
             ends = gc.win_ends(bid, side, kern.maps, CFG)
             for opp in {q for lo_hi in ends for q in lo_hi if q in (bid, CFG.A, CFG.B)}:
                 g = kern(bid, opp) if side is Side.AS_ROW else kern(opp, bid)

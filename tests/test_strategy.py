@@ -89,12 +89,6 @@ class TestConstruction:
         with pytest.raises(DomainError):
             bad.validate()
 
-    def test_json_round_trip(self):
-        s = MixedStrategy(
-            (Piece(PieceKind.UNIFORM, 0.0, 0.5, 0.5),), (Atom(0.7, 0.5),), CFG
-        ).validate()
-        assert MixedStrategy.from_json(s.to_json(), CFG) == s
-
     def test_piece_constants_are_outside_equality_hash_and_json(self):
         def build():
             return MixedStrategy(
@@ -113,16 +107,6 @@ class TestConstruction:
         assert cached == fresh and hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh)
         assert cached.to_json() == fresh.to_json()
-        assert MixedStrategy.from_json(cached.to_json(), CFG) == cached
-
-    def test_json_rejects_unknown_fields(self):
-        with pytest.raises(DomainError):
-            MixedStrategy.from_json('{"pieces": [], "atoms": [], "extra": 1}', CFG)
-        with pytest.raises(DomainError):
-            MixedStrategy.from_json(
-                '{"pieces": [{"kind": "uniform", "a": 0, "b": 1, "w": 1, "q": 2}], "atoms": []}',
-                CFG,
-            )
 
 
 class TestCdfQuantile:
@@ -260,6 +244,10 @@ class TestSampling:
             us = np.concatenate([[0.0, 1.0], edges[edges <= 1.0], _rng.uniform_stream(5, 5_000)])
             assert np.array_equal(s.quantile(us), _reference_quantile(s, us)), s
             assert s.quantile(0.5) == _reference_quantile(s, np.array([0.5]))[0]
+        # more draws than one quantile block, so the seams between blocks count
+        us = _rng.uniform_stream(6, 2 * st._QUANTILE_BLOCK + 5)
+        for s in (eq.critical_regime_strategy(CFG), strategies[-1]):
+            assert np.array_equal(s.quantile(us), _reference_quantile(s, us)), s
 
     def test_determinism(self):
         s = log_curve()
@@ -411,6 +399,25 @@ def _equilibrium_cases():
     ]
 
 
+def _quadrature_cases():
+    from procurelab import equilibria as eq
+
+    with_atoms = MixedStrategy(
+        (Piece(PieceKind.UNIFORM, 0.0, 0.5, 0.25), Piece(PieceKind.RECIPROCAL, 0.5, 0.9, 0.25)),
+        (Atom(0.7, 0.2), Atom(1.1, 0.3)), CFG,
+    ).validate()
+    return [
+        ("uniform", eq.uniform_equilibrium(CFG), 0.5),
+        ("log", eq.log_equilibrium(CFG), 0.5),
+        ("critical", eq.critical_regime_strategy(CFG), gc.critical_p()),
+        ("pieces-and-atoms", with_atoms, 0.37),
+        # the reciprocal piece ends close to E, so panels halve deep toward it
+        ("weighted-0.01", eq.weighted_equilibrium(0.01, CFG), 0.01),
+        ("log-p0", eq.log_equilibrium(CFG), 0.0),
+        ("uniform-p1", eq.uniform_equilibrium(CFG), 1.0),
+    ]
+
+
 def _probe_bids(s: MixedStrategy, p: float) -> np.ndarray:
     """A, B, E, every piece end and atom, and the map images of grid points."""
     maps = gc.maps_p(p, CFG)
@@ -525,9 +532,36 @@ class TestExpectVsArray:
                 st.expect_vs(np.array([0.5]), uniform_pair(), gc.WeightedKernel(p, CFG),
                              method=method)
 
-    def test_quadrature_is_unsupported(self):
-        with pytest.raises(UnsupportedError):
-            st.expect_vs(np.array([0.5]), uniform_pair(), SYM, method="quadrature")
+    @pytest.mark.parametrize("side", list(gc.Side))
+    @pytest.mark.parametrize("case", range(7), ids=[c[0] for c in _quadrature_cases()])
+    def test_quadrature_equals_float_bids(self, case, side):
+        label, s, p = _quadrature_cases()[case]
+        kern = gc.WeightedKernel(p, CFG)
+        ends = [q for pc in s.pieces for q in (pc.a, pc.b)] + [a.x for a in s.atoms]
+        bids = np.concatenate([[CFG.A, CFG.B, CFG.E], ends, np.linspace(CFG.A, CFG.B, 151)])
+        arr = st.expect_vs(bids, s, kern, side=side, method="quadrature")
+        one = [st.expect_vs(float(x), s, kern, side=side, method="quadrature") for x in bids]
+        assert arr.shape == bids.shape
+        assert np.array_equal(arr, one), label
+
+    def test_quadrature_error_names_the_worst_bid(self):
+        s = MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 1.0, 1.0),), (), CFG).validate()
+        bids = np.array([0.3, 0.6, 0.9])
+        f = lambda k, ys: SYM.batch(bids[k], ys)
+        cuts = [st._region_cutpoints(x, gc.Side.AS_ROW, SYM) for x in bids.tolist()]
+        assert np.array_equal(st._integrate_against(s, f, cuts, at=bids),
+                              st.expect_vs(bids, s, SYM, method="quadrature"))
+        # 0.6 loses the cut at itself, 0.3 the one at its h1 image (which
+        # lies below the piece and so changes nothing); only 0.6 fails
+        cuts[1] = [q for q in cuts[1] if q != 0.6]
+        cuts[0] = [q for q in cuts[0] if q != SYM.maps.h1(0.3)]
+        with pytest.raises(st.QuadratureError, match=r"at 0\.6 ") as err:
+            st._integrate_against(s, f, cuts, at=bids)
+        assert err.value.achieved_tol > 1e-8
+
+    def test_quadrature_takes_empty_array(self):
+        out = st.expect_vs(np.array([]), uniform_pair(), SYM, method="quadrature")
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_empty_array_gives_empty_array(self):
         out = st.expect_vs(np.array([]), uniform_pair(), SYM)
@@ -576,13 +610,13 @@ class TestQuadrature:
 
     def test_missing_cut_raises(self):
         s = MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 1.0, 1.0),), (), CFG).validate()
-        f = lambda ys: SYM.batch(0.6, ys)
+        f = lambda k, ys: SYM.batch(0.6, ys)
         cuts = st._region_cutpoints(0.6, gc.Side.AS_ROW, SYM)
-        assert st._integrate_against(s, f, cuts) == pytest.approx(
+        assert st._integrate_against(s, f, [cuts])[0] == pytest.approx(
             st.expect_vs(0.6, s, SYM), abs=1e-12)
         # without the cut at the bid itself the kernel jumps inside a panel
         with pytest.raises(st.QuadratureError):
-            st._integrate_against(s, f, [q for q in cuts if q != 0.6])
+            st._integrate_against(s, f, [[q for q in cuts if q != 0.6]])
 
 
 class TestExpectJoint:
