@@ -15,6 +15,8 @@ The payloads are:
 * ``cli/seed=<s>/<args>``: stdout and exit code of each of the benchmark's
   cli-cold commands at seeds 1-3, in a fresh interpreter each; the
   commands come from ``perfbench.workloads.cli_args`` of the same ROOT;
+* ``cli/<args>``: the same for ``region-grid --kind ThreePlayerSlice --x
+  0.9``, the three-player payoff slice, which no benchmark command draws;
 * ``scan/seed=<s>/<label>``: the payload of each of the four ops of the
   benchmark's equilibrium-scan workload at seeds 1-3 (exact and quadrature
   ``expect_vs``, residuals, joint value and Monte Carlo), run in this
@@ -46,6 +48,7 @@ VERIFY = (
     *(["--strategy", "weighted", "--p", p] for p in ("0.5", "0.3", "0.1", "0.05", "0.01")),
 )
 LADDER_N = (401, 801, 1601)
+SLICE = ["region-grid", "--kind", "ThreePlayerSlice", "--x", "0.9"]
 
 
 def digest(data: bytes) -> str:
@@ -81,6 +84,7 @@ def main(argv: list[str]) -> int:
     for seed in SEEDS:
         for args in cli_args(seed):
             print(f"cli/seed={seed}/{'_'.join(args)} {cli_digest(root, env, args)}")
+    print(f"cli/{'_'.join(SLICE)} {cli_digest(root, env, SLICE)}")
     for seed in SEEDS:
         ops, _ = equilibrium_scan(seed, root)
         for label, op in ops:

@@ -41,7 +41,6 @@ from .game_core import (
     cutpoints3,
     jump_signs,
     ordering_cell,
-    payoff_n,
     BoundaryError,
 )
 from .oracle_solver import (
@@ -363,7 +362,7 @@ def _cmd_simulate(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_pure_ne_scan(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     cfg = rc.market()
     g = make_grid(rc.n, cfg)
-    found = pure_ne_scan(payoff_n, args.N, g)
+    found = pure_ne_scan(args.N, g)
     payload = {
         "run_config": rc.to_dict(),
         "N": args.N,

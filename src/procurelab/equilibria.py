@@ -245,17 +245,6 @@ class ClosedFormCurve:
                 out[mask] = fn(xs[mask])
         return float(out) if np.isscalar(x) else out
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind.value,
-                "side": self.side.value,
-                "p": self.p,
-                "breakpoints": list(self.breakpoints),
-                "tags": list(self.tags),
-            }
-        )
-
 
 def closed_form_curves(
     which: CurveKind,

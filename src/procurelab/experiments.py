@@ -25,7 +25,6 @@ from .game_core import (
     maps_p,
     ordering_cells,
     payoff_3,
-    payoff_3_batch,
     payoff_n,
     payoff_n_batch,
     payoff_n_combinatorial,
@@ -276,7 +275,8 @@ def region_grid(
         if x is None or p is not None:
             raise DomainError("ThreePlayerSlice takes x and no p")
         own = cfg.require_bid(x)
-        return payoff_3_batch(own, axis[:, None], axis[None, :], cfg)
+        bids = np.stack(np.broadcast_arrays(own, axis[:, None], axis[None, :]), axis=-1)
+        return payoff_n_batch(bids.reshape(-1, 3), cfg)[:, 0].reshape(resolution, resolution)
     raise DomainError(f"unknown region kind {kind!r}")
 
 
@@ -415,26 +415,21 @@ def run_battery(
     span = cfg.B - cfg.A
     reports: list[VerificationReport] = []
 
-    def run(name: str, params: dict, tol: float, fn: Callable[[], tuple[float, list]]):
+    def isolated(name: str, params: dict, tol: float, build: Callable[[], VerificationReport]):
         t0 = time.perf_counter()
         try:
-            violation, worst = fn()
+            reports.append(build())
         except Exception as exc:  # isolation is the contract here
-            reports.append(
-                VerificationReport(
-                    name,
-                    {**params, "error": repr(exc)},
-                    math.inf,
-                    tol,
-                    False,
-                    (),
-                    time.perf_counter() - t0,
-                )
-            )
-            return
-        reports.append(
-            make_report(name, params, violation, tol, worst, time.perf_counter() - t0)
-        )
+            reports.append(VerificationReport(name, {**params, "error": repr(exc)}, math.inf,
+                                              tol, False, (), time.perf_counter() - t0))
+
+    def run(name: str, params: dict, tol: float, fn: Callable[[], tuple[float, list]]):
+        def build() -> VerificationReport:
+            t0 = time.perf_counter()
+            violation, worst = fn()
+            return make_report(name, params, violation, tol, worst, time.perf_counter() - t0)
+
+        isolated(name, params, tol, build)
 
     def draw_bids(tag: str, rows: int, cols: int) -> np.ndarray:
         u = uniform_stream(derive_seed(seed, tag, cols), rows * cols)
@@ -444,21 +439,24 @@ def run_battery(
 
     def conservation():
         worst, top = [], 0.0
-        for n_players in (2, 3, 5):
+        for n_players in (2, 3, 4, 5):
             bids = draw_bids("conserve", 10_000, n_players)
+            ties = len(bids) // 4
+            bids[:ties, 1] = bids[:ties, 0]
             dev = np.abs(payoff_n_batch(bids, cfg).sum(axis=1) - 1.0)
             k = int(dev.argmax())
             if dev[k] > top:
                 top, worst = float(dev[k]), [tuple(bids[k])]
         return top, worst
 
-    run("payoff-conservation", {"profiles": 10_000, "N": [2, 3, 5]}, 1e-12, conservation)
+    run("payoff-conservation", {"profiles": 10_000, "N": [2, 3, 4, 5], "tie_share": 0.25}, 1e-12,
+        conservation)
 
     def combinatorial():
         # the scalar payoff_n, profile by profile, against the array oracle
         bad, worst = 0, []
         for n_players in (2, 3, 4):
-            bids = draw_bids("comb", 3_334, n_players)
+            bids = draw_bids("comb", 10_000, n_players)
             ties = len(bids) // 4
             bids[:ties, 1] = bids[:ties, 0]
             oracle = payoff_n_combinatorial(bids, cfg).tolist()
@@ -469,19 +467,20 @@ def run_battery(
                         worst.append(prof)
         return float(bad), worst
 
-    run("combinatorial-agreement", {"profiles": 3 * 3_334, "tie_share": 0.25}, 0.0, combinatorial)
+    run("combinatorial-agreement", {"profiles": 10_000, "N": [2, 3, 4], "tie_share": 0.25}, 0.0,
+        combinatorial)
 
     def three_way():
-        # the indicator cascade, not payoff_3_batch: that one is
-        # payoff_n_batch itself and would compare it with itself
+        # the indicator cascade against payoff_n_batch's first column; the
+        # rows of payoff_n_batch must also sum to exactly 1
         bids = draw_bids("three", 100_000, 3)
-        direct = payoff_3(*bids.T, cfg)
-        general = payoff_n_batch(bids, cfg)[:, 0]
-        dev = np.abs(direct - general)
+        general = payoff_n_batch(bids, cfg)
+        dev = np.maximum(np.abs(payoff_3(*bids.T, cfg) - general[:, 0]),
+                         np.abs(general.sum(axis=1) - 1.0))
         k = int(dev.argmax())
         return float(dev[k]), [tuple(bids[k])] if dev[k] > 0 else []
 
-    run("three-player-agreement", {"profiles": 100_000}, 0.0, three_way)
+    run("three-player-agreement", {"profiles": 100_000, "conservation": True}, 0.0, three_way)
 
     def deviation_wins():
         bad, worst = 0, []
@@ -790,8 +789,8 @@ def run_battery(
 
     def scans():
         bad = 0.0
-        found2 = pure_ne_scan(payoff_n, 2, make_grid(101, cfg))
-        found3 = pure_ne_scan(payoff_n, 3, make_grid(21, cfg))
+        found2 = pure_ne_scan(2, make_grid(101, cfg))
+        found3 = pure_ne_scan(3, make_grid(21, cfg))
         bad += len(found2) + len(found3)
         g = make_grid(101, cfg)
         si, is_ = grid_sup_inf(payoff_matrix(symmetric_kernel(cfg), g, g))
@@ -827,5 +826,7 @@ def run_battery(
     run("value-ladder-desk", {"p": [0.3, p_star], "n": [101, 201]}, 1e-12,
         desk_value_ladder)
 
-    reports.append(ddpm_probe(1_000, derive_seed(seed, "ddpm"), cfg))
+    ddpm_seed = derive_seed(seed, "ddpm")
+    isolated("ddpm-one-sided-limits", {"samples": 1_000, "seed": ddpm_seed}, 0.0,
+             lambda: ddpm_probe(1_000, ddpm_seed, cfg))
     return reports

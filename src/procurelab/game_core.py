@@ -155,9 +155,10 @@ def payoff_n_combinatorial(bids: np.ndarray, cfg: MarketConfig) -> np.ndarray:
 
         1/(|J|+1) * prod_{k in J} 1{x_i = x_k} * (below-branch + above-branch)
 
-    where the below branch requires every opponent outside J that bids
-    strictly under the reference price to bid strictly under x_i, and the
-    above branch requires every opponent outside J to bid strictly over x_i.
+    where the below branch requires every opponent outside J that bids at
+    or under the reference price to bid strictly under x_i (the award rule
+    counts a bid at the price as below it), and the above branch requires
+    every opponent outside J to bid strictly over x_i.
     Each group is a boolean mask over the profiles.  Exponential in N, so
     refused for N > 6.
     """
@@ -173,7 +174,7 @@ def payoff_n_combinatorial(bids: np.ndarray, cfg: MarketConfig) -> np.ndarray:
     for j in range(1, n_players):
         total = total + bids[:, j]
     price = (total + n_players * cfg.E) / (2.0 * n_players)
-    under = bids < price[:, None]
+    under = bids <= price[:, None]
     out = np.zeros_like(bids)
     for i in range(n_players):
         xi = bids[:, i]
@@ -237,15 +238,6 @@ def payoff_3(x, y, z, cfg: MarketConfig) -> float | np.ndarray:
     pays = (1.0,) * 8 + (0.5,) * 6 + (1.0 / 3.0,)
     out = np.select(cases, pays, default=0.0)
     return float(out) if scalar else out
-
-
-def payoff_3_batch(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, cfg: MarketConfig
-) -> np.ndarray:
-    """Vectorized player-1 payoff for three-player profiles."""
-    bids = np.stack(np.broadcast_arrays(x, y, z), axis=-1).reshape(-1, 3)
-    out = payoff_n_batch(bids, cfg)[:, 0]
-    return out.reshape(np.broadcast(x, y, z).shape)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -271,16 +271,8 @@ def grid_sup_inf(M) -> tuple[float, float]:
 _SCAN_CAPS = {2: 201, 3: 41}
 
 
-def _profile_payoffs(
-    kernel_n: Callable, profiles: np.ndarray, cfg: MarketConfig
-) -> np.ndarray:
-    if kernel_n is payoff_n:
-        return payoff_n_batch(profiles, cfg)
-    return np.asarray([kernel_n(tuple(row), cfg) for row in profiles])
-
-
-def pure_ne_scan(kernel_n: Callable, N: int, g: Grid) -> list[tuple[float, ...]]:
-    """Exhaustive pure-equilibrium scan over grid profiles.
+def pure_ne_scan(N: int, g: Grid) -> list[tuple[float, ...]]:
+    """Exhaustive pure-equilibrium scan of the award rule over grid profiles.
 
     A profile survives only if no player can improve by any grid deviation,
     nor by the continuum best_deviation against the others, nor by an
@@ -297,7 +289,7 @@ def pure_ne_scan(kernel_n: Callable, N: int, g: Grid) -> list[tuple[float, ...]]
     s = len(pts)
     idx = np.indices((s,) * N).reshape(N, -1).T
     profiles = pts[idx]
-    pay = _profile_payoffs(kernel_n, profiles, cfg)
+    pay = payoff_n_batch(profiles, cfg)
     mask = np.ones(len(profiles), dtype=bool)
     for player in range(N):
         tensor = pay[:, player].reshape((s,) * N)
@@ -307,22 +299,20 @@ def pure_ne_scan(kernel_n: Callable, N: int, g: Grid) -> list[tuple[float, ...]]
     out = []
     for flat in np.nonzero(mask)[0]:
         prof = [float(v) for v in profiles[flat]]
-        if not _continuum_deviation_improves(kernel_n, prof, cfg, eps):
+        if not _continuum_deviation_improves(prof, cfg, eps):
             out.append(tuple(prof))
     return out
 
 
-def _continuum_deviation_improves(
-    kernel_n: Callable, prof: list[float], cfg: MarketConfig, eps: float
-) -> bool:
-    current = kernel_n(tuple(prof), cfg)
+def _continuum_deviation_improves(prof: list[float], cfg: MarketConfig, eps: float) -> bool:
+    current = payoff_n(tuple(prof), cfg)
     for i in range(len(prof)):
         others = prof[:i] + prof[i + 1 :]
         star = best_deviation(others, cfg)
         for cand in (star, max(cfg.A, star - eps)):
             trial = list(prof)
             trial[i] = cand
-            if kernel_n(tuple(trial), cfg)[i] > current[i]:
+            if payoff_n(tuple(trial), cfg)[i] > current[i]:
                 return True
     return False
 

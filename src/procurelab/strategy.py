@@ -12,7 +12,6 @@ so a seed pins results bit-for-bit across platforms.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -268,18 +267,6 @@ class MixedStrategy:
         if n < 1:
             raise DomainError(f"sample count must be >= 1, got {n}")
         return self.quantile(uniform_stream(rng_seed, n))
-
-    # -- JSON ------------------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "pieces": [
-                {"kind": p.kind.value, "a": p.a, "b": p.b, "w": p.w}
-                for p in self.pieces
-            ],
-            "atoms": [{"x": a.x, "m": a.m} for a in self.atoms],
-        }
-        return json.dumps(doc)
 
 
 def point_mass(x: float, cfg: MarketConfig) -> MixedStrategy:

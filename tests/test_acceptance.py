@@ -3,47 +3,40 @@
 Each test prints `criterion NN [PASS|FAIL] label` through the capture so the
 line is visible in any pytest run, then asserts.  Tolerances are the package's
 contractual gates; weakening them here voids the gate.
+
+What a battery check computes, a criterion reads from the session `battery`
+fixture rather than computing again: it asserts that the named reports
+passed at a tolerance, and on samples, no looser than its own.  What no
+battery check computes (the grid LPs, the quadrature scans) stays here.
 """
-import math
 import time
 
 import numpy as np
 
-from procurelab._rng import derive_seed, uniform_stream
 from procurelab.equilibria import (
     CurveKind,
-    FunctionalSystem,
     closed_form_curves,
     critical_regime_strategy,
-    functional_residual,
     log_equilibrium,
     uniform_equilibrium,
     value_weighted,
     weighted_equilibrium,
 )
 from procurelab.game_core import (
-    MarketConfig,
     Side,
     WeightedKernel,
     critical_p,
     default_config,
-    maps_p,
-    payoff_3,
-    payoff_n,
-    payoff_n_batch,
-    payoff_n_combinatorial,
     sym_sequence_A,
     symmetric_kernel,
-    weighted_sequences,
 )
 from procurelab.oracle_solver import (
-    ddpm_probe,
     make_grid,
     payoff_matrix,
     solve_matrix_game,
     value_curve_oracle,
 )
-from procurelab.strategy import expect_joint, expect_vs
+from procurelab.strategy import expect_vs
 
 CFG = default_config()
 P_STAR = critical_p()
@@ -54,6 +47,23 @@ def announce(capsys, num: int, ok: bool, label: str, detail: str = "") -> None:
     suffix = f" — {detail}" if detail else ""
     with capsys.disabled():
         print(f"criterion {num:02d} [{tag}] {label}{suffix}")
+
+
+def read(battery, gates: dict) -> tuple[bool, list]:
+    """The battery reports named by `gates`, in its order, and whether each
+    passed at a tolerance no looser than the one `gates` gives it."""
+    by_name = {r.check: r for r in battery}
+    picked = [by_name[name] for name in gates]
+    return all(r.passed and r.tolerance <= gates[r.check] for r in picked), picked
+
+
+def at_least(report, **need) -> bool:
+    """Whether the report's parameters reach each needed size: a number no
+    smaller, a list holding every needed value, a flag set."""
+    def reaches(have, want):
+        return set(want) <= set(have) if isinstance(want, list) else have >= want
+
+    return all(reaches(report.parameters[key], want) for key, want in need.items())
 
 
 def test_criterion_01_symmetric_grid_value(capsys):
@@ -100,35 +110,29 @@ def test_criterion_02_uniform_based_equilibrium(capsys):
     assert ok
 
 
-def test_criterion_03_log_equilibrium(capsys):
+def test_criterion_03_log_equilibrium(battery, capsys):
     s = log_equilibrium(CFG)
     over, flat = _symmetric_scan(s)
-    a1, a2 = sym_sequence_A(1, CFG), sym_sequence_A(2, CFG)
-    xs = np.linspace(CFG.A, a2 - 1e-9, 1_000)
-    xs = xs[np.abs(xs - a1) > 1e-9]
-    residual = max(
-        abs(functional_residual(FunctionalSystem.SYMMETRIC, s, float(x), 0.5, CFG))
-        for x in xs
-    )
+    # the p = 1/2 block of functional-residuals is the log strategy's
+    # symmetric system on [A, A_2) off A_1
+    ok, (res,) = read(battery, {"functional-residuals": 1e-9})
+    ok = ok and at_least(res, p=[0.5], points=1_000)
     mass_exact = s.total_mass == 1.0
-    ok = over <= 1e-6 and flat <= 1e-6 and residual <= 1e-9 and mass_exact
+    ok = ok and over <= 1e-6 and flat <= 1e-6 and mass_exact
     announce(capsys, 3, ok, "log-density equilibrium: bounds, residuals, exact mass",
-             f"overshoot {over:.2e}, flat band {flat:.2e}, residual {residual:.2e}, "
+             f"overshoot {over:.2e}, flat band {flat:.2e}, residual {res.max_violation:.2e}, "
              f"mass {s.total_mass!r}")
     assert ok
 
 
-def test_criterion_04_value_formula_anchors(capsys):
-    dev_half = abs(value_weighted(0.5).v - 0.5)
-    dev_crit = abs(value_weighted(P_STAR).v - 1.0 / 3.0)
-    dev_map = 0.0
-    for c in (CFG, MarketConfig(A=0.2, B=2.0, E=1.1)):
-        seq = weighted_sequences(P_STAR, 2, c)
-        dev_map = max(dev_map, abs(maps_p(P_STAR, c).h2(seq.a_check[2]) - c.A))
-    ok = dev_half <= 1e-12 and dev_crit <= 1e-10 and dev_map <= 1e-9
+def test_criterion_04_value_formula_anchors(battery, capsys):
+    ok, (half, crit, ident) = read(battery, {
+        "value-at-half": 1e-12, "value-at-critical": 1e-10, "critical-map-identity": 1e-9,
+    })
+    ok = ok and at_least(ident, configs=2)
     announce(capsys, 4, ok, "explicit value anchors and the critical map identity",
-             f"|v(1/2)-1/2| {dev_half:.2e}, |v(p*)-1/3| {dev_crit:.2e}, "
-             f"map identity {dev_map:.2e}")
+             f"|v(1/2)-1/2| {half.max_violation:.2e}, |v(p*)-1/3| {crit.max_violation:.2e}, "
+             f"map identity {ident.max_violation:.2e}")
     assert ok
 
 
@@ -141,27 +145,23 @@ def _quadrature_bounds(s, kern, v):
     return max(0.0, float((row - v).max())), max(0.0, float((v - col).max()))
 
 
-def test_criterion_05_weighted_equilibrium_p03(capsys):
+def test_criterion_05_weighted_equilibrium_p03(battery, capsys):
     s = weighted_equilibrium(0.3, CFG)
-    kern = WeightedKernel(p=0.3, cfg=CFG)
     v = value_weighted(0.3).v
-    mass_dev = abs(s.total_mass - 1.0)
-    row_over, col_under = _quadrature_bounds(s, kern, v)
-    seq = weighted_sequences(0.3, 1, CFG)
-    xs = np.linspace(CFG.A, seq.d_check[1] - 1e-9, 1_000)
-    for avoid in (seq.a_check[1], seq.a_hat[1]):
-        xs = xs[np.abs(xs - avoid) > 1e-9]
-    residual = max(
-        abs(functional_residual(system, s, float(x), 0.3, CFG))
-        for system in (FunctionalSystem.WEIGHTED_ROW, FunctionalSystem.WEIGHTED_COLUMN)
-        for x in xs
-    )
-    joint_dev = abs(expect_joint(s, s, kern).value - 0.376992)
-    ok = (mass_dev <= 1e-12 and row_over <= 1e-6 and col_under <= 1e-6
-          and residual <= 1e-9 and joint_dev <= 1e-6)
+    row_over, col_under = _quadrature_bounds(s, WeightedKernel(p=0.3, cfg=CFG), v)
+    ok, (mass, res, joint) = read(battery, {
+        "strategy-normalization": 1e-12, "functional-residuals": 1e-9,
+        "joint-value-consistency": 1e-6,
+    })
+    ok = ok and at_least(res, p=[0.3], points=1_000) and at_least(joint, p=[0.3])
+    # |joint - 0.376992| <= |v - 0.376992| + |joint - v|: the paper's anchor
+    # holds for the joint value if this bound meets it
+    anchor = abs(v - 0.376992) + joint.max_violation
+    ok = ok and row_over <= 1e-6 and col_under <= 1e-6 and anchor <= 1e-6
     announce(capsys, 5, ok, "weighted equilibrium at p=0.3",
-             f"mass {mass_dev:.2e}, row over {row_over:.2e}, col under {col_under:.2e}, "
-             f"residual {residual:.2e}, joint value off {joint_dev:.2e}")
+             f"mass {mass.max_violation:.2e}, row over {row_over:.2e}, "
+             f"col under {col_under:.2e}, residual {res.max_violation:.2e}, "
+             f"joint value off at most {anchor:.2e}")
     assert ok
 
 
@@ -187,49 +187,31 @@ def test_criterion_06_grid_refinement_convergence(capsys):
     assert ok
 
 
-def test_criterion_07_payoff_implementations_agree(capsys):
-    span = CFG.B - CFG.A
-    mismatches = 0
-    conservation = 0.0
-    for n_players in (2, 3, 4):
-        u = uniform_stream(derive_seed(42, "acceptance-comb", n_players),
-                           10_000 * n_players)
-        bids = CFG.A + span * u.reshape(10_000, n_players)
-        bids[: 2_500, 1] = bids[: 2_500, 0]  # forced ties
-        oracle = payoff_n_combinatorial(bids, CFG).tolist()
-        mismatches += sum(list(payoff_n(prof, CFG)) != want
-                          for prof, want in zip(bids.tolist(), oracle))
-        conservation = max(
-            conservation, float(np.abs(payoff_n_batch(bids, CFG).sum(axis=1) - 1.0).max())
-        )
-    u = uniform_stream(derive_seed(42, "acceptance-three"), 300_000)
-    triples = CFG.A + span * u.reshape(100_000, 3)
-    direct = payoff_3(*triples.T, CFG)
-    general = payoff_n_batch(triples, CFG)
-    three_dev = float(np.abs(direct - general[:, 0]).max())
-    conservation = max(conservation, float(np.abs(general.sum(axis=1) - 1.0).max()))
-    ok = mismatches == 0 and three_dev == 0.0 and conservation <= 1e-12
+def test_criterion_07_payoff_implementations_agree(battery, capsys):
+    ok, (cons, comb, three) = read(battery, {
+        "payoff-conservation": 1e-12, "combinatorial-agreement": 0.0,
+        "three-player-agreement": 0.0,
+    })
+    ok = (ok and at_least(cons, profiles=10_000, N=[2, 3, 4], tie_share=0.25)
+          and at_least(comb, profiles=10_000, N=[2, 3, 4], tie_share=0.25)
+          and at_least(three, profiles=100_000, conservation=True))
     announce(capsys, 7, ok, "payoff implementations agree and conserve the award",
-             f"mismatches {mismatches}, three-player dev {three_dev}, "
-             f"conservation {conservation:.2e}")
+             f"mismatches {comb.max_violation:.0f}, three-player dev {three.max_violation}, "
+             f"conservation {cons.max_violation:.2e}")
     assert ok
 
 
 def test_criterion_08_three_player_geometry(battery, capsys):
-    by_name = {r.check: r for r in battery}
-    picked = [by_name[name] for name in
-              ("cutpoint-relations", "ordering-cells-exhaustive", "jump-sign-scan")]
-    ok = all(r.passed for r in picked)
+    ok, picked = read(battery, {
+        "cutpoint-relations": 1e-12, "ordering-cells-exhaustive": 0.0, "jump-sign-scan": 0.0,
+    })
     announce(capsys, 8, ok, "three-player cutpoint geometry",
              ", ".join(f"{r.check} {r.max_violation:.2e}" for r in picked))
     assert ok
 
 
 def test_criterion_09_no_pure_equilibrium(battery, capsys):
-    by_name = {r.check: r for r in battery}
-    scan = by_name["pure-ne-scan"]
-    dyn = by_name["br-dynamics-no-fixed-point"]
-    ok = scan.passed and dyn.passed
+    ok, (scan, dyn) = read(battery, {"pure-ne-scan": 0.0, "br-dynamics-no-fixed-point": 0.0})
     announce(capsys, 9, ok, "no pure equilibrium on grids or under play",
              f"scan worst {scan.worst}, dynamics worst {dyn.worst}")
     assert ok
@@ -245,9 +227,9 @@ def test_criterion_10_critical_regime(capsys):
     assert ok
 
 
-def test_criterion_11_tie_hypersurface_probes(capsys):
-    report = ddpm_probe(1_000, derive_seed(42, "acceptance-ddpm"), CFG)
-    ok = report.passed and report.max_violation == 0.0
+def test_criterion_11_tie_hypersurface_probes(battery, capsys):
+    ok, (report,) = read(battery, {"ddpm-one-sided-limits": 0.0})
+    ok = ok and at_least(report, samples=1_000)
     announce(capsys, 11, ok, "one-sided limits at the tie hypersurfaces",
              f"violations {report.max_violation}, "
              f"classes {report.parameters.get('per_class')}")
@@ -255,8 +237,7 @@ def test_criterion_11_tie_hypersurface_probes(capsys):
 
 
 def test_criterion_12_monte_carlo_consistency(battery, capsys):
-    mc = {r.check: r for r in battery}["mc-consistency"]
-    ok = mc.passed
+    ok, (mc,) = read(battery, {"mc-consistency": 1.0})
     announce(capsys, 12, ok, "seeded Monte Carlo matches quadrature values",
              f"worst 4-stderr ratio {mc.max_violation:.3f}")
     assert ok

@@ -275,12 +275,10 @@ class TestCurves:
         with pytest.raises(DomainError):
             curve(2.0)
 
-    def test_json(self):
-        import json
-
-        d = json.loads(eq.closed_form_curves(CurveKind.WEIGHTED_ROW, 0.3, CFG).to_json())
-        assert d["kind"] == "WeightedRow" and len(d["breakpoints"]) == 2
-        assert d["tags"] == ["flat-value", "log-decline", "zero"]
+    def test_fields(self):
+        curve = eq.closed_form_curves(CurveKind.WEIGHTED_ROW, 0.3, CFG)
+        assert curve.kind is CurveKind.WEIGHTED_ROW and len(curve.breakpoints) == 2
+        assert curve.tags == ("flat-value", "log-decline", "zero")
 
 
 class TestResiduals:

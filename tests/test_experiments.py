@@ -428,6 +428,22 @@ class TestBattery:
         assert by_name["payoff-conservation"].passed
         assert by_name["matrix-constant-sum"].passed
 
+    def test_raising_probe_is_isolated(self, monkeypatch):
+        import procurelab.experiments as ex
+        import procurelab.oracle_solver as osv
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(osv, "classify_discontinuity", boom)
+        reports = ex.run_battery(seed=7)
+        assert [r.check for r in reports] == BATTERY_CHECKS
+        probe = reports[-1]
+        assert not probe.passed
+        assert math.isinf(probe.max_violation)
+        assert "boom" in probe.parameters["error"]
+        assert battery_passed(reports[:-1])
+
     def test_battery_roundtrips_through_file(self, battery, tmp_path):
         path = tmp_path / "battery.jsonl"
         write_reports(battery, path)

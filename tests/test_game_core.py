@@ -100,6 +100,16 @@ class TestAwardRules:
             for prof, row in zip(bids.tolist(), oracle.tolist()):
                 assert tuple(row) == gc.payoff_n(prof, CFG), prof
 
+    def test_combinatorial_oracle_on_dyadic_grid(self):
+        # multiples of 1/8 land on the reference price, which the award rule
+        # counts as below it: (0.75, 0.25) prices at 0.75
+        assert gc.payoff_n_combinatorial(np.array([[0.75, 0.25]]), CFG).tolist() == [[1.0, 0.0]]
+        axis = np.arange(13) / 8.0
+        for n in (2, 3, 4):
+            bids = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+            assert np.array_equal(gc.payoff_n_combinatorial(bids, CFG),
+                                  gc.payoff_n_batch(bids, CFG))
+
     def test_combinatorial_refuses_large_n(self):
         with pytest.raises(UnsupportedError):
             gc.payoff_n_combinatorial(np.full((3, 7), 0.5), CFG)
@@ -226,8 +236,7 @@ class TestScalarPayoffs:
     def test_three_player_batch(self):
         rng = np.random.default_rng(14)
         b = rng.uniform(0.0, 1.5, (1000, 3))
-        out = gc.payoff_3_batch(b[:, 0], b[:, 1], b[:, 2], CFG)
-        assert np.array_equal(out, gc.payoff_3(*b.T, CFG))
+        assert np.array_equal(gc.payoff_n_batch(b, CFG)[:, 0], gc.payoff_3(*b.T, CFG))
 
     def test_three_player_arrays_are_checked(self):
         with pytest.raises(DomainError):

@@ -13,7 +13,6 @@ from procurelab.game_core import (
     classify_discontinuity,
     critical_p,
     default_config,
-    payoff_n,
     payoff_n_tilde,
     sym_sequence_A,
     symmetric_kernel,
@@ -294,25 +293,27 @@ class TestProjection:
 
 class TestScan:
     def test_two_player_empty(self):
-        assert pure_ne_scan(payoff_n, 2, make_grid(101, CFG)) == []
+        assert pure_ne_scan(2, make_grid(101, CFG)) == []
 
     def test_three_player_empty(self):
-        assert pure_ne_scan(payoff_n, 3, make_grid(21, CFG)) == []
+        assert pure_ne_scan(3, make_grid(21, CFG)) == []
 
     def test_caps(self):
         with pytest.raises(UnsupportedError):
-            pure_ne_scan(payoff_n, 2, make_grid(202, CFG))
+            pure_ne_scan(2, make_grid(202, CFG))
         with pytest.raises(UnsupportedError):
-            pure_ne_scan(payoff_n, 3, make_grid(42, CFG))
+            pure_ne_scan(3, make_grid(42, CFG))
         with pytest.raises(UnsupportedError):
-            pure_ne_scan(payoff_n, 4, make_grid(5, CFG))
+            pure_ne_scan(4, make_grid(5, CFG))
 
-    def test_finds_planted_equilibrium(self):
-        # concave kernel maximized at E: everyone bidding E is the unique pure NE
-        def pull_to_E(prof, cfg):
-            return tuple(-((b - cfg.E) ** 2) for b in prof)
+    def test_finds_planted_equilibrium(self, monkeypatch):
+        # concave payoff maximized at E: everyone bidding E is the unique pure NE
+        def pull_to_E(bids, cfg):
+            return -((np.asarray(bids) - cfg.E) ** 2)
 
-        found = pure_ne_scan(pull_to_E, 2, make_grid(16, CFG))
+        monkeypatch.setattr(oracle_solver, "payoff_n_batch", pull_to_E)
+        monkeypatch.setattr(oracle_solver, "payoff_n", lambda prof, cfg: tuple(pull_to_E(prof, cfg)))
+        found = pure_ne_scan(2, make_grid(16, CFG))
         assert found == [(CFG.E, CFG.E)]
 
     def test_sup_inf_gap(self):
