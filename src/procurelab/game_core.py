@@ -193,20 +193,6 @@ def payoff_n_combinatorial(bids: np.ndarray, cfg: MarketConfig) -> np.ndarray:
     return out
 
 
-def _weighted_award(x: float, y: float, w_row: float, w_col: float, E: float) -> float:
-    """Row payoff at price (w_row*x + w_col*y + E) / 2; ties pay w_row."""
-    price = (w_row * x + w_col * y + E) / 2.0
-    if y < x <= price:
-        return 1.0
-    if price <= x < y:
-        return 1.0
-    if x <= price < y:
-        return 1.0
-    if x == y:
-        return w_row
-    return 0.0
-
-
 def payoff_3(x, y, z, cfg: MarketConfig) -> float | np.ndarray:
     """Three-player payoff of player 1 as an explicit indicator cascade.
 
@@ -677,8 +663,7 @@ class WeightedKernel:
         return self.p == 0.5
 
     def __call__(self, x: float, y: float) -> float:
-        cfg = self.cfg
-        return _weighted_award(cfg.require_bid(x), cfg.require_bid(y), self.p, self.w_col, cfg.E)
+        return float(self.batch(self.cfg.require_bid(x), self.cfg.require_bid(y)))
 
     def batch(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise payoff over broadcast arrays of bids."""

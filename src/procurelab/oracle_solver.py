@@ -369,170 +369,122 @@ def value_curve_oracle(
 # Hypersurface probes
 
 
-def _probe_deltas(cfg: MarketConfig) -> tuple[float, ...]:
-    span = cfg.B - cfg.A
-    return (1e-6 * span, 1e-7 * span, 1e-8 * span)
-
-
-def _tilde_first(bids: Sequence[float], cfg: MarketConfig) -> float:
-    return payoff_n_tilde(tuple(bids), cfg)[0]
-
-
 def ddpm_probe(samples: int, seed: int, cfg: MarketConfig) -> VerificationReport:
     """One-sided limit checks of the tie-zeroed payoff on each surface class.
 
-    Constructs seeded profiles sitting exactly on the Tie, FixedPoint,
-    and Transition hypersurfaces (confirmed via classify_discontinuity),
+    Constructs seeded profiles sitting exactly on the FixedPoint,
+    Transition, and Tie hypersurfaces (confirmed via classify_discontinuity),
     then evaluates the deviator's payoff along approach ladders:
 
     - FixedPoint / Transition: approaching from below never drops the
       payoff under its surface value.
     - Tie below E: stepping just above the shared bid pays 1 (the tie
-      itself pays 0); at or above E the payoff is 1 below the shared
-      bid and 0 at or above it.
+      itself pays 0); above E the payoff is 1 below the shared bid and 0
+      above it.
 
+    Each class draws up to 50 * samples profiles, two uniforms from its own
+    seed stream per draw, and skips a draw whose profile misses the margins.
     Returns a violation-count report (expected 0).
     """
     if samples < 1:
         raise DomainError("samples must be positive")
     t0 = time.perf_counter()
-    margin = 1e-3 * (cfg.B - cfg.A)
-    deltas = _probe_deltas(cfg)
-    worst: list[tuple] = []
-    counts = {"FixedPoint": 0, "Transition": 0, "Tie": 0}
-    violations = 0
+    A, B, E = cfg.A, cfg.B, cfg.E
+    span = B - A
+    margin = 1e-3 * span
+    deltas = (1e-6 * span, 1e-7 * span, 1e-8 * span)
 
-    def record(cls: str, profile: tuple, note: str) -> None:
-        nonlocal violations
-        violations += 1
-        if len(worst) < 5:
-            worst.append((cls, profile, note))
+    def tilde(bids: tuple) -> float:
+        return payoff_n_tilde(bids, cfg)[0]
 
-    def classified_as(want: DiscontinuityClass, profile: tuple) -> bool:
-        return classify_discontinuity(0, profile, cfg) is want
+    def clear(x: float, others: list) -> bool:
+        return A + margin < x < B - margin and min(abs(x - b) for b in others) > margin
 
-    # FixedPoint: deviator bids the threshold of the others and wins there.
-    k = 0
-    attempts = 0
-    while counts["FixedPoint"] < samples and attempts < 50 * samples:
-        attempts += 1
-        n_players = 2 + (k % 2)
-        draw = uniform_stream(derive_seed(seed, "fp", k), n_players - 1)
-        k += 1
-        others = [cfg.A + (cfg.B - cfg.A) * u for u in draw]
+    def fixed_point(k: int, u: np.ndarray) -> tuple | None:
+        # the deviator bids the threshold of one or two others
+        others = [A + span * v for v in u[: 1 + k % 2]]
         t = threshold_t(others, cfg)
-        if not (cfg.A + margin < t < cfg.B - margin):
-            continue
-        if min(abs(t - b) for b in others) <= margin:
-            continue
-        profile = (t, *others)
-        counts["FixedPoint"] += 1
-        if not classified_as(DiscontinuityClass.FIXED_POINT, profile):
-            record("FixedPoint", profile, "misclassified")
-            continue
-        current = _tilde_first(profile, cfg)
-        for d in deltas:
-            pay = _tilde_first((t - d, *others), cfg)
-            if pay < current - 1e-12:
-                record("FixedPoint", profile, f"payoff {pay} < {current} at -{d}")
+        return (t, *others) if clear(t, others) else None
 
-    # Transition: an opponent sits exactly on the price the profile induces.
-    k = 0
-    attempts = 0
-    while counts["Transition"] < samples and attempts < 50 * samples:
-        attempts += 1
-        n_players = 2 + (k % 2)
-        draw = uniform_stream(derive_seed(seed, "tr", k), n_players)
-        k += 1
-        if n_players == 2:
-            lo = (cfg.A + 2.0 * cfg.E) / 3.0 + margin
-            hi = cfg.E - margin
-            if lo >= hi:
-                continue
-            b_low = lo + (hi - lo) * draw[0]
-            others = [b_low]
+    def transition(k: int, u: np.ndarray) -> tuple | None:
+        # an opponent sits exactly on the price the profile induces
+        if k % 2 == 0:
+            lo, hi, rest = (A + 2.0 * E) / 3.0 + margin, E - margin, []
         else:
-            z = cfg.A + (cfg.E - cfg.A) * draw[0]
-            lo = z + margin
-            hi = (z + 3.0 * cfg.E) / 4.0 - margin
-            if lo >= hi:
-                continue
-            b_low = lo + (hi - lo) * draw[1]
-            others = [b_low, z]
-        n = n_players
-        x_surf = (2.0 * n - 1.0) * b_low - (sum(others) - b_low) - n * cfg.E
-        if not (cfg.A + margin < x_surf < cfg.B - margin):
-            continue
-        if min(abs(x_surf - b) for b in others) <= margin:
-            continue
-        profile = (x_surf, *others)
-        counts["Transition"] += 1
-        if not classified_as(DiscontinuityClass.TRANSITION, profile):
-            record("Transition", profile, "misclassified")
-            continue
-        current = _tilde_first(profile, cfg)
-        for d in deltas:
-            pay = _tilde_first((x_surf - d, *others), cfg)
-            if pay < current - 1e-12:
-                record("Transition", profile, f"payoff {pay} < {current} at -{d}")
+            z = A + (E - A) * u[0]
+            lo, hi, rest = z + margin, (z + 3.0 * E) / 4.0 - margin, [z]
+        if lo >= hi:
+            return None
+        b_low = lo + (hi - lo) * u[k % 2]
+        others = [b_low, *rest]
+        n = len(others) + 1
+        x = (2.0 * n - 1.0) * b_low - (sum(others) - b_low) - n * E
+        return (x, *others) if clear(x, others) else None
 
-    # Tie: two players share a bid; branch on which side of E it sits.
-    k = 0
-    attempts = 0
-    while counts["Tie"] < samples and attempts < 50 * samples:
-        attempts += 1
-        branch = k % 3
-        draw = uniform_stream(derive_seed(seed, "tie", k), 2)
-        k += 1
-        if branch == 2:
-            lo, hi = cfg.E + margin, cfg.B - margin
-            if lo >= hi:
-                continue
-            c = lo + (hi - lo) * draw[0]
-            profile = (c, c)
-        else:
-            lo, hi = cfg.A + margin, cfg.E - margin
-            if lo >= hi:
-                continue
-            c = lo + (hi - lo) * draw[0]
-            if branch == 0:
-                profile = (c, c)
-            else:
-                z_lo = (2.0 * c + 3.0 * cfg.E) / 5.0 + margin
-                if z_lo >= cfg.B - margin:
-                    continue
-                z = z_lo + (cfg.B - margin - z_lo) * draw[1]
-                profile = (c, c, z)
-        counts["Tie"] += 1
-        if not classified_as(DiscontinuityClass.TIE, profile):
-            record("Tie", profile, "misclassified")
-            continue
-        rest = profile[1:]
-        at = _tilde_first(profile, cfg)
-        if at != 0.0:
-            record("Tie", profile, f"tie pays {at}, expected 0")
-        if branch == 2:
-            for d in deltas:
-                below = _tilde_first((c - d, *rest), cfg)
-                above = _tilde_first((c + d, *rest), cfg)
+    def tie(k: int, u: np.ndarray) -> tuple | None:
+        # two players share a bid: above E every third draw, else below it,
+        # alone or with a third bid above the price the three induce
+        lo, hi = (E + margin, B - margin) if k % 3 == 2 else (A + margin, E - margin)
+        if lo >= hi:
+            return None
+        c = lo + (hi - lo) * u[0]
+        if k % 3 != 1:
+            return (c, c)
+        z_lo = (2.0 * c + 3.0 * E) / 5.0 + margin
+        if z_lo >= B - margin:
+            return None
+        return (c, c, z_lo + (B - margin - z_lo) * u[1])
+
+    def from_below(profile: tuple) -> list[str]:
+        x, *others = profile
+        current = tilde(profile)
+        return [f"payoff {pay} < {current} at -{d}" for d in deltas
+                if (pay := tilde((x - d, *others))) < current - 1e-12]
+
+    def tie_limits(profile: tuple) -> list[str]:
+        c, *rest = profile
+        at = tilde(profile)
+        notes = [] if at == 0.0 else [f"tie pays {at}, expected 0"]
+        for d in deltas:
+            if c > E:
+                below = tilde((c - d, *rest))
+                above = tilde((c + d, *rest))
                 if below != 1.0:
-                    record("Tie", profile, f"payoff {below} below-at -{d}, expected 1")
+                    notes.append(f"payoff {below} below-at -{d}, expected 1")
                 if above != 0.0:
-                    record("Tie", profile, f"payoff {above} above-at +{d}, expected 0")
-        else:
-            for d in deltas:
-                above = _tilde_first((c + d, *rest), cfg)
-                if above != 1.0:
-                    record("Tie", profile, f"payoff {above} at +{d}, expected 1")
+                    notes.append(f"payoff {above} above-at +{d}, expected 0")
+            elif (above := tilde((c + d, *rest))) != 1.0:
+                notes.append(f"payoff {above} at +{d}, expected 1")
+        return notes
 
-    short = {cls: cnt for cls, cnt in counts.items()}
+    surfaces = (
+        (DiscontinuityClass.FIXED_POINT, "fp", fixed_point, from_below),
+        (DiscontinuityClass.TRANSITION, "tr", transition, from_below),
+        (DiscontinuityClass.TIE, "tie", tie, tie_limits),
+    )
+    counts: dict[str, int] = {}
+    broken: list[tuple] = []
+    for cls, tag, build, limits in surfaces:
+        counts[cls.value] = 0
+        for k in range(50 * samples):
+            if counts[cls.value] == samples:
+                break
+            profile = build(k, uniform_stream(derive_seed(seed, tag, k), 2))
+            if profile is None:
+                continue
+            counts[cls.value] += 1
+            if classify_discontinuity(0, profile, cfg) is not cls:
+                notes = ["misclassified"]
+            else:
+                notes = limits(profile)
+            broken += [(cls.value, profile, note) for note in notes]
     if min(counts.values()) < samples:
-        record("sampling", (), "could not construct enough on-surface profiles")
+        broken.append(("sampling", (), "could not construct enough on-surface profiles"))
     return make_report(
         check="ddpm-one-sided-limits",
-        parameters={"samples": samples, "seed": seed, "per_class": short},
-        max_violation=float(violations),
+        parameters={"samples": samples, "seed": seed, "per_class": counts},
+        max_violation=float(len(broken)),
         tolerance=0.0,
-        worst=worst,
+        worst=broken[:5],
         runtime_s=time.perf_counter() - t0,
     )

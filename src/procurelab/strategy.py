@@ -347,7 +347,7 @@ def expect_vs(
     kernel: WeightedKernel,
     *,
     side: Side = Side.AS_ROW,
-    method: str = "auto",
+    method: str = "exact",
 ) -> float | np.ndarray:
     """Expected payoff of `bid` against an opponent playing `s`.
 
@@ -362,37 +362,35 @@ def expect_vs(
     A 1-D array of bids gives the array of their payoffs.  The exact path
     adds the same terms in the same order as a float bid does; reciprocal
     pieces may differ from the float path by an ulp, because np.log and
-    math.log may round differently.  At p in {0, 1} an array needs
-    method="quadrature".  A float bid is the one-element case of the
+    math.log may round differently.  At p in {0, 1} the win regions are not
+    defined, so the exact method raises UnsupportedError there and only
+    "quadrature" answers.  A float bid is the one-element case of the
     quadrature routine, so each bid's quadrature value is its float value
     bit for bit.
 
     A side that is not a Side, or a strategy built on another market than
     the kernel's, raises DomainError on every path.
     """
-    if method not in ("auto", "exact", "quadrature"):
+    if method not in ("exact", "quadrature"):
         raise DomainError(f"unknown method {method!r}")
     if not isinstance(side, Side):
         raise DomainError(f"unknown side {side!r}")
     require_market(kernel.cfg, s)
-    use_exact = method != "quadrature" and 0.0 < kernel.p < 1.0
+    exact = method == "exact"
+    if exact and not 0.0 < kernel.p < 1.0:
+        raise UnsupportedError("exact win regions need 0 < p < 1")
     if isinstance(bid, np.ndarray) and bid.ndim:
         if bid.ndim != 1:
             raise DomainError(f"array bids must be 1-D, got shape {bid.shape}")
-        if method != "quadrature" and not use_exact:
-            raise UnsupportedError("array bids need 0 < p < 1 unless method='quadrature'")
         bids = kernel.cfg.require_bids(bid)
-        if use_exact:
+        if exact:
             return _expect_vs_exact_array(bids, s, kernel, side)
         return _expect_vs_quadrature(bids, s, kernel, side)
     # a float bid stays on scalar code for the exact path: for one bid it is
     # several times faster than a one-element array
     bid = kernel.cfg.require_bid(bid)
     pair = (lambda y: (bid, y)) if side is Side.AS_ROW else (lambda y: (y, bid))
-    if method == "exact" and not use_exact:
-        raise UnsupportedError("exact win regions need 0 < p < 1")
-
-    if use_exact:
+    if exact:
         # each piece's mass inside the two win regions, from plain floats and
         # the per-strategy constants; an empty region adds no term
         E = kernel.cfg.E
@@ -538,9 +536,8 @@ def expect_joint(mu: MixedStrategy, nu: MixedStrategy, kernel: WeightedKernel) -
     def integral(dist: MixedStrategy, f, cuts: list[float]) -> float:
         return _integrate_against(dist, lambda _, ys: f(ys), [cuts])[0]
 
-    # at p in {0, 1} array bids need the quadrature, which "auto" takes for
-    # a float bid there
-    method = "auto" if 0.0 < kernel.p < 1.0 else "quadrature"
+    # the exact win regions need 0 < p < 1
+    method = "exact" if 0.0 < kernel.p < 1.0 else "quadrature"
     outer = lambda xs: expect_vs(xs.ravel(), nu, kernel, method=method).reshape(xs.shape)
     by_form = {"outer": integral(mu, outer, _outer_cutpoints(nu, kernel))}
 

@@ -193,7 +193,8 @@ def test_criterion_07_payoff_implementations_agree(battery, capsys):
         "three-player-agreement": 0.0,
     })
     ok = (ok and at_least(cons, profiles=10_000, N=[2, 3, 4], tie_share=0.25)
-          and at_least(comb, profiles=10_000, N=[2, 3, 4], tie_share=0.25)
+          and at_least(comb, profiles=10_000, N=[2, 3, 4], tie_share=0.25,
+                       three_way_share=0.125)
           and at_least(three, profiles=100_000, conservation=True))
     announce(capsys, 7, ok, "payoff implementations agree and conserve the award",
              f"mismatches {comb.max_violation:.0f}, three-player dev {three.max_violation}, "

@@ -384,6 +384,32 @@ class TestEquilibriumChecks:
         assert top <= 1e-9
 
 
+@pytest.fixture(scope="module")
+def faulted_battery():
+    """One battery run (seed 7) with three faults at once.
+
+    A strategy of mass 0.9 stands in for the critical one, the value
+    formula raises and the probe classifier raises.  The three
+    ``TestBattery`` fault tests each read their part of this one run.
+    """
+    import procurelab.experiments as ex
+    import procurelab.oracle_solver as osv
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    def short_mass(cfg):
+        return MixedStrategy(
+            (Piece(PieceKind.UNIFORM, cfg.A, cfg.A + 0.5 * (cfg.E - cfg.A), 0.9),), (), cfg
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ex, "critical_regime_strategy", short_mass)
+        mp.setattr(ex, "value_weighted", boom)
+        mp.setattr(osv, "classify_discontinuity", boom)
+        return ex.run_battery(seed=7)
+
+
 class TestBattery:
     def test_all_checks_pass(self, battery):
         failed = [r.check for r in battery if not r.passed]
@@ -397,52 +423,44 @@ class TestBattery:
         assert all(r.runtime_s >= 0.0 for r in battery)
         assert all(r.tolerance >= 0.0 for r in battery)
 
-    def test_fault_injection_hits_only_normalization(self):
-        reports = run_battery(seed=42, inject_fault=True)
-        assert [r.check for r in reports] == BATTERY_CHECKS
-        failed = [r for r in reports if not r.passed]
-        assert [r.check for r in failed] == ["strategy-normalization"]
-        assert failed[0].worst == ("corrupted",)
-        assert abs(failed[0].max_violation - 0.1) < 1e-12
-        assert not battery_passed(reports)
-
     def test_json_identical_across_runs(self, battery):
         again = run_battery(seed=42)
         assert [r.to_json() for r in battery] == [r.to_json() for r in again]
 
-    def test_raising_check_is_isolated(self, monkeypatch):
-        import procurelab.experiments as ex
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(ex, "value_weighted", boom)
-        reports = ex.run_battery(seed=7)
-        by_name = {r.check: r for r in reports}
+    def test_fault_injection_hits_only_normalization(self, faulted_battery):
+        reports = faulted_battery
         assert [r.check for r in reports] == BATTERY_CHECKS
-        broken = by_name["value-at-half"]
-        assert not broken.passed
-        assert math.isinf(broken.max_violation)
-        assert "boom" in broken.parameters["error"]
+        assert not battery_passed(reports)
+        failed = {r.check: r for r in reports if not r.passed}
+        # the normalization check only reads a wrong mass; it does not raise
+        norm = failed["strategy-normalization"]
+        assert norm.worst == ("critical",)
+        assert abs(norm.max_violation - 0.1) < 1e-12
+        assert "error" not in norm.parameters
+
+    def test_raising_check_is_isolated(self, faulted_battery):
+        reports = faulted_battery
+        failed = {r.check: r for r in reports if not r.passed}
+        # the checks that call value_weighted, and the probe, raise
+        raised = {"equilibrium-inequalities", "value-at-half", "value-at-critical",
+                  "joint-value-consistency", "mc-consistency", "ddpm-one-sided-limits"}
+        assert set(failed) == raised | {"strategy-normalization"}
+        for name in raised:
+            assert math.isinf(failed[name].max_violation)
+            assert "boom" in failed[name].parameters["error"]
         # unrelated checks still ran and passed
+        by_name = {r.check: r for r in reports}
         assert by_name["payoff-conservation"].passed
         assert by_name["matrix-constant-sum"].passed
 
-    def test_raising_probe_is_isolated(self, monkeypatch):
-        import procurelab.experiments as ex
-        import procurelab.oracle_solver as osv
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(osv, "classify_discontinuity", boom)
-        reports = ex.run_battery(seed=7)
+    def test_raising_probe_is_isolated(self, faulted_battery):
+        reports = faulted_battery
         assert [r.check for r in reports] == BATTERY_CHECKS
         probe = reports[-1]
+        assert probe.check == "ddpm-one-sided-limits"
         assert not probe.passed
         assert math.isinf(probe.max_violation)
         assert "boom" in probe.parameters["error"]
-        assert battery_passed(reports[:-1])
 
     def test_battery_roundtrips_through_file(self, battery, tmp_path):
         path = tmp_path / "battery.jsonl"

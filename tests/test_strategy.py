@@ -312,13 +312,19 @@ class TestExpectVs:
             assert col == pytest.approx(swap, abs=1e-10)
 
     def test_exact_refused_outside_open_interval(self):
-        with pytest.raises(UnsupportedError):
-            st.expect_vs(0.5, uniform_pair(), gc.WeightedKernel(0.0, CFG), method="exact")
-        # auto falls back to quadrature and still answers
-        v = st.expect_vs(0.5, uniform_pair(), gc.WeightedKernel(0.0, CFG))
-        assert 0.0 <= v <= 1.0
+        for p in (0.0, 1.0):
+            kern = gc.WeightedKernel(p, CFG)
+            with pytest.raises(UnsupportedError):
+                st.expect_vs(0.5, uniform_pair(), kern)
+            # the quadrature still answers there
+            v = st.expect_vs(0.5, uniform_pair(), kern, method="quadrature")
+            assert 0.0 <= v <= 1.0
 
-    @pytest.mark.parametrize("method", ["auto", "exact", "quadrature"])
+    def test_unknown_method_is_domain_error(self):
+        with pytest.raises(DomainError):
+            st.expect_vs(0.5, uniform_pair(), SYM, method="auto")
+
+    @pytest.mark.parametrize("method", ["exact", "quadrature"])
     def test_unknown_side_is_domain_error(self, method):
         for side in ("AsRow", "AsColumn", None):
             with pytest.raises(DomainError):
@@ -328,9 +334,9 @@ class TestExpectVs:
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_unknown_side_is_domain_error_at_degenerate_weights(self, p):
-        # p in {0, 1} takes the quadrature path under method="auto"
         with pytest.raises(DomainError):
-            st.expect_vs(0.5, uniform_pair(), gc.WeightedKernel(p, CFG), side="AsRow")
+            st.expect_vs(0.5, uniform_pair(), gc.WeightedKernel(p, CFG), side="AsRow",
+                         method="quadrature")
 
     def test_side_and_method_are_keyword_only(self):
         with pytest.raises(TypeError):
@@ -351,7 +357,7 @@ class TestMarketCheck:
 
         return eq.weighted_equilibrium(0.3, OTHER_CFG)
 
-    @pytest.mark.parametrize("method", ["auto", "exact", "quadrature"])
+    @pytest.mark.parametrize("method", ["exact", "quadrature"])
     def test_expect_vs_float(self, method):
         with pytest.raises(DomainError):
             st.expect_vs(0.5, self.other_market(), SYM, method=method)
@@ -526,10 +532,8 @@ class TestExpectVsArray:
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate_weights_are_unsupported(self, p):
-        for method in ("auto", "exact"):
-            with pytest.raises(UnsupportedError):
-                st.expect_vs(np.array([0.5]), uniform_pair(), gc.WeightedKernel(p, CFG),
-                             method=method)
+        with pytest.raises(UnsupportedError):
+            st.expect_vs(np.array([0.5]), uniform_pair(), gc.WeightedKernel(p, CFG))
 
     @pytest.mark.parametrize("side", list(gc.Side))
     @pytest.mark.parametrize("case", range(7), ids=[c[0] for c in _quadrature_cases()])
