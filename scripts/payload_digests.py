@@ -27,12 +27,18 @@ The payloads are:
   the quadrature halves its panels toward E most often);
 * ``grid/p=<p>,n=<n>``: the ``value_curve_oracle`` row, as sorted-key JSON,
   of the benchmark's grid-ladder solves (p*, 0.3 and 0.1 at n = 401, 801
-  and 1601 on the default market).
+  and 1601 on the default market);
+* ``mc/...``: sampling paths that no benchmark payload draws, at sizes that
+  cross the 65,536-draw block seams: ``mc_tournament`` of three players
+  (kernel None), and of a pair of mixtures with atoms (so bids tie) under
+  the p = 0.3 kernel, as JSON of the result's fields; and the raw bytes of
+  the critical strategy's ``sample``.
 
 A digest covers the bytes of the payload, so any moved digit shows.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -48,6 +54,7 @@ VERIFY = (
     *(["--strategy", "weighted", "--p", p] for p in ("0.5", "0.3", "0.1", "0.05", "0.01")),
 )
 LADDER_N = (401, 801, 1601)
+MC_SAMPLES = 200_003
 SLICE = ["region-grid", "--kind", "ThreePlayerSlice", "--x", "0.9"]
 
 
@@ -74,9 +81,12 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
 
-    from procurelab.experiments import run_battery
-    from procurelab.game_core import critical_p, default_config
+    from procurelab.equilibria import (critical_regime_strategy, log_equilibrium,
+                                       uniform_equilibrium)
+    from procurelab.experiments import mc_tournament, run_battery
+    from procurelab.game_core import WeightedKernel, critical_p, default_config
     from procurelab.oracle_solver import value_curve_oracle
+    from procurelab.strategy import Atom, MixedStrategy, Piece, PieceKind
     from perfbench.workloads import cli_args, equilibrium_scan
 
     for report in run_battery(seed=42):
@@ -98,6 +108,21 @@ def main(argv: list[str]) -> int:
         for n in LADDER_N:
             (row,) = value_curve_oracle([p], default_config(), [n])
             print(f"grid/p={p!r},n={n} {digest(json.dumps(row, sort_keys=True).encode())}")
+    cfg = default_config()
+    mixed = MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 0.4, 0.3),
+                           Piece(PieceKind.RECIPROCAL, 0.5, 0.9, 0.4)),
+                          (Atom(0.45, 0.1), Atom(0.95, 0.2)), cfg).validate()
+    three = [log_equilibrium(cfg), uniform_equilibrium(cfg), critical_regime_strategy(cfg)]
+    for name, strategies, kernel in (
+        ("N=3,kernel=None", three, None),
+        ("atoms-pair,p=0.3", [mixed, mixed], WeightedKernel(p=0.3, cfg=cfg)),
+    ):
+        res = mc_tournament(strategies, kernel, MC_SAMPLES, 7)
+        print(f"mc/{name},samples={MC_SAMPLES} "
+              f"{digest(json.dumps(dataclasses.asdict(res), sort_keys=True).encode())}")
+    n = 2 * 65_536 + 5
+    draws = critical_regime_strategy(cfg).sample(7, n)
+    print(f"mc/sample/critical,n={n} {digest(draws.tobytes())}")
     return 0
 
 

@@ -26,15 +26,32 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def uniform_stream(seed: int, n: int) -> np.ndarray:
-    """n floats in [0, 1) from the SplitMix64 sequence for `seed`."""
-    z = np.arange(1, n + 1, dtype=np.uint64)
+BLOCK = 1 << 16  # draws per block: a block's uint64 and float arrays stay in L2
+
+
+def uniform_block(seed: int, start: int, n: int) -> np.ndarray:
+    """Draws start, ..., start + n - 1 of the uniform_stream for `seed`.
+
+    Draw k depends on seed and k only, so a stream can be made a block at a
+    time, and each block equals the same slice of the whole stream.
+    """
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     z *= _GAMMA
     z += np.uint64(seed & _MASK)
     z = _finalize(z)
     z >>= np.uint64(11)
     out = z.astype(np.float64)
     out *= 2.0**-53
+    return out
+
+
+def uniform_stream(seed: int, n: int) -> np.ndarray:
+    """n floats in [0, 1) from the SplitMix64 sequence for `seed`."""
+    if n <= BLOCK:
+        return uniform_block(seed, 0, n)
+    out = np.empty(n)
+    for i in range(0, n, BLOCK):
+        out[i:i + BLOCK] = uniform_block(seed, i, min(BLOCK, n - i))
     return out
 
 

@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._report import VerificationReport, make_report, write_reports
-from ._rng import derive_seed, uniform_stream
+from ._rng import BLOCK, derive_seed, uniform_stream
 from .game_core import (
     DomainError,
     MarketConfig,
@@ -113,17 +113,18 @@ def mc_tournament(
         raise DomainError("need at least two players")
     cfg = strategies[0].cfg if kernel is None else kernel.cfg
     require_market(cfg, *strategies)
-    bids = np.column_stack(
-        [
-            s.sample(derive_seed(seed, "tournament", i), samples)
-            for i, s in enumerate(strategies)
-        ]
-    )
+    draws = [s.sample(derive_seed(seed, "tournament", i), samples)
+             for i, s in enumerate(strategies)]
     if kernel is not None:
-        row = kernel.batch(bids[:, 0], bids[:, 1])
+        # the kernel is elementwise: one block at a time keeps its
+        # temporaries in cache
+        x, y = draws
+        row = np.empty(samples)
+        for i in range(0, samples, BLOCK):
+            row[i:i + BLOCK] = kernel.batch(x[i:i + BLOCK], y[i:i + BLOCK])
         stats = [_mean_stderr(row), _mean_stderr(1.0 - row)]
     else:
-        pays = payoff_n_batch(bids, cfg)
+        pays = payoff_n_batch(np.column_stack(draws), cfg)
         stats = [_mean_stderr(pays[:, i]) for i in range(len(strategies))]
     return TournamentResult(
         means=tuple(m for m, _ in stats),

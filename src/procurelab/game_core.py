@@ -420,6 +420,11 @@ class Side(Enum):
     AS_COLUMN = "AsColumn"
 
 
+# on Python 3.11 a member looked up on its Enum class costs ≈100 ns, a module
+# global a few; win_ends runs once per float expect_vs call
+_AS_ROW, _AS_COLUMN = Side.AS_ROW, Side.AS_COLUMN
+
+
 def win_ends(
     bid: float, side: Side, maps: AffineMaps, cfg: MarketConfig
 ) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -434,9 +439,12 @@ def win_ends(
     out, where h2(E) may round above E.  win_region_ends is the array form.
     """
     A, B, E = cfg.A, cfg.B, cfg.E
-    if side is Side.AS_ROW:
-        return (max(maps.h1(bid), A), bid), (max(maps.f1(bid), bid), B)
-    if side is Side.AS_COLUMN:
+    if side is _AS_ROW:
+        # max(h, A) and max(f, bid) as conditionals, the first argument
+        # kept on a tie
+        h, f = maps.h1(bid), maps.f1(bid)
+        return (A if A > h else h, bid), (bid if bid > f else f, B)
+    if side is _AS_COLUMN:
         if bid >= E:
             return (A, bid), (bid, bid)
         return (A, maps.h2(bid)), (bid, maps.f2(bid))

@@ -189,7 +189,17 @@ def _lp_solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     from scipy import sparse  # scipy.optimize loads it anyway
 
     n, m = M.shape
-    D = sparse.csr_matrix(np.diff(M, axis=1, prepend=0.0))
+    # only the nonzero steps, so no dense n x m difference is built; a step
+    # is nonzero exactly where two neighbours differ
+    step = np.empty((n, m), dtype=bool)
+    np.not_equal(M[:, 0], 0.0, out=step[:, 0])
+    np.not_equal(M[:, 1:], M[:, :-1], out=step[:, 1:])
+    rows, cols = np.nonzero(step)
+    prev = M[rows, cols - 1]
+    prev[cols == 0] = 0.0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    D = sparse.csr_matrix((M[rows, cols] - prev, cols, indptr), shape=(n, m))
     T_steps = sparse.eye(m - 1, m, k=1) - sparse.eye(m - 1, m)
     # variables (T_0..T_{m-1}, w); rows: D T - w <= 0, then T_{k+1} - T_k <= 0
     A_ub = sparse.bmat([[D, sparse.csr_matrix(np.full((n, 1), -1.0))],

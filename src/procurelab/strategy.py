@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from procurelab._rng import uniform_stream
+from procurelab._rng import BLOCK, uniform_block
 from procurelab.game_core import (
     DomainError,
     MarketConfig,
@@ -32,9 +32,6 @@ from procurelab.game_core import (
     win_ends,
     win_region_ends,
 )
-
-
-_QUANTILE_BLOCK = 1 << 16  # draws per quantile block
 
 
 class QuadratureError(RuntimeError):
@@ -187,24 +184,21 @@ class MixedStrategy:
                 pos = max(pos, comp.x)
         return [comp for _, _, comp in events]
 
-    def quantile(self, u) -> float | np.ndarray:
-        """Generalized inverse of the CDF: inf{x : cdf(x) >= u}."""
-        scalar = np.isscalar(u) or np.asarray(u).ndim == 0
-        uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        if ((uu < 0.0) | (uu > 1.0)).any():
-            raise DomainError("quantile argument outside [0, 1]")
-        comps = self._ordered_components()
-        if comps is not None:
-            out = self._quantile_ordered(uu, comps)
-        else:
-            out = self._quantile_bisect(uu)
-        return float(out[0]) if scalar else out
+    @cached_property
+    def _quantile_tables(self) -> tuple[np.ndarray, ...] | None:
+        """Per-component constants of the quantile, or None when components overlap.
 
-    def _quantile_ordered(self, u: np.ndarray, comps) -> np.ndarray:
+        (rec, masses, start, span, to_e, norm) hold one entry per ordered
+        component, then come the cumulative masses below and at the end of
+        each.  An atom at x is the linear quantile of a zero-width piece,
+        a + 0·local/w = x; a reciprocal piece gets 1.0 as its linear span and
+        normalizer, values that its element never uses.  Computed on first
+        use and cached like piece_constants.
+        """
+        comps = self._ordered_components()
+        if comps is None:
+            return None
         E = self.cfg.E
-        # per-component constants.  An atom at x is the linear quantile of a
-        # zero-width piece, a + 0·local/w = x; a reciprocal piece gets 1.0 as
-        # its linear span and normalizer, values that its element never uses
         rec = np.array([isinstance(c, Piece) and c.kind is PieceKind.RECIPROCAL
                         for c in comps])
         masses = np.array([c.w if isinstance(c, Piece) else c.m for c in comps])
@@ -213,14 +207,34 @@ class MixedStrategy:
         to_e = np.array([E - c.a if r else 1.0 for c, r in zip(comps, rec)])
         norm = np.array([c.normalizer(E) if r else 1.0 for c, r in zip(comps, rec)])
         edges = np.cumsum(masses)
-        base = edges - masses
+        tables = rec, masses, start, span, to_e, norm, edges - masses, edges
+        for t in tables:  # shared by every later call, so read-only
+            t.flags.writeable = False
+        return tables
+
+    def quantile(self, u) -> float | np.ndarray:
+        """Generalized inverse of the CDF: inf{x : cdf(x) >= u}."""
+        scalar = np.isscalar(u) or np.asarray(u).ndim == 0
+        uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
+        if ((uu < 0.0) | (uu > 1.0)).any():
+            raise DomainError("quantile argument outside [0, 1]")
+        tables = self._quantile_tables
+        if tables is not None:
+            out = self._quantile_ordered(uu, *tables)
+        else:
+            out = self._quantile_bisect(uu)
+        return float(out[0]) if scalar else out
+
+    def _quantile_ordered(self, u: np.ndarray, rec, masses, start, span, to_e, norm,
+                          base, edges) -> np.ndarray:
+        E = self.cfg.E
 
         def block(u: np.ndarray) -> np.ndarray:
-            if len(comps) == 1:
+            if len(edges) == 1:
                 # every u falls in the one component: no search and no gathers
                 pick = lambda v: v[0]
             else:
-                # the component of each u: how many of the first len(comps) - 1
+                # the component of each u: how many of the first len(edges) - 1
                 # edges lie below it; for a few components this is several
                 # times faster than np.searchsorted
                 idx = np.zeros(u.shape, dtype=np.intp)
@@ -238,8 +252,8 @@ class MixedStrategy:
         # blocks bound the temporaries, a few per-element constants each, to
         # a few MiB however many draws there are
         out = np.minimum(u, edges[-1])
-        for i in range(0, out.size, _QUANTILE_BLOCK):
-            out[i:i + _QUANTILE_BLOCK] = block(out[i:i + _QUANTILE_BLOCK])
+        for i in range(0, out.size, BLOCK):
+            out[i:i + BLOCK] = block(out[i:i + BLOCK])
         return np.clip(out, self.cfg.A, self.cfg.B, out=out)
 
     def _quantile_bisect(self, u: np.ndarray) -> np.ndarray:
@@ -266,7 +280,13 @@ class MixedStrategy:
         """n inverse-transform samples; a seed fixes them bit-for-bit."""
         if n < 1:
             raise DomainError(f"sample count must be >= 1, got {n}")
-        return self.quantile(uniform_stream(rng_seed, n))
+        # one block of the stream at a time, so its draws and the quantile's
+        # temporaries stay in cache; each block is the same slice of
+        # quantile(uniform_stream(rng_seed, n))
+        out = np.empty(n)
+        for i in range(0, n, BLOCK):
+            out[i:i + BLOCK] = self.quantile(uniform_block(rng_seed, i, min(BLOCK, n - i)))
+        return out
 
 
 def point_mass(x: float, cfg: MarketConfig) -> MixedStrategy:
@@ -359,6 +379,11 @@ def expect_vs(
     cross-check the closed forms.  Atom ties contribute the kernel's tie
     payoff.
 
+    Any other bid (a float, an int, a numpy scalar or a 0-d array) is read
+    as float(bid).  Its exact path builds no closure or array: it clips the
+    float win_ends to each piece with the strategy's cached piece_constants,
+    and scores atoms with the kernel.
+
     A 1-D array of bids gives the array of their payoffs.  The exact path
     adds the same terms in the same order as a float bid does; reciprocal
     pieces may differ from the float path by an ulp, because np.log and
@@ -375,38 +400,46 @@ def expect_vs(
         raise DomainError(f"unknown method {method!r}")
     if not isinstance(side, Side):
         raise DomainError(f"unknown side {side!r}")
-    require_market(kernel.cfg, s)
+    cfg = kernel.cfg
+    require_market(cfg, s)
     exact = method == "exact"
     if exact and not 0.0 < kernel.p < 1.0:
         raise UnsupportedError("exact win regions need 0 < p < 1")
     if isinstance(bid, np.ndarray) and bid.ndim:
         if bid.ndim != 1:
             raise DomainError(f"array bids must be 1-D, got shape {bid.shape}")
-        bids = kernel.cfg.require_bids(bid)
+        bids = cfg.require_bids(bid)
         if exact:
             return _expect_vs_exact_array(bids, s, kernel, side)
         return _expect_vs_quadrature(bids, s, kernel, side)
     # a float bid stays on scalar code for the exact path: for one bid it is
     # several times faster than a one-element array
-    bid = kernel.cfg.require_bid(bid)
-    pair = (lambda y: (bid, y)) if side is Side.AS_ROW else (lambda y: (y, bid))
+    bid = cfg.require_bid(bid)
     if exact:
         # each piece's mass inside the two win regions, from plain floats and
-        # the per-strategy constants; an empty region adds no term
-        E = kernel.cfg.E
-        atom_part = sum(a.m * kernel(*pair(a.x)) for a in s.atoms) if s.atoms else 0.0
+        # the per-strategy constants; an empty region adds no term.  The
+        # conditionals clip as max(lo, a) and min(hi, b) do, ties included
+        E, log = cfg.E, math.log
+        atom_part = 0.0
+        if s.atoms:
+            row = side is Side.AS_ROW
+            atom_part = sum(a.m * (kernel(bid, a.x) if row else kernel(a.x, bid))
+                            for a in s.atoms)
+        pieces = s.piece_constants
         cont = 0.0
-        for lo, hi in win_ends(bid, side, kernel.maps, kernel.cfg):
-            for flat, a, b, w, c in s.piece_constants:
-                lo_in, hi_in = max(lo, a), min(hi, b)
+        for lo, hi in win_ends(bid, side, kernel.maps, cfg):
+            for flat, a, b, w, c in pieces:
+                lo_in = a if a > lo else lo
+                hi_in = b if b < hi else hi
                 if hi_in > lo_in:
                     cont += (w * (hi_in - lo_in) / (b - a) if flat
-                             else c * math.log((E - lo_in) / (E - hi_in)))
+                             else c * log((E - lo_in) / (E - hi_in)))
         return atom_part + cont
 
     # the one-bid case of the array quadrature below
-    return _integrate_against(s, lambda _, ys: kernel.batch(*pair(ys)),
-                              [_region_cutpoints(bid, side, kernel)], at=(bid,))[0]
+    f = ((lambda _, ys: kernel.batch(bid, ys)) if side is Side.AS_ROW
+         else (lambda _, ys: kernel.batch(ys, bid)))
+    return _integrate_against(s, f, [_region_cutpoints(bid, side, kernel)], at=(bid,))[0]
 
 
 def _expect_vs_exact_array(bids: np.ndarray, s: MixedStrategy, kernel: WeightedKernel,

@@ -21,6 +21,7 @@ from procurelab.experiments import (
     br_dynamics,
     equilibrium_inequalities,
     functional_residuals,
+    _mean_stderr,
     make_report,
     mc_tournament,
     region_grid,
@@ -34,6 +35,7 @@ from procurelab.game_core import (
     UnsupportedError,
     WeightedKernel,
     default_config,
+    payoff_n_batch,
     symmetric_kernel,
 )
 from procurelab.strategy import MixedStrategy, Piece, PieceKind, point_mass
@@ -155,6 +157,27 @@ class TestTournament:
         c = mc_tournament([s, s], kern, 5_000, 43)
         assert a == b
         assert a.means != c.means
+
+    @pytest.mark.parametrize("samples", [2, 65_537, 200_003])
+    def test_matches_unblocked_reference(self, samples):
+        """Blocked sampling and payoffs give the floats of whole-array ones."""
+        two = ([weighted_equilibrium(0.3, CFG)] * 2, WeightedKernel(p=0.3, cfg=CFG))
+        three = ([log_equilibrium(CFG), uniform_equilibrium(CFG), point_mass(0.9, CFG)], None)
+        for strategies, kernel in (two, three):
+            bids = np.column_stack([
+                s.quantile(uniform_stream(derive_seed(5, "tournament", i), samples))
+                for i, s in enumerate(strategies)
+            ])
+            if kernel is not None:
+                row = kernel.batch(bids[:, 0], bids[:, 1])
+                stats = [_mean_stderr(row), _mean_stderr(1.0 - row)]
+            else:
+                pays = payoff_n_batch(bids, CFG)
+                stats = [_mean_stderr(pays[:, i]) for i in range(len(strategies))]
+            want = TournamentResult(means=tuple(m for m, _ in stats),
+                                    stderrs=tuple(se for _, se in stats),
+                                    samples=samples, seed=5)
+            assert mc_tournament(strategies, kernel, samples, 5) == want
 
     def test_validation(self):
         s = log_equilibrium(CFG)

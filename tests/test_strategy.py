@@ -214,7 +214,9 @@ def _reference_quantile(s: MixedStrategy, u: np.ndarray) -> np.ndarray:
 class TestSampling:
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 - 1, -1, 2**70 + 3])
     def test_uniform_stream_matches_reference(self, seed):
-        for n in (1, 7, 100_000):
+        # 65_536 draws make one block: the sizes around one and two blocks
+        # put the seams between blocks at every position
+        for n in (1, 7, 65_535, 65_536, 65_537, 100_000, 2 * 65_536 + 5):
             assert np.array_equal(_rng.uniform_stream(seed, n), _reference_stream(seed, n))
 
     def test_derive_seed_matches_reference(self):
@@ -244,9 +246,16 @@ class TestSampling:
             assert np.array_equal(s.quantile(us), _reference_quantile(s, us)), s
             assert s.quantile(0.5) == _reference_quantile(s, np.array([0.5]))[0]
         # more draws than one quantile block, so the seams between blocks count
-        us = _rng.uniform_stream(6, 2 * st._QUANTILE_BLOCK + 5)
+        us = _rng.uniform_stream(6, 2 * _rng.BLOCK + 5)
         for s in (eq.critical_regime_strategy(CFG), strategies[-1]):
             assert np.array_equal(s.quantile(us), _reference_quantile(s, us)), s
+
+    def test_sample_is_quantile_of_stream(self):
+        from procurelab import equilibria as eq
+
+        n = 2 * 65_536 + 5
+        for s in (eq.critical_regime_strategy(CFG), log_curve(), st.point_mass(0.7, CFG)):
+            assert np.array_equal(s.sample(8, n), s.quantile(_rng.uniform_stream(8, n))), s
 
     def test_determinism(self):
         s = log_curve()
@@ -319,6 +328,16 @@ class TestExpectVs:
             # the quadrature still answers there
             v = st.expect_vs(0.5, uniform_pair(), kern, method="quadrature")
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("method", ["exact", "quadrature"])
+    def test_bid_types_give_the_float_value(self, method):
+        rng = np.random.default_rng(23)
+        for s in (log_curve(), uniform_pair(), random_mixture(rng)):
+            for side in gc.Side:
+                for bid in (1, np.float64(0.83), np.array(0.41)):
+                    want = st.expect_vs(float(bid), s, SYM, side=side, method=method)
+                    got = st.expect_vs(bid, s, SYM, side=side, method=method)
+                    assert type(got) is float and got == want, (s, side, bid)
 
     def test_unknown_method_is_domain_error(self):
         with pytest.raises(DomainError):
