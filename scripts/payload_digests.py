@@ -32,7 +32,14 @@ The payloads are:
   cross the 65,536-draw block seams: ``mc_tournament`` of three players
   (kernel None), and of a pair of mixtures with atoms (so bids tie) under
   the p = 0.3 kernel, as JSON of the result's fields; and the raw bytes of
-  the critical strategy's ``sample``.
+  the critical strategy's ``sample``;
+* ``ddpm/...``: the ``ddpm_probe`` report as JSON at 1,000 samples on the
+  default market, and on two narrow markets, ``(0, 1.5, 0.003)`` at 40
+  samples and ``(5, 6, 5.004)`` at 25, where no Transition profile clears
+  the margins, so that class runs all of its 50 draws per sample;
+* ``br/...``: a 10,000-step three-player ``br_dynamics`` trajectory as
+  JSON: every profile, the cycle start and period, and the least winner
+  payoff.
 
 A digest covers the bytes of the payload, so any moved digit shows.
 """
@@ -56,6 +63,8 @@ VERIFY = (
 LADDER_N = (401, 801, 1601)
 MC_SAMPLES = 200_003
 SLICE = ["region-grid", "--kind", "ThreePlayerSlice", "--x", "0.9"]
+DDPM = (((0.0, 1.5, 1.0), 1_000), ((0.0, 1.5, 0.003), 40), ((5.0, 6.0, 5.004), 25))
+BR_START = (0.2, 0.9, 1.3)
 
 
 def digest(data: bytes) -> str:
@@ -83,9 +92,9 @@ def main(argv: list[str]) -> int:
 
     from procurelab.equilibria import (critical_regime_strategy, log_equilibrium,
                                        uniform_equilibrium)
-    from procurelab.experiments import mc_tournament, run_battery
-    from procurelab.game_core import WeightedKernel, critical_p, default_config
-    from procurelab.oracle_solver import value_curve_oracle
+    from procurelab.experiments import br_dynamics, mc_tournament, run_battery
+    from procurelab.game_core import MarketConfig, WeightedKernel, critical_p, default_config
+    from procurelab.oracle_solver import ddpm_probe, value_curve_oracle
     from procurelab.strategy import Atom, MixedStrategy, Piece, PieceKind
     from perfbench.workloads import cli_args, equilibrium_scan
 
@@ -123,6 +132,12 @@ def main(argv: list[str]) -> int:
     n = 2 * 65_536 + 5
     draws = critical_regime_strategy(cfg).sample(7, n)
     print(f"mc/sample/critical,n={n} {digest(draws.tobytes())}")
+    for market, samples in DDPM:
+        report = ddpm_probe(samples, 7, MarketConfig(*market))
+        print(f"ddpm/market={market},samples={samples} {digest(report.to_json().encode())}")
+    traj = br_dynamics(BR_START, 10_000, cfg)
+    print(f"br/N=3,start={BR_START},steps=10000 "
+          f"{digest(json.dumps(dataclasses.asdict(traj)).encode())}")
     return 0
 
 

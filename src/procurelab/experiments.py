@@ -17,6 +17,7 @@ from .game_core import (
     Side,
     UnsupportedError,
     WeightedKernel,
+    award,
     best_deviation,
     critical_p,
     cutpoints3,
@@ -167,7 +168,7 @@ def _secured_move(current: list[float], i: int, cfg: MarketConfig, eps: float) -
     star = best_deviation(others, cfg)
     trial = list(current)
     trial[i] = star
-    if payoff_n(tuple(trial), cfg)[i] == 1.0:
+    if award(tuple(trial), cfg) == (star, 1):
         return star
     # star ties an opponent or sits an ulp off the price; undercut just
     # enough to win outright.  Halving handles the rare opponent inside
@@ -176,7 +177,7 @@ def _secured_move(current: list[float], i: int, cfg: MarketConfig, eps: float) -
     for _ in range(80):
         cand = max(cfg.A, star - e)
         trial[i] = cand
-        if payoff_n(tuple(trial), cfg)[i] == 1.0:
+        if award(tuple(trial), cfg) == (cand, 1):
             return cand
         e *= 0.5
     raise DomainError(f"no winning undercut below {star} against {others}")

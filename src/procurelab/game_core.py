@@ -82,11 +82,13 @@ Profile = Sequence[float]
 
 def check_profile(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
     """Validate a bid profile: N >= 2, every bid admissible."""
-    out = tuple(float(b) for b in bids)
+    out = tuple(map(float, bids))
     if len(out) < 2:
         raise DomainError(f"profile needs at least 2 bids, got {len(out)}")
+    A, B = cfg.A, cfg.B
     for b in out:
-        cfg.require_bid(b)
+        if not (A <= b <= B):
+            raise DomainError(f"bid {b} outside [{A}, {B}]")
     return out
 
 
@@ -94,36 +96,40 @@ def check_profile(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
 # Award rules
 
 
-def _price(bids: tuple[float, ...], cfg: MarketConfig) -> float:
+def award(bids: tuple[float, ...], cfg: MarketConfig) -> tuple[float, int]:
+    """The winning bid of a validated profile and how many players bid it.
+
+    The reference price is (sum of bids + N*E) / (2N), the bids summed left
+    to right.  The highest bid at or below it wins; when every bid is above
+    it, the lowest.  Slot i wins outright exactly when the result is
+    (bids[i], 1).  This is the one scalar award rule: payoff_n,
+    payoff_n_tilde and the deviation paths all read it.
+    """
     n = len(bids)
-    return (sum(bids) + n * cfg.E) / (2.0 * n)
-
-
-def _winner_set(bids: tuple[float, ...], price: float) -> list[int]:
-    below = [b for b in bids if b <= price]
-    target = max(below) if below else min(bids)
-    return [i for i, b in enumerate(bids) if b == target]
+    price = (sum(bids) + n * cfg.E) / (2.0 * n)
+    target = min(bids)
+    if target <= price:
+        for b in bids:
+            if target < b <= price:
+                target = b
+    return target, bids.count(target)
 
 
 def payoff_n(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
     """Payoff vector under the award rules; entries sum to exactly 1."""
     bids = check_profile(bids, cfg)
-    winners = _winner_set(bids, _price(bids, cfg))
-    share = 1.0 / len(winners)
-    out = [0.0] * len(bids)
-    for i in winners:
-        out[i] = share
-    return tuple(out)
+    target, count = award(bids, cfg)
+    share = 1.0 / count
+    return tuple([share if b == target else 0.0 for b in bids])
 
 
 def payoff_n_tilde(bids: Profile, cfg: MarketConfig) -> tuple[float, ...]:
     """Tie-averse variant: any shared award pays everyone zero."""
     bids = check_profile(bids, cfg)
-    winners = _winner_set(bids, _price(bids, cfg))
-    out = [0.0] * len(bids)
-    if len(winners) == 1:
-        out[winners[0]] = 1.0
-    return tuple(out)
+    target, count = award(bids, cfg)
+    if count > 1:
+        return (0.0,) * len(bids)
+    return tuple([1.0 if b == target else 0.0 for b in bids])
 
 
 def payoff_n_batch(bids: np.ndarray, cfg: MarketConfig) -> np.ndarray:
@@ -169,7 +175,7 @@ def payoff_n_combinatorial(bids: np.ndarray, cfg: MarketConfig) -> np.ndarray:
     if n_players > 6:
         raise UnsupportedError(f"subset enumeration refused for N={n_players} > 6")
     cfg.require_bids(bids)
-    # the bids summed left to right, as _price sums a profile
+    # the bids summed left to right, as award sums a profile
     total = bids[:, 0]
     for j in range(1, n_players):
         total = total + bids[:, j]
@@ -243,9 +249,11 @@ def best_deviation(others: Sequence[float], cfg: MarketConfig) -> float:
     result is threshold_t's raw quotient nudged down by at most a few ulps
     until the completed profile actually awards to it.
     """
-    star = threshold_t(others, cfg)
+    # the quotient can round past B when E sits an ulp under it
+    star = cfg.require_bid(threshold_t(others, cfg))
+    others = tuple(map(float, others))
     for _ in range(8):
-        if payoff_n((star, *others), cfg)[0] == 1.0 or star in others:
+        if award((star, *others), cfg) == (star, 1) or star in others:
             break
         star = math.nextafter(star, cfg.A)
     return star
@@ -260,9 +268,12 @@ def threshold_t(others: Sequence[float], cfg: MarketConfig) -> float:
     """
     if len(others) < 1:
         raise DomainError("need at least one opponent")
-    vals = [cfg.require_bid(b) for b in others]
-    n = len(vals) + 1
-    return (sum(vals) + n * cfg.E) / (2.0 * n - 1.0)
+    A, B = cfg.A, cfg.B
+    for b in others:
+        if not (A <= b <= B):
+            raise DomainError(f"bid {b} outside [{A}, {B}]")
+    n = len(others) + 1
+    return (sum(map(float, others)) + n * cfg.E) / (2.0 * n - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +616,10 @@ def classify_discontinuity(i: int, bids: Profile, cfg: MarketConfig) -> Disconti
     bids = check_profile(bids, cfg)
     if not (0 <= i < len(bids)):
         raise DomainError(f"player index {i} out of range")
-    g = payoff_n(bids, cfg)[i]
     xi = bids[i]
     others = [b for j, b in enumerate(bids) if j != i]
 
-    if g > 0.0 and any(abs(b - xi) <= HYPERSURFACE_TOL for b in others):
+    if award(bids, cfg)[0] == xi and any(abs(b - xi) <= HYPERSURFACE_TOL for b in others):
         return DiscontinuityClass.TIE
 
     t = threshold_t(others, cfg)

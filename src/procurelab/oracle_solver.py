@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._report import VerificationReport, make_report
-from ._rng import derive_seed, uniform_stream
+from ._rng import derive_seed, uniform_rows
 from .game_core import (
     DiscontinuityClass,
     DomainError,
@@ -379,6 +379,9 @@ def value_curve_oracle(
 # Hypersurface probes
 
 
+_DDPM_CHUNK = 1_024  # draws whose uniforms ddpm_probe makes in one pass
+
+
 def ddpm_probe(samples: int, seed: int, cfg: MarketConfig) -> VerificationReport:
     """One-sided limit checks of the tie-zeroed payoff on each surface class.
 
@@ -472,14 +475,21 @@ def ddpm_probe(samples: int, seed: int, cfg: MarketConfig) -> VerificationReport
         (DiscontinuityClass.TRANSITION, "tr", transition, from_below),
         (DiscontinuityClass.TIE, "tie", tie, tie_limits),
     )
+    draws = 50 * samples
     counts: dict[str, int] = {}
     broken: list[tuple] = []
     for cls, tag, build, limits in surfaces:
         counts[cls.value] = 0
-        for k in range(50 * samples):
+        stream = derive_seed(seed, tag)
+        for k in range(draws):
             if counts[cls.value] == samples:
                 break
-            profile = build(k, uniform_stream(derive_seed(seed, tag, k), 2))
+            if k % _DDPM_CHUNK == 0:
+                # row k % _DDPM_CHUNK is uniform_stream(derive_seed(seed, tag, k), 2),
+                # as plain floats
+                ks = np.arange(k, min(k + _DDPM_CHUNK, draws))
+                chunk = uniform_rows(stream, ks, 2).tolist()
+            profile = build(k, chunk[k % _DDPM_CHUNK])
             if profile is None:
                 continue
             counts[cls.value] += 1

@@ -220,6 +220,31 @@ class TestDynamics:
         with pytest.raises(DomainError):
             br_dynamics((CFG.A - 1.0, 0.5), 10, CFG)
 
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "other", "translated"])
+    @pytest.mark.parametrize("n_players", [2, 3, 4, 5])
+    def test_secured_move_wins_in_own_slot(self, cfg, n_players):
+        # ties everywhere: all bids equal (at A, E and B), the mover tied
+        # with an opponent, and an opponent on the threshold the others
+        # induce, so the deviation ties it and must undercut
+        import procurelab.experiments as ex
+
+        span = cfg.B - cfg.A
+        eps = 1e-6 * (cfg.E - cfg.A)
+        u = uniform_stream(derive_seed(13, "secured", n_players), 40 * n_players)
+        profiles = [[b] * n_players for b in (cfg.A, cfg.E, cfg.B)]
+        for row in (cfg.A + span * u).reshape(40, n_players).tolist():
+            tied = list(row)
+            tied[1] = tied[0]
+            rest = row[2:]
+            on_t = (sum(rest) + n_players * cfg.E) / (2.0 * n_players - 2.0)
+            profiles += [row, tied, [row[0], min(on_t, cfg.B), *rest]]
+        for current in profiles:
+            for i in range(n_players):
+                bid = ex._secured_move(list(current), i, cfg, eps)
+                trial = list(current)
+                trial[i] = bid
+                assert ex.payoff_n(tuple(trial), cfg)[i] == 1.0, (current, i)
+
 
 def reference_br_dynamics(start, steps, cfg):
     """Step-by-step best-response play, every step simulated (the oracle)."""

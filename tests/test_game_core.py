@@ -3,7 +3,9 @@
 Oracle values are frozen as exact fractions derived by hand from the award
 rules and the map algebra, not read back from the implementation.
 """
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +117,87 @@ class TestAwardRules:
             gc.payoff_n_combinatorial(np.full((3, 7), 0.5), CFG)
         with pytest.raises(DomainError):
             gc.payoff_n_combinatorial(np.array([[0.5, 1.6]]), CFG)
+
+
+class TestScalarAwardRule:
+    """The scalar award rule behind payoff_n, payoff_n_tilde and the
+    deviation paths: validation, input types, and the tie-zeroed variant."""
+
+    BAD = (math.nan, math.inf, -math.inf, -0.25, 1.75)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_bid_is_named(self, bad):
+        msg = re.escape(f"bid {bad} outside [{CFG.A}, {CFG.B}]")
+        # the first bad bid is named, wherever it sits
+        for prof in ([bad, 0.5], [0.5, bad, 0.7], [0.5, 0.7, bad, 2.0]):
+            for rule in (gc.payoff_n, gc.payoff_n_tilde, gc.check_profile):
+                with pytest.raises(DomainError, match=msg):
+                    rule(prof, CFG)
+            with pytest.raises(DomainError, match=msg):
+                gc.classify_discontinuity(0, prof, CFG)
+            others = prof[1:] if prof[0] == 0.5 else prof
+            for dev in (gc.threshold_t, gc.best_deviation):
+                with pytest.raises(DomainError, match=msg):
+                    dev(others, CFG)
+
+    def test_too_few_bids(self):
+        for rule in (gc.payoff_n, gc.payoff_n_tilde, gc.check_profile):
+            with pytest.raises(DomainError, match="at least 2 bids"):
+                rule([0.5], CFG)
+            with pytest.raises(DomainError, match="at least 2 bids"):
+                rule([], CFG)
+        for dev in (gc.threshold_t, gc.best_deviation):
+            with pytest.raises(DomainError, match="at least one opponent"):
+                dev([], CFG)
+
+    def test_deviation_rounded_past_b_is_refused(self):
+        # E an ulp under B: the threshold quotient rounds above B, and the
+        # deviation is no admissible bid
+        B = 206827.85867444094
+        cfg = MarketConfig(0.0, B, math.nextafter(B, 0.0))
+        t = gc.threshold_t([B] * 5, cfg)
+        assert t > B
+        with pytest.raises(DomainError, match=re.escape(f"bid {t} outside")):
+            gc.best_deviation([B] * 5, cfg)
+
+    def test_bid_types_give_the_float_tuple(self):
+        profiles = ([0.75, 0.25], [1.0, 1.1], [0.7, 0.7], [0.5, 0.9, 1.25], [1.0, 0.0, 0.5, 1.5],
+                    [1.0, 0.0], [1.0, 1.0, 0.0])
+        for prof in profiles:
+            for rule in (gc.payoff_n, gc.payoff_n_tilde):
+                want = rule(prof, CFG)
+                assert all(type(v) is float for v in want)
+                assert rule(np.array(prof), CFG) == want
+                assert rule(np.array([prof, prof])[1], CFG) == want
+                assert rule([np.float64(b) for b in prof], CFG) == want
+                assert rule(tuple(prof), CFG) == want
+                if all(b == int(b) for b in prof):
+                    assert rule([int(b) for b in prof], CFG) == want
+            others = prof[1:]
+            for dev in (gc.threshold_t, gc.best_deviation):
+                want = dev(others, CFG)
+                assert type(want) is float
+                assert dev(np.array(others), CFG) == want
+                assert dev([np.float64(b) for b in others], CFG) == want
+                assert dev(tuple(others), CFG) == want
+                if all(b == int(b) for b in others):
+                    assert dev([int(b) for b in others], CFG) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tilde_on_dyadic_grid(self, n):
+        # multiples of 1/8 tie often and land on the reference price
+        axis = (np.arange(13) / 8.0).tolist()
+        solo = shared = 0
+        for prof in itertools.product(axis, repeat=n):
+            full = gc.payoff_n(prof, CFG)
+            tilde = gc.payoff_n_tilde(prof, CFG)
+            if 1.0 in full:
+                solo += 1
+                assert tilde == full, prof
+            else:
+                shared += 1
+                assert tilde == (0.0,) * n, prof
+        assert solo and shared
 
 
 class TestScalarPayoffs:

@@ -4,6 +4,7 @@ from scipy import sparse
 from scipy.optimize import OptimizeResult, linprog
 
 from procurelab import oracle_solver
+from procurelab._rng import derive_seed, uniform_stream
 from procurelab.game_core import (
     DiscontinuityClass,
     DomainError,
@@ -16,6 +17,7 @@ from procurelab.game_core import (
     payoff_n_tilde,
     sym_sequence_A,
     symmetric_kernel,
+    threshold_t,
     weighted_sequences,
 )
 from procurelab.equilibria import log_equilibrium, regime_partition
@@ -414,3 +416,48 @@ class TestDdpmProbe:
     def test_validation(self):
         with pytest.raises(DomainError):
             ddpm_probe(0, 1, CFG)
+
+    @staticmethod
+    def _probe_with_profiles(monkeypatch, samples, seed, cfg):
+        seen = []
+        real = oracle_solver.classify_discontinuity
+
+        def spy(i, profile, cfg):
+            seen.append(profile)
+            return real(i, profile, cfg)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle_solver, "classify_discontinuity", spy)
+            return ddpm_probe(samples, seed, cfg).to_json(), seen
+
+    @pytest.mark.parametrize("market, samples", [((0.0, 1.5, 1.0), 1_000),
+                                                 ((0.0, 1.5, 0.003), 40)])
+    def test_chunked_draws_match_per_draw_streams(self, monkeypatch, market, samples):
+        # on the narrow market Transition never fills, so all 2,000 of its
+        # draws run and cross the chunk seams
+        cfg = MarketConfig(*market)
+        chunked = self._probe_with_profiles(monkeypatch, samples, 7, cfg)
+
+        def per_draw(seed, ks, n):
+            return np.array([uniform_stream(derive_seed(seed, k), n) for k in ks.tolist()])
+
+        monkeypatch.setattr(oracle_solver, "uniform_rows", per_draw)
+        assert chunked == self._probe_with_profiles(monkeypatch, samples, 7, cfg)
+
+    def test_fixed_points_come_from_draw_k(self, monkeypatch):
+        # the FixedPoint class rebuilt draw by draw: draw k takes 1 + k % 2
+        # opponents from uniform_stream(derive_seed(seed, "fp", k), 2); 1,100
+        # samples take more than one 1,024-draw chunk
+        samples, seed = 1_100, 5
+        _, seen = self._probe_with_profiles(monkeypatch, samples, seed, CFG)
+        span, margin = CFG.B - CFG.A, 1e-3 * (CFG.B - CFG.A)
+        want, k = [], 0
+        while len(want) < samples:
+            u = uniform_stream(derive_seed(seed, "fp", k), 2)
+            others = [CFG.A + span * v for v in u[: 1 + k % 2]]
+            t = threshold_t(others, CFG)
+            if CFG.A + margin < t < CFG.B - margin and min(abs(t - b) for b in others) > margin:
+                want.append((t, *others))
+            k += 1
+        assert k > 1_024
+        assert seen[:samples] == want

@@ -219,6 +219,31 @@ class TestSampling:
         for n in (1, 7, 65_535, 65_536, 65_537, 100_000, 2 * 65_536 + 5):
             assert np.array_equal(_rng.uniform_stream(seed, n), _reference_stream(seed, n))
 
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 - 1, -1, 2**70 + 3])
+    def test_uniform_rows_match_child_streams(self, seed):
+        # the ks run across the 1,024-draw chunks that ddpm_probe takes
+        for ks, n in ((np.arange(1_000, 1_050), 2), (np.array([0, 7, 2**40, 3]), 5),
+                      (np.arange(3), 1), (np.arange(2), 0)):
+            rows = _rng.uniform_rows(seed, ks, n)
+            assert rows.shape == (len(ks), n)
+            for k, row in zip(ks.tolist(), rows):
+                assert np.array_equal(row, _rng.uniform_stream(_rng.derive_seed(seed, k), n))
+        # salts fold left, so a tag's children are rows of the tag's seed
+        rows = _rng.uniform_rows(_rng.derive_seed(seed, "tr"), np.arange(1_020, 1_030), 2)
+        for k, row in zip(range(1_020, 1_030), rows):
+            assert np.array_equal(row, _rng.uniform_stream(_rng.derive_seed(seed, "tr", k), 2))
+
+    def test_negative_counts_are_refused(self):
+        for call, named in ((lambda: _rng.uniform_stream(1, -1), "n=-1"),
+                            (lambda: _rng.uniform_block(1, -5, 3), "start=-5"),
+                            (lambda: _rng.uniform_block(1, 0, -2), "n=-2"),
+                            (lambda: _rng.uniform_rows(1, np.arange(3), -1), "n=-1")):
+            with pytest.raises(DomainError, match=named):
+                call()
+        assert _rng.uniform_stream(1, 0).shape == (0,)
+        assert _rng.uniform_block(1, 5, 0).shape == (0,)
+        assert _rng.uniform_rows(1, np.arange(4), 0).shape == (4, 0)
+
     def test_derive_seed_matches_reference(self):
         for seed, salts in ((42, ("br", 2, 7)), (2**64 - 1, ("tournament", 0)), (0, (5,))):
             z = np.uint64(seed & (2**64 - 1))
