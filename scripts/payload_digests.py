@@ -31,12 +31,13 @@ The payloads are:
 * ``mc/...``: sampling paths that no benchmark payload draws, at sizes that
   cross the 65,536-draw block seams: ``mc_tournament`` of three players
   (kernel None), and of a pair of mixtures with atoms (so bids tie) under
-  the p = 0.3 kernel, as JSON of the result's fields; and the raw bytes of
-  the critical strategy's ``sample``;
+  the p = 0.3 kernel and under p = 0.0 and 1.0, where the tie value equals
+  the loss or the win value, as JSON of the result's fields; and the raw
+  bytes of the critical strategy's ``sample``;
 * ``ddpm/...``: the ``ddpm_probe`` report as JSON at 1,000 samples on the
   default market, and on two narrow markets, ``(0, 1.5, 0.003)`` at 40
-  samples and ``(5, 6, 5.004)`` at 25, where no Transition profile clears
-  the margins, so that class runs all of its 50 draws per sample;
+  samples and ``(5, 6, 5.004)`` at 25, where E sits close to A, so the
+  Transition profiles fit only because the margins scale with E - A;
 * ``br/...``: a 10,000-step three-player ``br_dynamics`` trajectory as
   JSON: every profile, the cycle start and period, and the least winner
   payoff.
@@ -124,7 +125,8 @@ def main(argv: list[str]) -> int:
     three = [log_equilibrium(cfg), uniform_equilibrium(cfg), critical_regime_strategy(cfg)]
     for name, strategies, kernel in (
         ("N=3,kernel=None", three, None),
-        ("atoms-pair,p=0.3", [mixed, mixed], WeightedKernel(p=0.3, cfg=cfg)),
+        *((f"atoms-pair,p={p}", [mixed, mixed], WeightedKernel(p=p, cfg=cfg))
+          for p in (0.3, 0.0, 1.0)),
     ):
         res = mc_tournament(strategies, kernel, MC_SAMPLES, 7)
         print(f"mc/{name},samples={MC_SAMPLES} "

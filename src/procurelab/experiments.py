@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._report import VerificationReport, make_report, write_reports
-from ._rng import BLOCK, derive_seed, uniform_stream
+from ._rng import BLOCK, derive_seed, uniform_block, uniform_stream
 from .game_core import (
     DomainError,
     MarketConfig,
@@ -82,16 +82,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TournamentResult:
+    """Per-player mean payoff of a tournament and the standard error of each.
+
+    Both come from exact counts of each payoff value the award rule can
+    return, so they depend on the draws alone, not on how the draws were
+    blocked.
+    """
+
     means: tuple[float, ...]
     stderrs: tuple[float, ...]
     samples: int
     seed: int
 
 
-def _mean_stderr(draws: np.ndarray) -> tuple[float, float]:
-    n = len(draws)
-    se = float(draws.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return float(draws.mean()), se
+def _count_stats(counts: dict[float, int], n: int) -> tuple[float, float]:
+    """(mean, standard error) of n payoffs given as {value: count}.
+
+    The values are summed in sorted order, so the floats are fixed; a sum of
+    0/1 payoffs is an exact count.
+    """
+    terms = sorted(counts.items())
+    mean = sum(v * c for v, c in terms) / n
+    ss = sum(c * (v - mean) ** 2 for v, c in terms)
+    return mean, math.sqrt(ss / (n - 1)) / math.sqrt(n)
 
 
 def mc_tournament(
@@ -105,6 +118,13 @@ def mc_tournament(
     With a two-player kernel the column player's payoff is the exact
     complement of the row draw.  kernel=None plays the N-player
     equal-weight game instead.
+
+    Player i's bids are MixedStrategy.sample(derive_seed(seed, "tournament",
+    i), samples), made and scored one block at a time: the award rule pays
+    only known values ({0, tie value, 1} under a kernel, 0 or 1/k for k
+    tied winners otherwise), so each block adds to exact per-value counts
+    and no array of `samples` elements is built.  A payoff outside those
+    values raises instead of being dropped.
     """
     if samples < 2:
         raise DomainError("need at least two samples")
@@ -114,19 +134,26 @@ def mc_tournament(
         raise DomainError("need at least two players")
     cfg = strategies[0].cfg if kernel is None else kernel.cfg
     require_market(cfg, *strategies)
-    draws = [s.sample(derive_seed(seed, "tournament", i), samples)
-             for i, s in enumerate(strategies)]
     if kernel is not None:
-        # the kernel is elementwise: one block at a time keeps its
-        # temporaries in cache
-        x, y = draws
-        row = np.empty(samples)
-        for i in range(0, samples, BLOCK):
-            row[i:i + BLOCK] = kernel.batch(x[i:i + BLOCK], y[i:i + BLOCK])
-        stats = [_mean_stderr(row), _mean_stderr(1.0 - row)]
+        values = sorted({0.0, kernel.tie_value, 1.0})
+        score = lambda x, y: kernel.batch(x, y)[:, None]
     else:
-        pays = payoff_n_batch(np.column_stack(draws), cfg)
-        stats = [_mean_stderr(pays[:, i]) for i in range(len(strategies))]
+        values = sorted({0.0, *(1.0 / k for k in range(1, len(strategies) + 1))})
+        score = lambda *bids: payoff_n_batch(np.column_stack(bids), cfg)
+    seeds = [derive_seed(seed, "tournament", i) for i in range(len(strategies))]
+    counts = 0
+    for start in range(0, samples, BLOCK):
+        k = min(BLOCK, samples - start)
+        pay = score(*(s.quantile(uniform_block(sd, start, k))
+                      for s, sd in zip(strategies, seeds)))
+        block = np.stack([np.count_nonzero(pay == v, axis=0) for v in values], axis=1)
+        if (block.sum(axis=1) != k).any():
+            raise RuntimeError(f"payoffs outside {values} in draws {start}..{start + k - 1}")
+        counts = counts + block
+    tallies = [dict(zip(values, row.tolist())) for row in counts]
+    if kernel is not None:
+        tallies.append({1.0 - v: c for v, c in tallies[0].items()})
+    stats = [_count_stats(t, samples) for t in tallies]
     return TournamentResult(
         means=tuple(m for m, _ in stats),
         stderrs=tuple(s for _, s in stats),
@@ -384,7 +411,8 @@ def functional_residuals(cases: Sequence[tuple]) -> tuple[float, list]:
 # The verification battery
 
 
-# stream pairs classified at once by jump-sign-scan; bounds its temporaries
+# stream pairs drawn and classified at once by jump-sign-scan; bounds its
+# temporaries
 _JUMP_CHUNK = 65_536
 
 
@@ -544,13 +572,15 @@ def run_battery(
         signs = {(tag, m): [jump_signs(OrderingCell(tag, m))[key] for key in keys]
                  for tag in filled for m in (False, True)}
         picked = []  # (y, z, cutpoints, expected signs) of the kept pairs
-        stream = uniform_stream(derive_seed(seed, "jumps"), 2_000_000).reshape(-1, 2)
-        # classify the stream in chunks, keeping in stream order the first
-        # per_cell pairs of each cell whose cutpoints lie more than 3·delta apart
-        for start in range(0, len(stream), _JUMP_CHUNK):
+        jumps, pairs = derive_seed(seed, "jumps"), 1_000_000
+        # draw and classify up to `pairs` pairs of the stream a chunk at a
+        # time, keeping in stream order the first per_cell pairs of each cell
+        # whose cutpoints lie more than 3·delta apart
+        for start in range(0, pairs, _JUMP_CHUNK):
             if min(filled.values()) >= per_cell:
                 break
-            y, z = (cfg.A + span * stream[start:start + _JUMP_CHUNK]).T
+            k = min(_JUMP_CHUNK, pairs - start)
+            y, z = (cfg.A + span * uniform_block(jumps, 2 * start, 2 * k).reshape(-1, 2)).T
             cells = ordering_cells(y, z, cfg)
             cut = cutpoints3(y, z, cfg)
             values = np.stack([y, z, cut.t, cut.p_y, cut.p_z], axis=-1)

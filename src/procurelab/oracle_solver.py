@@ -396,16 +396,21 @@ def ddpm_probe(samples: int, seed: int, cfg: MarketConfig) -> VerificationReport
       above it.
 
     Each class draws up to 50 * samples profiles, two uniforms from its own
-    seed stream per draw, and skips a draw whose profile misses the margins.
-    Returns a violation-count report (expected 0).
+    seed stream per draw, and skips a draw whose profile misses the margins,
+    1e-3 * (E - A) from [A, B]'s ends and from the other bids.  Returns a
+    violation-count report (expected 0).
     """
     if samples < 1:
         raise DomainError("samples must be positive")
     t0 = time.perf_counter()
     A, B, E = cfg.A, cfg.B, cfg.E
     span = B - A
-    margin = 1e-3 * span
-    deltas = (1e-6 * span, 1e-7 * span, 1e-8 * span)
+    # the Transition profiles live inside [A, E], so the margins and the
+    # approach steps scale with E - A; a market whose E sits near A still
+    # leaves room between them
+    below_e = E - A
+    margin = 1e-3 * below_e
+    deltas = (1e-6 * below_e, 1e-7 * below_e, 1e-8 * below_e)
 
     def tilde(bids: tuple) -> float:
         return payoff_n_tilde(bids, cfg)[0]

@@ -1,6 +1,7 @@
 """Tests for the experiment drivers and the verification battery."""
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,11 @@ from procurelab.equilibria import (
 from procurelab.experiments import (
     DynamicsTrajectory,
     RegionKind,
-    TournamentResult,
     VerificationReport,
     battery_passed,
     br_dynamics,
     equilibrium_inequalities,
     functional_residuals,
-    _mean_stderr,
     make_report,
     mc_tournament,
     region_grid,
@@ -38,7 +37,9 @@ from procurelab.game_core import (
     payoff_n_batch,
     symmetric_kernel,
 )
-from procurelab.strategy import MixedStrategy, Piece, PieceKind, point_mass
+from procurelab import experiments
+from procurelab.equilibria import critical_regime_strategy
+from procurelab.strategy import Atom, MixedStrategy, Piece, PieceKind, point_mass
 
 CFG = default_config()
 CONFIGS = [CFG, MarketConfig(0.2, 2.0, 1.1), MarketConfig(1e6, 1e6 + 1.5, 1e6 + 1)]
@@ -158,26 +159,85 @@ class TestTournament:
         assert a == b
         assert a.means != c.means
 
+    @staticmethod
+    def _whole_array(strategies, kernel, samples, seed):
+        """Means and stderrs of whole-array payoffs (np.mean, np.std)."""
+        bids = np.column_stack([
+            s.quantile(uniform_stream(derive_seed(seed, "tournament", i), samples))
+            for i, s in enumerate(strategies)
+        ])
+        if kernel is not None:
+            row = kernel.batch(bids[:, 0], bids[:, 1])
+            cols = [row, 1.0 - row]
+        else:
+            pays = payoff_n_batch(bids, CFG)
+            cols = [pays[:, i] for i in range(len(strategies))]
+        return ([float(c.mean()) for c in cols],
+                [float(c.std(ddof=1) / math.sqrt(samples)) for c in cols])
+
+    def _assert_matches_whole_array(self, strategies, kernel, samples, seed):
+        res = mc_tournament(strategies, kernel, samples, seed)
+        means, stderrs = self._whole_array(strategies, kernel, samples, seed)
+        # a sum of 0/1 payoffs is exact either way; the stderr comes from
+        # counts instead of a pairwise sum of squares, so it may move by ulps
+        assert list(res.means) == means
+        for got, want in zip(res.stderrs, stderrs):
+            assert abs(got - want) <= 4 * math.ulp(want)
+        assert (res.samples, res.seed) == (samples, seed)
+
     @pytest.mark.parametrize("samples", [2, 65_537, 200_003])
     def test_matches_unblocked_reference(self, samples):
-        """Blocked sampling and payoffs give the floats of whole-array ones."""
+        """Streamed counts give the means of whole-array payoffs exactly."""
         two = ([weighted_equilibrium(0.3, CFG)] * 2, WeightedKernel(p=0.3, cfg=CFG))
         three = ([log_equilibrium(CFG), uniform_equilibrium(CFG), point_mass(0.9, CFG)], None)
         for strategies, kernel in (two, three):
-            bids = np.column_stack([
-                s.quantile(uniform_stream(derive_seed(5, "tournament", i), samples))
-                for i, s in enumerate(strategies)
-            ])
-            if kernel is not None:
-                row = kernel.batch(bids[:, 0], bids[:, 1])
-                stats = [_mean_stderr(row), _mean_stderr(1.0 - row)]
-            else:
-                pays = payoff_n_batch(bids, CFG)
-                stats = [_mean_stderr(pays[:, i]) for i in range(len(strategies))]
-            want = TournamentResult(means=tuple(m for m, _ in stats),
-                                    stderrs=tuple(se for _, se in stats),
-                                    samples=samples, seed=5)
-            assert mc_tournament(strategies, kernel, samples, 5) == want
+            self._assert_matches_whole_array(strategies, kernel, samples, 5)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_tie_value_coinciding_with_loss_or_win(self, p):
+        # atoms make bids tie; at p = 0 a tie pays the loss value, at p = 1
+        # the win value, so two of the three payoff values are one
+        mixed = MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 0.4, 0.3),
+                               Piece(PieceKind.RECIPROCAL, 0.5, 0.9, 0.4)),
+                              (Atom(0.45, 0.1), Atom(0.95, 0.2)), CFG).validate()
+        self._assert_matches_whole_array([mixed, mixed], WeightedKernel(p=p, cfg=CFG),
+                                         70_001, 7)
+
+    def test_block_size_independence(self, monkeypatch):
+        cases = (
+            ([log_equilibrium(CFG), uniform_equilibrium(CFG)], symmetric_kernel(CFG)),
+            ([log_equilibrium(CFG), uniform_equilibrium(CFG), critical_regime_strategy(CFG)],
+             None),
+        )
+        for strategies, kernel in cases:
+            results = []
+            for block in (1_000, 65_536):
+                monkeypatch.setattr(experiments, "BLOCK", block)
+                results.append(mc_tournament(strategies, kernel, 70_001, 3))
+            assert results[0] == results[1]
+
+    def test_unexpected_payoff_value_raises(self, monkeypatch):
+        real = experiments.payoff_n_batch
+        monkeypatch.setattr(experiments, "payoff_n_batch",
+                            lambda bids, cfg: 0.9 * real(bids, cfg))
+        s = log_equilibrium(CFG)
+        with pytest.raises(RuntimeError, match="payoffs outside"):
+            mc_tournament([s, s, s], None, 100, 0)
+
+    @pytest.mark.parametrize("make", [log_equilibrium, critical_regime_strategy])
+    def test_million_draws_stay_small(self, make):
+        # the draws, payoffs and statistics are made a block at a time; a
+        # million-element float array alone would be 7.6 MiB
+        s = make(CFG)
+        kernel = symmetric_kernel(CFG)
+        mc_tournament([s, s], kernel, 1_000, 1)  # fill the strategy's caches
+        tracemalloc.start()
+        try:
+            mc_tournament([s, s], kernel, 1_000_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_validation(self):
         s = log_equilibrium(CFG)
@@ -509,6 +569,25 @@ class TestBattery:
         assert not probe.passed
         assert math.isinf(probe.max_violation)
         assert "boom" in probe.parameters["error"]
+
+    def test_jump_pairs_are_the_stream_in_order(self, monkeypatch):
+        # jump-sign-scan draws its pairs a chunk at a time; together the
+        # chunks are its one seeded stream, in order.  On this market cell O5
+        # never fills, so the check draws all of its 1,000,000 pairs.
+        jumps, step, chunks = derive_seed(42, "jumps"), experiments._JUMP_CHUNK, []
+        real = experiments.uniform_block
+
+        def spy(seed, start, n):
+            out = real(seed, start, n)
+            if seed == jumps:
+                chunks.append((start, out))
+            return out
+
+        monkeypatch.setattr(experiments, "uniform_block", spy)
+        run_battery(MarketConfig(0.0, 1.5, 1.4), seed=42)
+        assert [start for start, _ in chunks] == list(range(0, 2 * step * len(chunks), 2 * step))
+        drawn = np.concatenate([out for _, out in chunks])
+        assert np.array_equal(drawn, uniform_stream(jumps, 2_000_000))
 
     def test_battery_roundtrips_through_file(self, battery, tmp_path):
         path = tmp_path / "battery.jsonl"

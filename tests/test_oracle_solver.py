@@ -413,6 +413,19 @@ class TestDdpmProbe:
         rep = ddpm_probe(100, 11, MarketConfig(A=0.2, B=2.0, E=1.1))
         assert rep.passed
 
+    @pytest.mark.parametrize("market, samples", [((0.0, 1.5, 0.003), 40),
+                                                 ((5.0, 6.0, 5.004), 25)])
+    def test_narrow_market_fills_every_class(self, market, samples):
+        # E sits near A, where margins of 1e-3 * (B - A) would leave no room
+        # for a Transition profile below E; they scale with E - A
+        rep = ddpm_probe(samples, 7, MarketConfig(*market))
+        assert rep.passed
+        assert rep.parameters["per_class"] == {
+            "FixedPoint": samples,
+            "Transition": samples,
+            "Tie": samples,
+        }
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ddpm_probe(0, 1, CFG)
@@ -433,8 +446,8 @@ class TestDdpmProbe:
     @pytest.mark.parametrize("market, samples", [((0.0, 1.5, 1.0), 1_000),
                                                  ((0.0, 1.5, 0.003), 40)])
     def test_chunked_draws_match_per_draw_streams(self, monkeypatch, market, samples):
-        # on the narrow market Transition never fills, so all 2,000 of its
-        # draws run and cross the chunk seams
+        # the default market's Transition class runs past its first 1,024
+        # draws, so its uniforms cross a chunk seam
         cfg = MarketConfig(*market)
         chunked = self._probe_with_profiles(monkeypatch, samples, 7, cfg)
 
@@ -450,7 +463,7 @@ class TestDdpmProbe:
         # samples take more than one 1,024-draw chunk
         samples, seed = 1_100, 5
         _, seen = self._probe_with_profiles(monkeypatch, samples, seed, CFG)
-        span, margin = CFG.B - CFG.A, 1e-3 * (CFG.B - CFG.A)
+        span, margin = CFG.B - CFG.A, 1e-3 * (CFG.E - CFG.A)
         want, k = [], 0
         while len(want) < samples:
             u = uniform_stream(derive_seed(seed, "fp", k), 2)
