@@ -40,7 +40,13 @@ The payloads are:
   Transition profiles fit only because the margins scale with E - A;
 * ``br/...``: a 10,000-step three-player ``br_dynamics`` trajectory as
   JSON: every profile, the cycle start and period, and the least winner
-  payoff.
+  payoff;
+* ``matrix/...``: the raw bytes of ``WeightedKernel.matrix`` for the p = 0.3
+  kernel and its ``swapped()`` column kernel, at shapes that cross the
+  row-block seams (1601 x 1601, 7 x 70,000 and 70,000 x 1).  Row bids are
+  evenly spaced on [A, B]; column bids are m - 1 evenly spaced bids on
+  [A, B] and then E, so bids at A and B tie (for m > 2) and the last column
+  sits on E.
 
 A digest covers the bytes of the payload, so any moved digit shows.
 """
@@ -54,6 +60,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SEEDS = (1, 2, 3)
 VERIFY = (
     ["--strategy", "uniform"],
@@ -66,6 +74,7 @@ MC_SAMPLES = 200_003
 SLICE = ["region-grid", "--kind", "ThreePlayerSlice", "--x", "0.9"]
 DDPM = (((0.0, 1.5, 1.0), 1_000), ((0.0, 1.5, 0.003), 40), ((5.0, 6.0, 5.004), 25))
 BR_START = (0.2, 0.9, 1.3)
+MATRIX_SHAPES = ((1601, 1601), (7, 70_000), (70_000, 1))
 
 
 def digest(data: bytes) -> str:
@@ -140,6 +149,12 @@ def main(argv: list[str]) -> int:
     traj = br_dynamics(BR_START, 10_000, cfg)
     print(f"br/N=3,start={BR_START},steps=10000 "
           f"{digest(json.dumps(dataclasses.asdict(traj)).encode())}")
+    k = WeightedKernel(p=0.3, cfg=cfg)
+    for name, kernel in (("p=0.3", k), ("p=0.3,swapped", k.swapped())):
+        for n, m in MATRIX_SHAPES:
+            xs = np.linspace(cfg.A, cfg.B, n)
+            ys = np.append(np.linspace(cfg.A, cfg.B, m - 1), cfg.E)
+            print(f"matrix/{name},shape={n}x{m} {digest(kernel.matrix(xs, ys).tobytes())}")
     return 0
 
 

@@ -18,7 +18,7 @@ import hashlib
 
 import numpy as np
 
-from .game_core import DomainError
+from .game_core import BLOCK, DomainError
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -34,9 +34,6 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
-
-
-BLOCK = 1 << 16  # draws per block: a block's uint64 and float arrays stay in L2
 
 
 def _counters(start: int, n: int) -> np.ndarray:

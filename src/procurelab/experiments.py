@@ -10,8 +10,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._report import VerificationReport, make_report, write_reports
-from ._rng import BLOCK, derive_seed, uniform_block, uniform_stream
+from ._rng import derive_seed, uniform_block, uniform_stream
 from .game_core import (
+    BLOCK,
     DomainError,
     MarketConfig,
     Side,

@@ -120,7 +120,12 @@ def regime_breakpoints(p: float, cfg: MarketConfig) -> tuple[float, ...]:
 
 
 def payoff_matrix(kernel: WeightedKernel, gridX: Grid, gridY: Grid) -> np.ndarray:
-    """M[i, j] = kernel(x_i, y_j) over the two grids."""
+    """M[i, j] = kernel(x_i, y_j) over the two grids.
+
+    Built by kernel.matrix a block of rows at a time, so the build takes the
+    result plus one block's temporaries (a few hundred KiB), not several
+    matrix-sized arrays.
+    """
     if not (kernel.cfg == gridX.cfg == gridY.cfg):
         raise DomainError("kernel and grids disagree on the market config")
     return kernel.matrix(gridX.array, gridY.array)
@@ -231,10 +236,11 @@ def _normalize(mix: np.ndarray) -> np.ndarray:
 def solve_matrix_game(M, tol: float = 1e-9) -> MatrixGameSolution:
     """Solve a finite constant-sum game behind an exploitability certificate.
 
-    One HiGHS LP gives the row mix and, from its duals, the column mix; a
-    solver failure raises RuntimeError.  The certificate is recomputed from
-    the final mixes, and a result that misses tol is returned with
-    converged=False rather than hidden.
+    One HiGHS LP, the column player's in tail sums, gives the column mix
+    from its primal solution and the row mix from the duals of its
+    (M c)_i <= w rows; a solver failure raises RuntimeError.  The
+    certificate is recomputed from the final mixes, and a result that
+    misses tol is returned with converged=False rather than hidden.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.size == 0:

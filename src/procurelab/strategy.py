@@ -21,8 +21,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from procurelab._rng import BLOCK, uniform_block
+from procurelab._rng import uniform_block
 from procurelab.game_core import (
+    BLOCK,
     DomainError,
     MarketConfig,
     Side,

@@ -717,6 +717,31 @@ class TestKernels:
             for j in range(7):
                 assert m[i, j] == k(xs[i], ys[j])
 
+    @pytest.mark.parametrize("make", [
+        lambda: gc.WeightedKernel(p=0.5, cfg=CFG),
+        lambda: gc.WeightedKernel(p=0.3, cfg=CFG),
+        lambda: gc.WeightedKernel(p=0.3, cfg=CFG).swapped(),
+    ], ids=["p=0.5", "p=0.3", "p=0.3-swapped"])
+    @pytest.mark.parametrize("n, m", [
+        (1601, 1601),  # 10 rows per block: the last block holds one row
+        (3, gc.BLOCK + 3),  # a row wider than a block: one row per block
+        (70_000, 1),  # one column: many rows per block, a short last block
+        (0, 5),
+        (4, 0),
+    ])
+    def test_matrix_is_the_one_shot_batch(self, make, n, m):
+        k = make()
+        rng = np.random.default_rng(n + m)
+        # E and A where there is room; xs starts with ys, so ties fill the
+        # leading diagonal
+        ys = np.concatenate([[CFG.E, CFG.A], rng.uniform(CFG.A, CFG.B, m)])[:m]
+        xs = np.concatenate([ys, rng.uniform(CFG.A, CFG.B, n)])[:n]
+        m_blocked = k.matrix(xs, ys)
+        m_whole = k.batch(xs[:, None], ys[None, :])
+        assert m_blocked.dtype == np.float64 and m_blocked.flags.c_contiguous
+        assert m_blocked.shape == (n, m)
+        assert np.array_equal(m_blocked, m_whole)
+
     def test_symmetric_kernel_is_constant_sum(self):
         k = gc.symmetric_kernel(CFG)
         assert k.is_symmetric and k.tie_value == 0.5

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -113,6 +115,18 @@ class TestPayoffMatrix:
         M = payoff_matrix(k, g, g)
         assert np.abs(M + payoff_matrix(k.swapped(), g, g).T - 1.0).max() == 0.0
         assert np.abs(M + payoff_matrix(WeightedKernel(p=0.7, cfg=cfg), g, g).T - 1.0).max() == 1.0
+
+    def test_build_stays_within_one_block_of_the_result(self):
+        # rows are filled a block at a time; one n x n temporary (a 19.6 MiB
+        # price or a 2.4 MiB mask) would break the bound
+        g = make_grid(1601, CFG)
+        tracemalloc.start()
+        try:
+            M = payoff_matrix(WeightedKernel(p=0.3, cfg=CFG), g, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= M.nbytes + 2**20
 
     def test_config_mismatch(self):
         other = MarketConfig(A=0.0, B=2.0, E=1.0)
