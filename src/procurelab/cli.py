@@ -50,7 +50,7 @@ from .oracle_solver import (
     payoff_matrix,
     pure_ne_scan,
     regime_breakpoints,
-    solve_matrix_game,
+    solve_grid_game,
     value_curve_oracle,
 )
 from .strategy import MixedStrategy, expect_joint
@@ -289,8 +289,7 @@ def _cmd_solve_grid(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     cfg = rc.market()
     mandatory = regime_breakpoints(rc.p, cfg) if 0.0 < rc.p <= 0.5 else ()
     g = make_grid(rc.n, cfg, mandatory=mandatory)
-    M = payoff_matrix(WeightedKernel(p=rc.p, cfg=cfg), g, g)
-    sol = solve_matrix_game(M, tol=rc.tol)
+    sol = solve_grid_game(WeightedKernel(p=rc.p, cfg=cfg), g, g, tol=rc.tol)
     payload = {
         "run_config": rc.to_dict(),
         "p": rc.p,

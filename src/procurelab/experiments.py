@@ -53,7 +53,7 @@ from .oracle_solver import (
     payoff_matrix,
     project_to_grid,
     pure_ne_scan,
-    solve_matrix_game,
+    solve_grid_game,
     value_curve_oracle,
     ddpm_probe,
 )
@@ -777,9 +777,11 @@ def run_battery(
         top, worst = 0.0, []
         for p in (0.5, 0.3):
             g = make_grid(101, cfg)
-            M = payoff_matrix(WeightedKernel(p=p, cfg=cfg), g, g)
-            sol = solve_matrix_game(M)
-            dev = abs(exploitability(M, sol.row_mix, sol.col_mix) - sol.exploitability)
+            kern = WeightedKernel(p=p, cfg=cfg)
+            sol = solve_grid_game(kern, g, g)
+            # the dense oracle against the certificate solve_grid_game took from D
+            dense = exploitability(payoff_matrix(kern, g, g), sol.row_mix, sol.col_mix)
+            dev = abs(dense - sol.exploitability)
             if not sol.converged:
                 return math.inf, [(p, "non-convergence")]
             if dev > top:

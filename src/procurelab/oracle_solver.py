@@ -18,6 +18,7 @@ import numpy as np
 from ._report import VerificationReport, make_report
 from ._rng import derive_seed, uniform_rows
 from .game_core import (
+    BLOCK,
     DiscontinuityClass,
     DomainError,
     MarketConfig,
@@ -44,6 +45,7 @@ __all__ = [
     "payoff_matrix",
     "MatrixGameSolution",
     "solve_matrix_game",
+    "solve_grid_game",
     "exploitability",
     "project_to_grid",
     "grid_sup_inf",
@@ -124,11 +126,15 @@ def payoff_matrix(kernel: WeightedKernel, gridX: Grid, gridY: Grid) -> np.ndarra
 
     Built by kernel.matrix a block of rows at a time, so the build takes the
     result plus one block's temporaries (a few hundred KiB), not several
-    matrix-sized arrays.
+    matrix-sized arrays.  solve_grid_game solves this game without it.
     """
+    return kernel.matrix(*_grid_axes(kernel, gridX, gridY))
+
+
+def _grid_axes(kernel: WeightedKernel, gridX: Grid, gridY: Grid) -> tuple[np.ndarray, np.ndarray]:
     if not (kernel.cfg == gridX.cfg == gridY.cfg):
         raise DomainError("kernel and grids disagree on the market config")
-    return kernel.matrix(gridX.array, gridY.array)
+    return gridX.array, gridY.array
 
 
 def _check_mix(v, size: int, name: str) -> np.ndarray:
@@ -143,8 +149,8 @@ def _check_mix(v, size: int, name: str) -> np.ndarray:
 def exploitability(M, row_mix, col_mix) -> float:
     """Best-response gap of a mix pair: row maximizes M, column minimizes it.
 
-    The larger of the two players' gains; MatrixGameSolution stores it as
-    the certificate bound.
+    The larger of the two players' gains, from the dense M: the independent
+    oracle for the certificate that the solvers take from M's steps.
     """
     M = np.asarray(M, dtype=np.float64)
     r = _check_mix(row_mix, M.shape[0], "row_mix")
@@ -160,7 +166,9 @@ class MatrixGameSolution:
     value: float
     row_mix: tuple[float, ...]
     col_mix: tuple[float, ...]
-    exploitability: float  # certified max best-response gain of either player
+    # max best-response gain of either player against the two mixes, taken
+    # from the step matrix D (M c = D T, r M = cumsum(D^T r))
+    exploitability: float
     converged: bool
 
     def __post_init__(self) -> None:
@@ -184,7 +192,33 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
                          method=method, options=options)
 
 
-def _lp_solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _steps(row_blocks, n: int, m: int):
+    """Sparse step matrix D of an n x m matrix M, from M's row blocks in order.
+
+    D[i, 0] = M[i, 0] and D[i, j] = M[i, j] - M[i, j - 1], so M is the
+    running sum of D along each row.  Only the nonzero steps are stored (a
+    step is nonzero exactly where two neighbours differ), and nothing
+    n x m outlives its block.
+    """
+    from scipy import sparse
+
+    data, cols, counts = [], [], []
+    for blk in row_blocks:
+        step = np.empty(blk.shape, dtype=bool)
+        np.not_equal(blk[:, 0], 0.0, out=step[:, 0])
+        np.not_equal(blk[:, 1:], blk[:, :-1], out=step[:, 1:])
+        r, c = np.nonzero(step)
+        prev = blk[r, c - 1]
+        prev[c == 0] = 0.0
+        data.append(blk[r, c] - prev)
+        cols.append(c)
+        counts.append(np.bincount(r, minlength=len(blk)))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return sparse.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr), shape=(n, m))
+
+
+def _lp_solve(D) -> tuple[np.ndarray, np.ndarray]:
     """Column mix from the column player's LP in tail sums, row mix from its duals.
 
     With T_k = sum_{j>=k} c_j the row payoffs are M c = D T, where D holds
@@ -193,18 +227,7 @@ def _lp_solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     from scipy import sparse  # scipy.optimize loads it anyway
 
-    n, m = M.shape
-    # only the nonzero steps, so no dense n x m difference is built; a step
-    # is nonzero exactly where two neighbours differ
-    step = np.empty((n, m), dtype=bool)
-    np.not_equal(M[:, 0], 0.0, out=step[:, 0])
-    np.not_equal(M[:, 1:], M[:, :-1], out=step[:, 1:])
-    rows, cols = np.nonzero(step)
-    prev = M[rows, cols - 1]
-    prev[cols == 0] = 0.0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    D = sparse.csr_matrix((M[rows, cols] - prev, cols, indptr), shape=(n, m))
+    n, m = D.shape
     T_steps = sparse.eye(m - 1, m, k=1) - sparse.eye(m - 1, m)
     # variables (T_0..T_{m-1}, w); rows: D T - w <= 0, then T_{k+1} - T_k <= 0
     A_ub = sparse.bmat([[D, sparse.csr_matrix(np.full((n, 1), -1.0))],
@@ -233,25 +256,19 @@ def _normalize(mix: np.ndarray) -> np.ndarray:
     return mix / mix.sum()
 
 
-def solve_matrix_game(M, tol: float = 1e-9) -> MatrixGameSolution:
-    """Solve a finite constant-sum game behind an exploitability certificate.
+def _solve_steps(D, tol: float) -> MatrixGameSolution:
+    """Solve the game whose payoff rows have the steps D, with its certificate.
 
-    One HiGHS LP, the column player's in tail sums, gives the column mix
-    from its primal solution and the row mix from the duals of its
-    (M c)_i <= w rows; a solver failure raises RuntimeError.  The
-    certificate is recomputed from the final mixes, and a result that
-    misses tol is returned with converged=False rather than hidden.
+    The value and both best-response gains come from D too: with T the
+    tail sums of c, M c = D T and r M = cumsum(D^T r), so M is never needed.
     """
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.size == 0:
-        raise DomainError("payoff matrix must be a nonempty 2-D array")
-    if not np.isfinite(M).all():
-        raise DomainError("payoff matrix must be finite")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    r, c = (_normalize(v) for v in _lp_solve(M))
-    value = float(r @ M @ c)
-    cert = exploitability(M, r, c)
+    r, c = (_normalize(v) for v in _lp_solve(D))
+    row_pay = D @ np.cumsum(c[::-1])[::-1]
+    value = float(r @ row_pay)
+    col_pay = np.cumsum(D.T @ r)
+    cert = max(float(row_pay.max()) - value, value - float(col_pay.min()), 0.0)
     return MatrixGameSolution(
         value=value,
         row_mix=tuple(float(x) for x in r),
@@ -259,6 +276,40 @@ def solve_matrix_game(M, tol: float = 1e-9) -> MatrixGameSolution:
         exploitability=cert,
         converged=cert <= tol,
     )
+
+
+def solve_matrix_game(M, tol: float = 1e-9) -> MatrixGameSolution:
+    """Solve a finite constant-sum game behind an exploitability certificate.
+
+    One HiGHS LP, the column player's in tail sums, gives the column mix
+    from its primal solution and the row mix from the duals of its
+    (M c)_i <= w rows; a solver failure raises RuntimeError.  The value and
+    the certificate are computed from the final mixes through M's step
+    matrix D (M c = D T, r M = cumsum(D^T r)), and a result that misses tol
+    is returned with converged=False rather than hidden.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.size == 0:
+        raise DomainError("payoff matrix must be a nonempty 2-D array")
+    if not np.isfinite(M).all():
+        raise DomainError("payoff matrix must be finite")
+    return _solve_steps(_steps((M,), *M.shape), tol)
+
+
+def solve_grid_game(kernel: WeightedKernel, gridX: Grid, gridY: Grid,
+                    tol: float = 1e-9) -> MatrixGameSolution:
+    """solve_matrix_game(payoff_matrix(kernel, gridX, gridY), tol), matrix-free.
+
+    The step matrix D is built from kernel.matrix one block of rows at a
+    time (WeightedKernel.matrix's BLOCK // 4 cells), and the LP, the value
+    and the certificate all read D, so no len(gridX) x len(gridY) array is
+    ever held: at n = 1601 the traced peak is about 1 MiB, where the dense
+    matrix alone takes 19.6 MiB.  The mixes equal the dense path's.
+    """
+    xs, ys = _grid_axes(kernel, gridX, gridY)
+    k = max(1, BLOCK // 4 // len(ys))
+    blocks = (kernel.matrix(xs[i:i + k], ys) for i in range(0, len(xs), k))
+    return _solve_steps(_steps(blocks, len(xs), len(ys)), tol)
 
 
 def project_to_grid(s: MixedStrategy, g: Grid) -> np.ndarray:
@@ -344,9 +395,10 @@ def value_curve_oracle(
 ) -> list[dict]:
     """Grid-game values against the analytic value and the regime benchmark.
 
-    One row per (p, n) pair: the solved finite-game value, the closed-form
-    value with its gap, the regime's coarse benchmark with its gap, and
-    which of the two predictions the finite value sits closer to.
+    One row per (p, n) pair: the finite-game value from solve_grid_game
+    (so no n x n payoff matrix is built), the closed-form value with its
+    gap, the regime's coarse benchmark with its gap, and which of the two
+    predictions the finite value sits closer to.
     """
     if list(n_list) != sorted(n_list):
         raise DomainError("n_list must be ascending")
@@ -357,7 +409,7 @@ def value_curve_oracle(
         marks = regime_breakpoints(p, cfg)
         for n in n_list:
             g = make_grid(n, cfg, mandatory=marks)
-            sol = solve_matrix_game(payoff_matrix(kernel, g, g))
+            sol = solve_grid_game(kernel, g, g)
             gap = abs(sol.value - rep.v)
             bench_gap = abs(sol.value - rep.benchmark)
             if math.isclose(gap, bench_gap, rel_tol=0.0, abs_tol=1e-12):

@@ -8,6 +8,7 @@ from scipy.optimize import OptimizeResult, linprog
 from procurelab import oracle_solver
 from procurelab._rng import derive_seed, uniform_stream
 from procurelab.game_core import (
+    BLOCK,
     DiscontinuityClass,
     DomainError,
     MarketConfig,
@@ -34,6 +35,7 @@ from procurelab.oracle_solver import (
     project_to_grid,
     pure_ne_scan,
     regime_breakpoints,
+    solve_grid_game,
     solve_matrix_game,
     value_curve_oracle,
 )
@@ -273,6 +275,71 @@ class TestSolver:
         monkeypatch.setattr(oracle_solver, "linprog", failing)
         with pytest.raises(RuntimeError, match=r"status 4.*numerical difficulties"):
             solve_matrix_game(MP)
+
+    @pytest.mark.parametrize("shape, columns", [
+        ((9, 6), None),  # negative entries and a nonzero first column
+        ((8, 4), [0, 0, 1, 2, 2, 2, 3]),  # repeated columns: zero steps
+        ((1, 7), None),
+        ((6, 1), None),
+    ])
+    def test_steps_give_the_dense_value_and_certificate(self, shape, columns):
+        # the value and the certificate are taken from the step matrix D;
+        # they must match the dense r M c and exploitability on any matrix
+        M = np.random.default_rng(derive_seed(3, "steps", *shape)).uniform(-2.0, 1.0, shape)
+        if columns is not None:
+            M = M[:, columns]
+        assert (M < 0.0).any() and (M[:, 0] != 0.0).all()
+        sol = solve_matrix_game(M)
+        r, c = np.array(sol.row_mix), np.array(sol.col_mix)
+        assert sol.value == pytest.approx(float(r @ M @ c), abs=1e-12)
+        assert sol.exploitability == pytest.approx(exploitability(M, r, c), abs=1e-12)
+        assert sol.converged
+
+
+class TestGridGame:
+    @pytest.mark.parametrize("p", [critical_p(), 0.3, 0.1, 0.5])
+    def test_equals_the_dense_path(self, p):
+        g = make_grid(201, CFG, mandatory=regime_breakpoints(p, CFG))
+        for kern in (WeightedKernel(p=p, cfg=CFG), WeightedKernel(p=p, cfg=CFG).swapped()):
+            sol = solve_grid_game(kern, g, g)
+            assert sol == solve_matrix_game(payoff_matrix(kern, g, g))
+            assert sol.converged
+
+    def test_non_square_with_a_short_last_block(self):
+        gx, gy = make_grid(203, CFG), make_grid(301, CFG)
+        rows_per_block = BLOCK // 4 // gy.size
+        assert gx.size != gy.size
+        assert gx.size > rows_per_block and gx.size % rows_per_block != 0
+        kern = WeightedKernel(p=0.3, cfg=CFG)
+        sol = solve_grid_game(kern, gx, gy)
+        assert sol == solve_matrix_game(payoff_matrix(kern, gx, gy))
+        assert len(sol.row_mix) == gx.size and len(sol.col_mix) == gy.size
+
+    def test_validation(self):
+        other = MarketConfig(A=0.0, B=2.0, E=1.0)
+        g = make_grid(5, CFG)
+        with pytest.raises(DomainError):
+            solve_grid_game(WeightedKernel(p=0.3, cfg=other), g, g)
+        with pytest.raises(DomainError):
+            solve_grid_game(WeightedKernel(p=0.3, cfg=CFG), g, make_grid(5, other))
+        with pytest.raises(DomainError):
+            solve_grid_game(WeightedKernel(p=0.3, cfg=CFG), g, g, tol=0.0)
+
+    def test_never_holds_the_matrix(self):
+        # D is built a block of rows at a time; the dense 1601 x 1601 matrix
+        # alone would take 19.6 MiB
+        kern = WeightedKernel(p=0.3, cfg=CFG)
+        small = make_grid(5, CFG)
+        solve_grid_game(kern, small, small)  # loads scipy.optimize outside the trace
+        g = make_grid(1601, CFG)
+        tracemalloc.start()
+        try:
+            sol = solve_grid_game(kern, g, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert sol.converged
 
 
 class TestProjection:
