@@ -12,7 +12,7 @@ import numpy as np
 from ._report import VerificationReport, make_report, write_reports
 from ._rng import derive_seed, uniform_block, uniform_stream
 from .game_core import (
-    BLOCK,
+    CELLS,
     DomainError,
     MarketConfig,
     Side,
@@ -48,6 +48,7 @@ from .equilibria import (
 )
 from .oracle_solver import (
     exploitability,
+    grid_exploitability,
     grid_sup_inf,
     make_grid,
     payoff_matrix,
@@ -121,7 +122,7 @@ def mc_tournament(
     equal-weight game instead.
 
     Player i's bids are MixedStrategy.sample(derive_seed(seed, "tournament",
-    i), samples), made and scored one block at a time: the award rule pays
+    i), samples), made and scored CELLS draws at a time: the award rule pays
     only known values ({0, tie value, 1} under a kernel, 0 or 1/k for k
     tied winners otherwise), so each block adds to exact per-value counts
     and no array of `samples` elements is built.  A payoff outside those
@@ -143,8 +144,8 @@ def mc_tournament(
         score = lambda *bids: payoff_n_batch(np.column_stack(bids), cfg)
     seeds = [derive_seed(seed, "tournament", i) for i in range(len(strategies))]
     counts = 0
-    for start in range(0, samples, BLOCK):
-        k = min(BLOCK, samples - start)
+    for start in range(0, samples, CELLS):
+        k = min(CELLS, samples - start)
         pay = score(*(s.quantile(uniform_block(sd, start, k))
                       for s, sd in zip(strategies, seeds)))
         block = np.stack([np.count_nonzero(pay == v, axis=0) for v in values], axis=1)
@@ -412,11 +413,6 @@ def functional_residuals(cases: Sequence[tuple]) -> tuple[float, list]:
 # The verification battery
 
 
-# stream pairs drawn and classified at once by jump-sign-scan; bounds its
-# temporaries
-_JUMP_CHUNK = 65_536
-
-
 def battery_passed(reports: Sequence[VerificationReport]) -> bool:
     return all(r.passed for r in reports)
 
@@ -482,12 +478,15 @@ def run_battery(
             bids[:ties, 1] = bids[:ties, 0]
             if n_players >= 3:
                 bids[: ties // 2, 2] = bids[: ties // 2, 0]
-            oracle = payoff_n_combinatorial(bids, cfg).tolist()
-            for prof, want in zip(map(tuple, bids.tolist()), oracle):
-                if list(payoff_n(prof, cfg)) != want:
-                    bad += 1
-                    if len(worst) < 5:
-                        worst.append(prof)
+            m = CELLS // n_players
+            for i in range(0, len(bids), m):
+                block = bids[i:i + m]
+                oracle = payoff_n_combinatorial(block, cfg).tolist()
+                for prof, want in zip(map(tuple, block.tolist()), oracle):
+                    if list(payoff_n(prof, cfg)) != want:
+                        bad += 1
+                        if len(worst) < 5:
+                            worst.append(prof)
         return float(bad), worst
 
     run("combinatorial-agreement",
@@ -496,13 +495,20 @@ def run_battery(
 
     def three_way():
         # the indicator cascade against payoff_n_batch's first column; the
-        # rows of payoff_n_batch must also sum to exactly 1
-        bids = draw_bids("three", 100_000, 3)
-        general = payoff_n_batch(bids, cfg)
-        dev = np.maximum(np.abs(payoff_3(*bids.T, cfg) - general[:, 0]),
-                         np.abs(general.sum(axis=1) - 1.0))
-        k = int(dev.argmax())
-        return float(dev[k]), [tuple(bids[k])] if dev[k] > 0 else []
+        # rows of payoff_n_batch must also sum to exactly 1.  The profiles
+        # are draw_bids("three", 100_000, 3), made a block of rows at a time
+        three, rows, m = derive_seed(seed, "three", 3), 100_000, CELLS // 3
+        top, worst = 0.0, []
+        for i in range(0, rows, m):
+            k = min(m, rows - i)
+            bids = cfg.A + span * uniform_block(three, 3 * i, 3 * k).reshape(k, 3)
+            general = payoff_n_batch(bids, cfg)
+            dev = np.maximum(np.abs(payoff_3(*bids.T, cfg) - general[:, 0]),
+                             np.abs(general.sum(axis=1) - 1.0))
+            j = int(dev.argmax())
+            if dev[j] > top:
+                top, worst = float(dev[j]), [tuple(bids[j])]
+        return top, worst
 
     run("three-player-agreement", {"profiles": 100_000, "conservation": True}, 0.0, three_way)
 
@@ -535,29 +541,35 @@ def run_battery(
 
     def ordering_exhaustive():
         axis = np.linspace(cfg.A, cfg.B, 202)[1:-1]
-        y, z = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
-        cells = ordering_cells(y, z, cfg)
-        t = cutpoints3(y, z, cfg).t
-        a = np.where(cells.mirrored, z, y)
-        b = np.where(cells.mirrored, y, z)
-        p_a = 5.0 * a - 3.0 * cfg.E - b
-        p_b = 5.0 * b - 3.0 * cfg.E - a
-        patterns = {
-            "O1": [p_a, p_b, a, b, t],
-            "O2": [p_a, a, p_b, b, t],
-            "O3": [p_a, a, t, b, p_b],
-            "O4": [t, a, b, p_a, p_b],
-            "O5": [t, a, p_a, b, p_b],
-        }
-        bad_at = np.zeros(y.shape, dtype=bool)
-        for tag, pattern in patterns.items():
-            ordered = np.logical_and.reduce([u < v for u, v in zip(pattern, pattern[1:])])
-            bad_at |= (cells.tag == tag) & ~ordered
-        bad = int(bad_at.sum())
-        worst = [(float(y[k]), float(z[k]), str(cells.tag[k]))
-                 for k in np.flatnonzero(bad_at)[:5]]
-        seen = set(cells.tag[~cells.boundary].tolist())
-        if seen != set(patterns):
+        tags = ("O1", "O2", "O3", "O4", "O5")
+        bad, worst, seen = 0, [], set()
+        # the grid in bands of rows, in grid order, with five cutpoint values
+        # a pair
+        band = max(1, CELLS // (5 * len(axis)))
+        for i in range(0, len(axis), band):
+            y, z = (g.ravel() for g in np.meshgrid(axis[i:i + band], axis, indexing="ij"))
+            cells = ordering_cells(y, z, cfg)
+            t = cutpoints3(y, z, cfg).t
+            a = np.where(cells.mirrored, z, y)
+            b = np.where(cells.mirrored, y, z)
+            p_a = 5.0 * a - 3.0 * cfg.E - b
+            p_b = 5.0 * b - 3.0 * cfg.E - a
+            patterns = (
+                [p_a, p_b, a, b, t],
+                [p_a, a, p_b, b, t],
+                [p_a, a, t, b, p_b],
+                [t, a, b, p_a, p_b],
+                [t, a, p_a, b, p_b],
+            )
+            bad_at = np.zeros(y.shape, dtype=bool)
+            for tag, pattern in zip(tags, patterns):
+                ordered = np.logical_and.reduce([u < v for u, v in zip(pattern, pattern[1:])])
+                bad_at |= (cells.tag == tag) & ~ordered
+            bad += int(bad_at.sum())
+            worst += [(float(y[k]), float(z[k]), str(cells.tag[k]))
+                      for k in np.flatnonzero(bad_at)[:5 - len(worst)]]
+            seen |= set(cells.tag[~cells.boundary].tolist())
+        if seen != set(tags):
             bad += 1
             worst.append(("cells-seen", sorted(seen)))
         return float(bad), worst
@@ -572,15 +584,17 @@ def run_battery(
         # each cell's expected sign of every cutpoint, plain and mirrored
         signs = {(tag, m): [jump_signs(OrderingCell(tag, m))[key] for key in keys]
                  for tag in filled for m in (False, True)}
-        picked = []  # (y, z, cutpoints, expected signs) of the kept pairs
+        bad, worst = 0, []
         jumps, pairs = derive_seed(seed, "jumps"), 1_000_000
         # draw and classify up to `pairs` pairs of the stream a chunk at a
-        # time, keeping in stream order the first per_cell pairs of each cell
-        # whose cutpoints lie more than 3·delta apart
-        for start in range(0, pairs, _JUMP_CHUNK):
+        # time (five cutpoint values a pair), keeping in stream order the
+        # first per_cell pairs of each cell whose cutpoints lie more than
+        # 3·delta apart, and probe the chunk's kept pairs
+        chunk = CELLS // len(keys)
+        for start in range(0, pairs, chunk):
             if min(filled.values()) >= per_cell:
                 break
-            k = min(_JUMP_CHUNK, pairs - start)
+            k = min(chunk, pairs - start)
             y, z = (cfg.A + span * uniform_block(jumps, 2 * start, 2 * k).reshape(-1, 2)).T
             cells = ordering_cells(y, z, cfg)
             cut = cutpoints3(y, z, cfg)
@@ -593,22 +607,19 @@ def run_battery(
                 take[idx] = True
                 filled[tag] += len(idx)
             idx = np.flatnonzero(take)
-            expected = [signs[key] for key in zip(cells.tag[idx].tolist(),
-                                                   cells.mirrored[idx].tolist())]
-            picked.append((y[idx], z[idx], values[idx],
-                           np.array(expected, dtype=int).reshape(-1, len(keys))))
-        y, z, v0, expected = (np.concatenate(parts) for parts in zip(*picked))
-        # every probe pair at once: the payoff just above each cutpoint, then
-        # just below it, for the cutpoints at least delta inside (A, B)
-        row, col = np.nonzero((cfg.A + delta < v0) & (v0 < cfg.B - delta))
-        x = v0[row, col]
-        pay = payoff_3(np.concatenate((x + delta, x - delta)),
-                       np.tile(y[row], 2), np.tile(z[row], 2), cfg)
-        got = np.sign(pay[:len(x)] - pay[len(x):]).astype(int)
-        miss = np.flatnonzero(got != expected[row, col])
-        bad = len(miss)
-        worst = [(float(y[row[k]]), float(z[row[k]]), keys[col[k]], int(expected[row[k], col[k]]),
-                  int(got[k])) for k in miss[:5]]
+            expected = np.array([signs[key] for key in zip(cells.tag[idx].tolist(),
+                                                            cells.mirrored[idx].tolist())],
+                                dtype=int).reshape(-1, len(keys))
+            # the payoff just above each cutpoint, minus the payoff just
+            # below it, for the cutpoints at least delta inside (A, B)
+            v0 = values[idx]
+            row, col = np.nonzero((cfg.A + delta < v0) & (v0 < cfg.B - delta))
+            x, yk, zk = v0[row, col], y[idx[row]], z[idx[row]]
+            got = np.sign(payoff_3(x + delta, yk, zk, cfg) - payoff_3(x - delta, yk, zk, cfg))
+            miss = np.flatnonzero(got != expected[row, col])
+            bad += len(miss)
+            worst += [(float(yk[j]), float(zk[j]), keys[col[j]], int(expected[row[j], col[j]]),
+                       int(got[j])) for j in miss[:5 - len(worst)]]
         if min(filled.values()) < per_cell:
             bad += 1
             worst.append(("under-filled", filled))
@@ -798,7 +809,7 @@ def run_battery(
         for n in (101, 201, 401, 801):
             g = make_grid(n, cfg)
             w = project_to_grid(s, g)
-            gaps.append(exploitability(payoff_matrix(kern, g, g), w, w))
+            gaps.append(grid_exploitability(kern, g, g, w, w))
         worst = [tuple(gaps)]
         increase = max(
             [b - a for a, b in zip(gaps, gaps[1:])] + [0.0]

@@ -33,8 +33,14 @@ import numpy as np
 HYPERSURFACE_TOL = 1e-12
 
 # Draws per block of the sampling loops, so a block's uint64 and float
-# arrays stay in L2; WeightedKernel.matrix fills BLOCK // 4 cells per block.
+# arrays stay in L2.
 BLOCK = 1 << 16
+
+# Float64 cells per block of the array passes (the kernel matrix, the grid
+# game's steps, the battery's scans): 128 KiB, glibc's default mmap
+# threshold, so a block's temporaries are reused heap, not freshly mapped
+# and page-faulted for every block.
+CELLS = BLOCK // 4
 
 
 class DomainError(ValueError):
@@ -701,17 +707,14 @@ class WeightedKernel:
     def matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Payoff matrix M[i, j] = g_p(xs[i], ys[j]).
 
-        Filled a block of rows at a time, BLOCK // 4 cells per block (but at
+        Filled a block of rows at a time, CELLS cells per block (but at
         least one row), so the build takes the result plus one block's
         temporaries.  Each entry is batch's, bit for bit.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         out = np.empty((len(xs), len(ys)))
-        # a block's float temporaries stay within 128 KiB, glibc's default
-        # mmap threshold; larger ones can be mapped and page-faulted afresh
-        # for every block (thousands of faults per 1601 x 1601 build)
-        k = max(1, BLOCK // 4 // max(1, len(ys)))
+        k = max(1, CELLS // max(1, len(ys)))
         for i in range(0, len(xs), k):
             out[i:i + k] = self.batch(xs[i:i + k, None], ys[None, :])
         return out

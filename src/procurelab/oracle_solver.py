@@ -18,7 +18,7 @@ import numpy as np
 from ._report import VerificationReport, make_report
 from ._rng import derive_seed, uniform_rows
 from .game_core import (
-    BLOCK,
+    CELLS,
     DiscontinuityClass,
     DomainError,
     MarketConfig,
@@ -47,6 +47,7 @@ __all__ = [
     "solve_matrix_game",
     "solve_grid_game",
     "exploitability",
+    "grid_exploitability",
     "project_to_grid",
     "grid_sup_inf",
     "pure_ne_scan",
@@ -150,7 +151,8 @@ def exploitability(M, row_mix, col_mix) -> float:
     """Best-response gap of a mix pair: row maximizes M, column minimizes it.
 
     The larger of the two players' gains, from the dense M: the independent
-    oracle for the certificate that the solvers take from M's steps.
+    oracle for the certificate that the solvers and grid_exploitability take
+    from M's steps.
     """
     M = np.asarray(M, dtype=np.float64)
     r = _check_mix(row_mix, M.shape[0], "row_mix")
@@ -256,19 +258,28 @@ def _normalize(mix: np.ndarray) -> np.ndarray:
     return mix / mix.sum()
 
 
+def _step_certificate(D, r: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+    """(value, exploitability) of the mixes r, c in the game whose payoff rows have the steps D.
+
+    With T the tail sums of c, M c = D T and r M = cumsum(D^T r), so M is
+    never needed.
+    """
+    row_pay = D @ np.cumsum(c[::-1])[::-1]
+    value = float(r @ row_pay)
+    col_pay = np.cumsum(D.T @ r)
+    return value, max(float(row_pay.max()) - value, value - float(col_pay.min()), 0.0)
+
+
 def _solve_steps(D, tol: float) -> MatrixGameSolution:
     """Solve the game whose payoff rows have the steps D, with its certificate.
 
-    The value and both best-response gains come from D too: with T the
-    tail sums of c, M c = D T and r M = cumsum(D^T r), so M is never needed.
+    The value and both best-response gains come from D too
+    (_step_certificate).
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
     r, c = (_normalize(v) for v in _lp_solve(D))
-    row_pay = D @ np.cumsum(c[::-1])[::-1]
-    value = float(r @ row_pay)
-    col_pay = np.cumsum(D.T @ r)
-    cert = max(float(row_pay.max()) - value, value - float(col_pay.min()), 0.0)
+    value, cert = _step_certificate(D, r, c)
     return MatrixGameSolution(
         value=value,
         row_mix=tuple(float(x) for x in r),
@@ -296,20 +307,40 @@ def solve_matrix_game(M, tol: float = 1e-9) -> MatrixGameSolution:
     return _solve_steps(_steps((M,), *M.shape), tol)
 
 
+def _grid_steps(kernel: WeightedKernel, gridX: Grid, gridY: Grid):
+    """The step matrix D of payoff_matrix(kernel, gridX, gridY), built from
+    kernel.matrix one block of CELLS cells at a time."""
+    xs, ys = _grid_axes(kernel, gridX, gridY)
+    k = max(1, CELLS // len(ys))
+    blocks = (kernel.matrix(xs[i:i + k], ys) for i in range(0, len(xs), k))
+    return _steps(blocks, len(xs), len(ys))
+
+
 def solve_grid_game(kernel: WeightedKernel, gridX: Grid, gridY: Grid,
                     tol: float = 1e-9) -> MatrixGameSolution:
     """solve_matrix_game(payoff_matrix(kernel, gridX, gridY), tol), matrix-free.
 
     The step matrix D is built from kernel.matrix one block of rows at a
-    time (WeightedKernel.matrix's BLOCK // 4 cells), and the LP, the value
-    and the certificate all read D, so no len(gridX) x len(gridY) array is
-    ever held: at n = 1601 the traced peak is about 1 MiB, where the dense
-    matrix alone takes 19.6 MiB.  The mixes equal the dense path's.
+    time (CELLS cells), and the LP, the value and the certificate all read
+    D, so no len(gridX) x len(gridY) array is ever held: at n = 1601 the
+    traced peak is about 1 MiB, where the dense matrix alone takes
+    19.6 MiB.  The mixes equal the dense path's.
     """
-    xs, ys = _grid_axes(kernel, gridX, gridY)
-    k = max(1, BLOCK // 4 // len(ys))
-    blocks = (kernel.matrix(xs[i:i + k], ys) for i in range(0, len(xs), k))
-    return _solve_steps(_steps(blocks, len(xs), len(ys)), tol)
+    return _solve_steps(_grid_steps(kernel, gridX, gridY), tol)
+
+
+def grid_exploitability(kernel: WeightedKernel, gridX: Grid, gridY: Grid,
+                        row_mix, col_mix) -> float:
+    """exploitability(payoff_matrix(kernel, gridX, gridY), row_mix, col_mix), matrix-free.
+
+    The gains come from the grid game's step matrix D, built as
+    solve_grid_game builds it, so no len(gridX) x len(gridY) array is held;
+    they match the dense oracle up to rounding.
+    """
+    D = _grid_steps(kernel, gridX, gridY)
+    r = _check_mix(row_mix, D.shape[0], "row_mix")
+    c = _check_mix(col_mix, D.shape[1], "col_mix")
+    return _step_certificate(D, r, c)[1]
 
 
 def project_to_grid(s: MixedStrategy, g: Grid) -> np.ndarray:

@@ -24,6 +24,7 @@ from numpy.polynomial.legendre import leggauss
 from procurelab._rng import uniform_block
 from procurelab.game_core import (
     BLOCK,
+    CELLS,
     DomainError,
     MarketConfig,
     Side,
@@ -250,8 +251,9 @@ class MixedStrategy:
                 return lin
             return np.where(pick(rec), E - pick(to_e) * np.exp(-local / pick(norm)), lin)
 
-        # blocks bound the temporaries, a few per-element constants each, to
-        # a few MiB however many draws there are
+        # blocks of BLOCK draws bound the temporaries, a few per-element
+        # arrays of 512 KiB, to 2-3 MiB however many draws there are (less
+        # for a shorter u, such as mc_tournament's CELLS draws)
         out = np.minimum(u, edges[-1])
         for i in range(0, out.size, BLOCK):
             out[i:i + BLOCK] = block(out[i:i + BLOCK])
@@ -505,11 +507,13 @@ def _integrate_against(mu: MixedStrategy, f: Callable[[np.ndarray, np.ndarray], 
     f takes integrand indices (an integer array, or the scalar 0 when there
     is one integrand) and points that broadcast against them, and returns
     values of the broadcast shape.
-    It is called once on the Gauss-Legendre nodes of every panel of every
-    piece at both orders, for all integrands at once, and once more on the
-    atoms, whose mass is added exactly.  Integrand k's summed gap between
-    the orders over its panels is its error estimate; when one misses the
-    tolerance, QuadratureError names the worst, as at[k] when at is given.
+    It is called on the Gauss-Legendre nodes of every panel of every piece
+    at both orders, for all integrands together, CELLS nodes at a time (a
+    panel's sums do not depend on the others in its block), and once more
+    on the atoms, whose mass is added exactly.  Integrand k's summed gap
+    between the orders over its panels is its error estimate; when any miss
+    the tolerance, QuadratureError names the worst of all, as at[k] when at
+    is given.
     """
     E = mu.cfg.E
     m = len(cuts)
@@ -519,17 +523,22 @@ def _integrate_against(mu: MixedStrategy, f: Callable[[np.ndarray, np.ndarray], 
                    for lo, hi in _panels(ck, a, b, E)]
         ends.append(len(panels))
     lo, hi, c, flat = np.array(panels, dtype=np.float64).reshape(-1, 4).T[:, :, None]
-    half = (hi - lo) / 2.0
-    x = lo + half * _GL_NODES
-    # each panel's density: c on a uniform piece, c/(E - x) on a reciprocal one
-    weights = half * _GL_WEIGHTS * (c / np.where(flat, 1.0, E - x))
+    del panels  # its tuples take more memory than the array
     # each panel's integrand; a lone integrand's index is passed as a scalar,
     # which numpy broadcasts faster
     owner = 0 if m == 1 else np.repeat(np.arange(m), np.diff([0, *ends]))[:, None]
-    wf = weights * f(owner, x)
-    low = np.add.reduce(wf[:, :_GL_LOW], axis=1)
-    high = np.add.reduce(wf[:, _GL_LOW:], axis=1)
-    spread = np.abs(high - low)
+    high, spread = np.empty(len(lo)), np.empty(len(lo))
+    step = CELLS // _GL_NODES.size
+    for i in range(0, len(lo), step):
+        blk = slice(i, i + step)
+        half = (hi[blk] - lo[blk]) / 2.0
+        x = lo[blk] + half * _GL_NODES
+        # each panel's density: c on a uniform piece, c/(E - x) on a
+        # reciprocal one
+        weights = half * _GL_WEIGHTS * (c[blk] / np.where(flat[blk], 1.0, E - x))
+        wf = weights * f(owner if m == 1 else owner[blk], x)
+        high[blk] = np.add.reduce(wf[:, _GL_LOW:], axis=1)
+        spread[blk] = np.abs(high[blk] - np.add.reduce(wf[:, :_GL_LOW], axis=1))
     if mu.atoms:
         masses = [a.m for a in mu.atoms]
         at_atoms = f(np.arange(m)[:, None], np.tile([a.x for a in mu.atoms], (m, 1)))

@@ -212,7 +212,7 @@ class TestTournament:
         for strategies, kernel in cases:
             results = []
             for block in (1_000, 65_536):
-                monkeypatch.setattr(experiments, "BLOCK", block)
+                monkeypatch.setattr(experiments, "CELLS", block)
                 results.append(mc_tournament(strategies, kernel, 70_001, 3))
             assert results[0] == results[1]
 
@@ -571,10 +571,11 @@ class TestBattery:
         assert "boom" in probe.parameters["error"]
 
     def test_jump_pairs_are_the_stream_in_order(self, monkeypatch):
-        # jump-sign-scan draws its pairs a chunk at a time; together the
-        # chunks are its one seeded stream, in order.  On this market cell O5
-        # never fills, so the check draws all of its 1,000,000 pairs.
-        jumps, step, chunks = derive_seed(42, "jumps"), experiments._JUMP_CHUNK, []
+        # jump-sign-scan draws its pairs a chunk of CELLS // 5 pairs (five
+        # cutpoint values each) at a time; together the chunks are its one
+        # seeded stream, in order.  On this market cell O5 never fills, so
+        # the check draws all of its 1,000,000 pairs.
+        jumps, step, chunks = derive_seed(42, "jumps"), experiments.CELLS // 5, []
         real = experiments.uniform_block
 
         def spy(seed, start, n):

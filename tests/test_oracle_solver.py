@@ -8,7 +8,7 @@ from scipy.optimize import OptimizeResult, linprog
 from procurelab import oracle_solver
 from procurelab._rng import derive_seed, uniform_stream
 from procurelab.game_core import (
-    BLOCK,
+    CELLS,
     DiscontinuityClass,
     DomainError,
     MarketConfig,
@@ -23,12 +23,13 @@ from procurelab.game_core import (
     threshold_t,
     weighted_sequences,
 )
-from procurelab.equilibria import log_equilibrium, regime_partition
+from procurelab.equilibria import log_equilibrium, regime_partition, weighted_equilibrium
 from procurelab.oracle_solver import (
     Grid,
     MatrixGameSolution,
     ddpm_probe,
     exploitability,
+    grid_exploitability,
     grid_sup_inf,
     make_grid,
     payoff_matrix,
@@ -307,7 +308,7 @@ class TestGridGame:
 
     def test_non_square_with_a_short_last_block(self):
         gx, gy = make_grid(203, CFG), make_grid(301, CFG)
-        rows_per_block = BLOCK // 4 // gy.size
+        rows_per_block = CELLS // gy.size
         assert gx.size != gy.size
         assert gx.size > rows_per_block and gx.size % rows_per_block != 0
         kern = WeightedKernel(p=0.3, cfg=CFG)
@@ -372,6 +373,47 @@ class TestProjection:
             gaps.append(exploitability(payoff_matrix(k, g, g), w, w))
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 0.02
+
+    @pytest.mark.parametrize("n", [101, 201])
+    def test_step_gap_equals_the_dense_oracle(self, n):
+        # grid_exploitability takes the gains from the steps D, built a
+        # block of rows at a time; the dense exploitability is the oracle
+        g = make_grid(n, CFG)
+        w = project_to_grid(log_equilibrium(CFG), g)
+        v = project_to_grid(weighted_equilibrium(0.3, CFG), g)
+        kern = WeightedKernel(p=0.3, cfg=CFG)
+        for k, r, c in ((symmetric_kernel(CFG), w, w), (kern, v, w), (kern.swapped(), w, v)):
+            dense = exploitability(payoff_matrix(k, g, g), r, c)
+            assert dense > 1e-3
+            assert abs(grid_exploitability(k, g, g, r, c) - dense) <= 1e-15
+
+    def test_step_gap_never_holds_the_matrix(self):
+        # the dense 801 x 801 matrix alone would take 4.9 MiB
+        kern = symmetric_kernel(CFG)
+        small = make_grid(5, CFG)
+        one = np.eye(small.size)[0]
+        grid_exploitability(kern, small, small, one, one)  # loads scipy.sparse untraced
+        g = make_grid(801, CFG)
+        w = project_to_grid(log_equilibrium(CFG), g)
+        tracemalloc.start()
+        try:
+            grid_exploitability(kern, g, g, w, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
+
+    def test_step_gap_validation(self):
+        g = make_grid(5, CFG)
+        kern = symmetric_kernel(CFG)
+        one, short, heavy = np.eye(g.size)[0], np.eye(g.size - 1)[0], np.eye(g.size)[0] * 1.4
+        with pytest.raises(DomainError, match="shape"):
+            grid_exploitability(kern, g, g, short, one)
+        with pytest.raises(DomainError, match="probability"):
+            grid_exploitability(kern, g, g, one, heavy)
+        other = make_grid(5, MarketConfig(A=0.0, B=2.0, E=1.0))
+        with pytest.raises(DomainError, match="market"):
+            grid_exploitability(kern, g, other, one, one)
 
 
 class TestScan:

@@ -1,6 +1,7 @@
 """Tests for mixed-strategy representation and expected payoffs."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -586,6 +587,11 @@ class TestExpectVsArray:
         kern = gc.WeightedKernel(p, CFG)
         ends = [q for pc in s.pieces for q in (pc.a, pc.b)] + [a.x for a in s.atoms]
         bids = np.concatenate([[CFG.A, CFG.B, CFG.E], ends, np.linspace(CFG.A, CFG.B, 151)])
+        # the nodes of all panels span more than one block of CELLS
+        cuts = [st._region_cutpoints(x, side, kern) for x in bids.tolist()]
+        panels = sum(len(st._panels(ck, a, b, CFG.E))
+                     for ck in cuts for _, a, b, _, _ in s.piece_constants)
+        assert panels * st._GL_NODES.size > gc.CELLS
         arr = st.expect_vs(bids, s, kern, side=side, method="quadrature")
         one = [st.expect_vs(float(x), s, kern, side=side, method="quadrature") for x in bids]
         assert arr.shape == bids.shape
@@ -605,6 +611,37 @@ class TestExpectVsArray:
         with pytest.raises(st.QuadratureError, match=r"at 0\.6 ") as err:
             st._integrate_against(s, f, cuts, at=bids)
         assert err.value.achieved_tol > 1e-8
+        # 0.4 without its own cut misses by more than 0.6 does, and sits past
+        # the first block of nodes (every bid has at least one panel), so
+        # the error names it and not the first failing bid
+        bids = np.concatenate([[0.3, 0.6], np.linspace(0.05, 1.45, 400), [0.4]])
+        assert len(bids) - 1 >= gc.CELLS // st._GL_NODES.size
+        cuts = [st._region_cutpoints(x, gc.Side.AS_ROW, SYM) for x in bids.tolist()]
+        cuts[1] = [q for q in cuts[1] if q != 0.6]
+        cuts[-1] = [q for q in cuts[-1] if q != 0.4]
+        with pytest.raises(st.QuadratureError, match=r"at 0\.4 ") as worst:
+            st._integrate_against(s, f, cuts, at=bids)
+        with pytest.raises(st.QuadratureError, match=r"at 0\.4 ") as alone:
+            st._integrate_against(s, lambda k, ys: SYM.batch(0.4, ys), cuts[-1:], at=bids[-1:])
+        assert worst.value.achieved_tol == alone.value.achieved_tol > err.value.achieved_tol
+
+    def test_quadrature_holds_one_block(self):
+        # 500 bids take about 2,400 panels: 0.9 MiB per array of their nodes
+        # if they were evaluated at once
+        from procurelab.equilibria import weighted_equilibrium
+
+        s = weighted_equilibrium(0.3, CFG)
+        kern = gc.WeightedKernel(0.3, CFG)
+        bids = np.linspace(CFG.A, CFG.B, 500)
+        first = st.expect_vs(bids, s, kern, side=gc.Side.AS_COLUMN, method="quadrature")
+        tracemalloc.start()
+        try:
+            again = st.expect_vs(bids, s, kern, side=gc.Side.AS_COLUMN, method="quadrature")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(first, again)
+        assert peak <= 1.5 * 2**20
 
     def test_quadrature_takes_empty_array(self):
         out = st.expect_vs(np.array([]), uniform_pair(), SYM, method="quadrature")
