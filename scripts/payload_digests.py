@@ -28,6 +28,12 @@ The payloads are:
 * ``grid/p=<p>,n=<n>``: the ``value_curve_oracle`` row, as sorted-key JSON,
   of the benchmark's grid-ladder solves (p*, 0.3 and 0.1 at n = 401, 801
   and 1601 on the default market);
+* ``grid/solve,...``: the ``solve_grid_game`` result (value, both mixes,
+  certificate and converged flag) as JSON, for the p = 0.3 kernel at
+  n = 401 on the five affine images of the default market and on
+  ``(0, 1.5, 0.003)``, on unequal 203 x 301 grids of the default market, and
+  at p in {0, 0.7, 1} on the default market at n = 401, where the grid
+  steps' cutpoints take their limits or the column weight is the smaller;
 * ``mc/...``: sampling paths that no benchmark payload draws, at sizes that
   cross the 65,536-draw block seams: ``mc_tournament`` of three players
   (kernel None), and of a pair of mixtures with atoms (so bids tie) under
@@ -75,6 +81,8 @@ SLICE = ["region-grid", "--kind", "ThreePlayerSlice", "--x", "0.9"]
 DDPM = (((0.0, 1.5, 1.0), 1_000), ((0.0, 1.5, 0.003), 40), ((5.0, 6.0, 5.004), 25))
 BR_START = (0.2, 0.9, 1.3)
 MATRIX_SHAPES = ((1601, 1601), (7, 70_000), (70_000, 1))
+GRID_MARKETS = ((0.0, 1.5e-6, 1e-6), (-3.0, 0.0, -1.0), (0.2, 2.0, 1.1), (0.0, 1.5e6, 1e6),
+                (1e6, 1e6 + 1.5, 1e6 + 1), (0.0, 1.5, 0.003))
 
 
 def digest(data: bytes) -> str:
@@ -104,7 +112,8 @@ def main(argv: list[str]) -> int:
                                        uniform_equilibrium)
     from procurelab.experiments import br_dynamics, mc_tournament, run_battery
     from procurelab.game_core import MarketConfig, WeightedKernel, critical_p, default_config
-    from procurelab.oracle_solver import ddpm_probe, value_curve_oracle
+    from procurelab.oracle_solver import (ddpm_probe, make_grid, solve_grid_game,
+                                          value_curve_oracle)
     from procurelab.strategy import Atom, MixedStrategy, Piece, PieceKind
     from perfbench.workloads import cli_args, equilibrium_scan
 
@@ -128,6 +137,19 @@ def main(argv: list[str]) -> int:
             (row,) = value_curve_oracle([p], default_config(), [n])
             print(f"grid/p={p!r},n={n} {digest(json.dumps(row, sort_keys=True).encode())}")
     cfg = default_config()
+
+    def solve_digest(market: tuple, p: float, nx: int, ny: int) -> None:
+        mcfg = MarketConfig(*market)
+        sol = solve_grid_game(WeightedKernel(p=p, cfg=mcfg), make_grid(nx, mcfg),
+                              make_grid(ny, mcfg))
+        print(f"grid/solve,market={market},p={p!r},n={nx}x{ny} "
+              f"{digest(json.dumps(dataclasses.asdict(sol)).encode())}")
+
+    for market in GRID_MARKETS:
+        solve_digest(market, 0.3, 401, 401)
+    solve_digest((cfg.A, cfg.B, cfg.E), 0.3, 203, 301)
+    for p in (0.0, 0.7, 1.0):
+        solve_digest((cfg.A, cfg.B, cfg.E), p, 401, 401)
     mixed = MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 0.4, 0.3),
                            Piece(PieceKind.RECIPROCAL, 0.5, 0.9, 0.4)),
                           (Atom(0.45, 0.1), Atom(0.95, 0.2)), cfg).validate()

@@ -451,18 +451,28 @@ def run_battery(
         u = uniform_stream(derive_seed(seed, tag, cols), rows * cols)
         return cfg.A + span * u.reshape(rows, cols)
 
+    def bid_blocks(tag: str, rows: int, cols: int):
+        # draw_bids(tag, rows, cols) a block of CELLS cells at a time, as
+        # (first row, block) pairs
+        stream, m = derive_seed(seed, tag, cols), CELLS // cols
+        for i in range(0, rows, m):
+            k = min(m, rows - i)
+            yield i, cfg.A + span * uniform_block(stream, cols * i, cols * k).reshape(k, cols)
+
     # --- game_core ---------------------------------------------------------
 
     def conservation():
+        # the rows of draw_bids("conserve", 10_000, N), the first quarter
+        # tied, a block at a time
         worst, top = [], 0.0
         for n_players in (2, 3, 4, 5):
-            bids = draw_bids("conserve", 10_000, n_players)
-            ties = len(bids) // 4
-            bids[:ties, 1] = bids[:ties, 0]
-            dev = np.abs(payoff_n_batch(bids, cfg).sum(axis=1) - 1.0)
-            k = int(dev.argmax())
-            if dev[k] > top:
-                top, worst = float(dev[k]), [tuple(bids[k])]
+            for i, bids in bid_blocks("conserve", 10_000, n_players):
+                ties = max(0, 10_000 // 4 - i)
+                bids[:ties, 1] = bids[:ties, 0]
+                dev = np.abs(payoff_n_batch(bids, cfg).sum(axis=1) - 1.0)
+                k = int(dev.argmax())
+                if dev[k] > top:
+                    top, worst = float(dev[k]), [tuple(bids[k])]
         return top, worst
 
     run("payoff-conservation", {"profiles": 10_000, "N": [2, 3, 4, 5], "tie_share": 0.25}, 1e-12,
@@ -496,12 +506,9 @@ def run_battery(
     def three_way():
         # the indicator cascade against payoff_n_batch's first column; the
         # rows of payoff_n_batch must also sum to exactly 1.  The profiles
-        # are draw_bids("three", 100_000, 3), made a block of rows at a time
-        three, rows, m = derive_seed(seed, "three", 3), 100_000, CELLS // 3
+        # are draw_bids("three", 100_000, 3), made a block at a time
         top, worst = 0.0, []
-        for i in range(0, rows, m):
-            k = min(m, rows - i)
-            bids = cfg.A + span * uniform_block(three, 3 * i, 3 * k).reshape(k, 3)
+        for _, bids in bid_blocks("three", 100_000, 3):
             general = payoff_n_batch(bids, cfg)
             dev = np.maximum(np.abs(payoff_3(*bids.T, cfg) - general[:, 0]),
                              np.abs(general.sum(axis=1) - 1.0))
@@ -770,16 +777,18 @@ def run_battery(
     # --- oracle_solver ------------------------------------------------------
 
     def constant_sum_matrices():
-        g = make_grid(201, cfg)
+        # M + Mo^T = 1 (Mo the column player's matrix) and diag(M) = p, for
+        # the symmetric and the p = 0.3 kernel on a 201-point grid, from
+        # row blocks of M and the matching column blocks of Mo
+        xs = make_grid(201, cfg).array
+        m = CELLS // len(xs)
         top = 0.0
-        M = payoff_matrix(symmetric_kernel(cfg), g, g)
-        top = max(top, float(np.abs(M + M.T - 1.0).max()))
-        top = max(top, float(np.abs(np.diag(M) - 0.5).max()))
-        kern = WeightedKernel(p=0.3, cfg=cfg)
-        Mw = payoff_matrix(kern, g, g)
-        Mo = payoff_matrix(kern.swapped(), g, g)
-        top = max(top, float(np.abs(Mw + Mo.T - 1.0).max()))
-        top = max(top, float(np.abs(np.diag(Mw) - 0.3).max()))
+        for kern in (symmetric_kernel(cfg), WeightedKernel(p=0.3, cfg=cfg)):
+            for i in range(0, len(xs), m):
+                rows = kern.matrix(xs[i:i + m], xs)
+                cols = kern.swapped().matrix(xs, xs[i:i + m]).T
+                top = max(top, float(np.abs(rows + cols - 1.0).max()),
+                          float(np.abs(np.diagonal(rows, offset=i) - kern.p).max()))
         return top, []
 
     run("matrix-constant-sum", {"n": 201}, 0.0, constant_sum_matrices)

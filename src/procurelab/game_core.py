@@ -258,9 +258,13 @@ def best_deviation(others: Sequence[float], cfg: MarketConfig) -> float:
     the bid an ulp above the price it induces, forfeiting the award.  The
     result is threshold_t's raw quotient nudged down by at most a few ulps
     until the completed profile actually awards to it.
+
+    The exact quotient lies strictly inside (A, B), since A < E < B and
+    every opponent bids in [A, B], so a float quotient past an end is
+    rounding (it happens when E sits an ulp from B or from A): it is
+    clipped to [A, B] before the nudge.
     """
-    # the quotient can round past B when E sits an ulp under it
-    star = cfg.require_bid(threshold_t(others, cfg))
+    star = float(min(max(threshold_t(others, cfg), cfg.A), cfg.B))
     others = tuple(map(float, others))
     for _ in range(8):
         if award((star, *others), cfg) == (star, 1) or star in others:

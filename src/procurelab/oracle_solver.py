@@ -23,6 +23,7 @@ from .game_core import (
     DomainError,
     MarketConfig,
     Regime,
+    Side,
     UnsupportedError,
     WeightedKernel,
     best_deviation,
@@ -34,6 +35,7 @@ from .game_core import (
     sym_sequence_A,
     threshold_t,
     weighted_sequences,
+    win_region_ends,
 )
 from .equilibria import regime_partition, value_weighted
 from .strategy import MixedStrategy
@@ -123,11 +125,13 @@ def regime_breakpoints(p: float, cfg: MarketConfig) -> tuple[float, ...]:
 
 
 def payoff_matrix(kernel: WeightedKernel, gridX: Grid, gridY: Grid) -> np.ndarray:
-    """M[i, j] = kernel(x_i, y_j) over the two grids.
+    """M[i, j] = kernel(x_i, y_j) over the two grids: the dense oracle.
 
     Built by kernel.matrix a block of rows at a time, so the build takes the
     result plus one block's temporaries (a few hundred KiB), not several
-    matrix-sized arrays.  solve_grid_game solves this game without it.
+    matrix-sized arrays.  Only this oracle builds the full matrix:
+    solve_grid_game and grid_exploitability take the same game's steps from
+    a few cells per row (_grid_steps).
     """
     return kernel.matrix(*_grid_axes(kernel, gridX, gridY))
 
@@ -194,30 +198,30 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
                          method=method, options=options)
 
 
-def _steps(row_blocks, n: int, m: int):
-    """Sparse step matrix D of an n x m matrix M, from M's row blocks in order.
+def _csr(data: np.ndarray, cols: np.ndarray, counts: np.ndarray, n: int, m: int):
+    """The n x m CSR matrix with the given nonzeros, row by row; counts[i] of them in row i."""
+    from scipy import sparse
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return sparse.csr_matrix((data, cols, indptr), shape=(n, m))
+
+
+def _steps(M: np.ndarray):
+    """Sparse step matrix D of a dense matrix M.
 
     D[i, 0] = M[i, 0] and D[i, j] = M[i, j] - M[i, j - 1], so M is the
     running sum of D along each row.  Only the nonzero steps are stored (a
-    step is nonzero exactly where two neighbours differ), and nothing
-    n x m outlives its block.
+    step is nonzero exactly where two neighbours differ).  Grid games build
+    the same D without M (_grid_steps).
     """
-    from scipy import sparse
-
-    data, cols, counts = [], [], []
-    for blk in row_blocks:
-        step = np.empty(blk.shape, dtype=bool)
-        np.not_equal(blk[:, 0], 0.0, out=step[:, 0])
-        np.not_equal(blk[:, 1:], blk[:, :-1], out=step[:, 1:])
-        r, c = np.nonzero(step)
-        prev = blk[r, c - 1]
-        prev[c == 0] = 0.0
-        data.append(blk[r, c] - prev)
-        cols.append(c)
-        counts.append(np.bincount(r, minlength=len(blk)))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return sparse.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr), shape=(n, m))
+    step = np.empty(M.shape, dtype=bool)
+    np.not_equal(M[:, 0], 0.0, out=step[:, 0])
+    np.not_equal(M[:, 1:], M[:, :-1], out=step[:, 1:])
+    r, c = np.nonzero(step)
+    prev = M[r, c - 1]
+    prev[c == 0] = 0.0
+    return _csr(M[r, c] - prev, c, np.bincount(r, minlength=len(M)), *M.shape)
 
 
 def _lp_solve(D) -> tuple[np.ndarray, np.ndarray]:
@@ -304,27 +308,121 @@ def solve_matrix_game(M, tol: float = 1e-9) -> MatrixGameSolution:
         raise DomainError("payoff matrix must be a nonempty 2-D array")
     if not np.isfinite(M).all():
         raise DomainError("payoff matrix must be finite")
-    return _solve_steps(_steps((M,), *M.shape), tol)
+    return _solve_steps(_steps(M), tol)
+
+
+# Evaluated reach around each cutpoint of a grid row, in ulps of the
+# market's magnitude over the column weight; _grid_steps derives it.
+_REACH_ULPS = 32
+
+
+def _row_cutpoints(kernel: WeightedKernel, xs: np.ndarray) -> np.ndarray:
+    """(len(xs), 4) bids where row xs[i]'s payoff may jump as the column bid moves.
+
+    x, E and the ends of the row's win regions: h1(x) and f1(x) from
+    win_region_ends for 0 < p < 1, or both limits 2x - E and (x + E) / 2 at
+    p in {0, 1}, as strategy._region_cutpoints lists them.
+    """
+    E = kernel.cfg.E
+    if 0.0 < kernel.p < 1.0:
+        (lo, _), (hi, _) = win_region_ends(xs, Side.AS_ROW, kernel.maps, kernel.cfg)
+    else:
+        lo, hi = 2.0 * xs - E, (xs + E) / 2.0
+    return np.stack([xs, np.full_like(xs, E), lo, hi], axis=1)
 
 
 def _grid_steps(kernel: WeightedKernel, gridX: Grid, gridY: Grid):
-    """The step matrix D of payoff_matrix(kernel, gridX, gridY), built from
-    kernel.matrix one block of CELLS cells at a time."""
+    """The step matrix D of payoff_matrix(kernel, gridX, gridY), from a few cells per row.
+
+    Row x of the kernel, as a function of the column bid y, is piecewise
+    constant: exactly, with the kernel's float weights p and w = w_col, it
+    jumps only at y = x (the tie), at h1(x), past which a lower y lets the
+    price (p x + w y + E) / 2 reach x, and at f1(x), past which a higher y
+    stays above the price (_row_cutpoints, which also lists E, the limit
+    of f1(x) at p = 0).  In floats only the price's rounding moves a jump.
+    With u = 2**-53 and K = max(|A|, |B|):
+
+    - the price's four rounded operations err by at most 2 u K, so a
+      column whose float value differs from the exact one lies within
+      4 u K / w of h1(x) (the price moves by w / 2 per unit of y) or
+      within 4 u K of f1(x);
+    - computing h1(x) = ((2 - p) x - E) / (1 - p) and f1(x) =
+      (p x + E) / (p + 1) errs by at most about 8 u K / w, since 1 - p
+      may differ from w by 2 u.
+
+    Every column that can break the pattern therefore lies within
+    12 u K / w < 12 ulp(K) / w of a computed cutpoint; the rounding
+    allowance is 32 ulp(K) / w (32 ulp(K) at w = 0, where the price does
+    not move with y), over twice that bound.  Over 300 rows on each of the
+    default market, its five affine images, (0, 1.5, 0.003) and
+    (0, 1.01, 1), at seven weights and their swapped kernels, the farthest
+    flip sat 3.6 ulp(K) / w from its computed cutpoint.
+
+    Each row evaluates, through kernel.batch, column 0, every column within
+    the allowance of a cutpoint, and one neighbour on each side of each such
+    window.  A column outside every window has its exact value, and no jump
+    lies between two evaluated columns with only such columns between them,
+    so the steps between consecutive evaluated columns are M's steps, taken
+    with the same subtraction: D equals _steps(payoff_matrix(...)) bit for
+    bit.  A grid-ladder row evaluates at most 13 cells, so the build costs
+    O(cells per row * len(gridX)), not len(gridX) * len(gridY); it runs in
+    blocks of CELLS cells (at least one row).
+    """
     xs, ys = _grid_axes(kernel, gridX, gridY)
-    k = max(1, CELLS // len(ys))
-    blocks = (kernel.matrix(xs[i:i + k], ys) for i in range(0, len(xs), k))
-    return _steps(blocks, len(xs), len(ys))
+    n, m = len(xs), len(ys)
+    cfg = kernel.cfg
+    reach = _REACH_ULPS * math.ulp(max(abs(cfg.A), abs(cfg.B))) / (kernel.w_col or 1.0)
+    data, cols, counts = [], [], []
+
+    def emit(x: np.ndarray, first: np.ndarray, size: np.ndarray) -> None:
+        # the cells of the runs [first, first + size) of each row, in order
+        per_row = size.sum(axis=1)
+        runs = size.ravel()
+        col = np.arange(runs.sum()) + np.repeat(first.ravel() - (np.cumsum(runs) - runs), runs)
+        # float64 as in the dense matrix, even for an integer weight p
+        vals = np.asarray(kernel.batch(np.repeat(x, per_row), ys[col]), dtype=np.float64)
+        starts = np.cumsum(per_row) - per_row  # each row opens at column 0
+        prev = np.empty_like(vals)
+        prev[1:] = vals[:-1]
+        prev[starts] = 0.0
+        step = vals != prev
+        data.append(vals[step] - prev[step])
+        cols.append(col[step])
+        counts.append(np.add.reduceat(step, starts, dtype=np.int64))
+
+    rows = CELLS // 32  # one block at up to 32 cells a row; grid-ladder rows take <= 13
+    for i in range(0, n, rows):
+        x = xs[i:i + rows]
+        cuts = _row_cutpoints(kernel, x)
+        # column 0, then each cutpoint's window with a neighbour on each side
+        first = np.zeros((len(x), 5), dtype=np.int64)
+        last = np.zeros_like(first)
+        first[:, 1:] = np.searchsorted(ys, cuts - reach) - 1
+        last[:, 1:] = np.searchsorted(ys, cuts + reach, side="right")
+        np.clip(first, 0, m - 1, out=first)
+        np.clip(last, 0, m - 1, out=last)
+        order = np.argsort(first, axis=1, kind="stable")
+        first = np.take_along_axis(first, order, axis=1)
+        last = np.take_along_axis(last, order, axis=1)
+        # start each run past the runs before it, so no cell repeats
+        first[:, 1:] = np.maximum(first[:, 1:], np.maximum.accumulate(last, axis=1)[:, :-1] + 1)
+        size = np.maximum(last - first + 1, 0)
+        # a grid crowded near a cutpoint gets fewer rows per block
+        k = max(1, CELLS // int(size.sum(axis=1).max()))
+        for j in range(0, len(x), k):
+            emit(x[j:j + k], first[j:j + k], size[j:j + k])
+    return _csr(np.concatenate(data), np.concatenate(cols), np.concatenate(counts), n, m)
 
 
 def solve_grid_game(kernel: WeightedKernel, gridX: Grid, gridY: Grid,
                     tol: float = 1e-9) -> MatrixGameSolution:
     """solve_matrix_game(payoff_matrix(kernel, gridX, gridY), tol), matrix-free.
 
-    The step matrix D is built from kernel.matrix one block of rows at a
-    time (CELLS cells), and the LP, the value and the certificate all read
+    The step matrix D is built from the kernel's cutpoints, a few cells per
+    row (_grid_steps), and the LP, the value and the certificate all read
     D, so no len(gridX) x len(gridY) array is ever held: at n = 1601 the
     traced peak is about 1 MiB, where the dense matrix alone takes
-    19.6 MiB.  The mixes equal the dense path's.
+    19.6 MiB.  D is the dense path's bit for bit, so the mixes are too.
     """
     return _solve_steps(_grid_steps(kernel, gridX, gridY), tol)
 
@@ -333,9 +431,10 @@ def grid_exploitability(kernel: WeightedKernel, gridX: Grid, gridY: Grid,
                         row_mix, col_mix) -> float:
     """exploitability(payoff_matrix(kernel, gridX, gridY), row_mix, col_mix), matrix-free.
 
-    The gains come from the grid game's step matrix D, built as
-    solve_grid_game builds it, so no len(gridX) x len(gridY) array is held;
-    they match the dense oracle up to rounding.
+    The gains come from the grid game's step matrix D, built from the
+    kernel's cutpoints as solve_grid_game builds it, so no
+    len(gridX) x len(gridY) array is held; they match the dense oracle up to
+    rounding.
     """
     D = _grid_steps(kernel, gridX, gridY)
     r = _check_mix(row_mix, D.shape[0], "row_mix")

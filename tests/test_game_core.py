@@ -150,15 +150,35 @@ class TestScalarAwardRule:
             with pytest.raises(DomainError, match="at least one opponent"):
                 dev([], CFG)
 
-    def test_deviation_rounded_past_b_is_refused(self):
-        # E an ulp under B: the threshold quotient rounds above B, and the
-        # deviation is no admissible bid
+    def test_deviation_rounded_past_b_is_clipped(self):
+        # E an ulp under B: the threshold quotient rounds above B, though the
+        # exact one lies inside (A, B); the deviation is clipped to B
+        from procurelab.experiments import br_dynamics
+
         B = 206827.85867444094
         cfg = MarketConfig(0.0, B, math.nextafter(B, 0.0))
-        t = gc.threshold_t([B] * 5, cfg)
-        assert t > B
-        with pytest.raises(DomainError, match=re.escape(f"bid {t} outside")):
-            gc.best_deviation([B] * 5, cfg)
+        assert gc.threshold_t([B] * 5, cfg) > B
+        star = gc.best_deviation([B] * 5, cfg)
+        assert type(star) is float and star <= B
+        traj = br_dynamics((B,) * 6, 60, cfg)
+        assert all(cfg.A <= b <= B for prof in traj.profiles for b in prof)
+
+    def test_deviation_on_near_degenerate_markets(self):
+        # E an ulp from B (or A) and every opponent at B or E (A or E): the
+        # quotient rounds past the end now and then, and the deviation is
+        # still an admissible bid
+        rng = np.random.default_rng(20)
+        outside = 0
+        for k in range(2_000):
+            A = float(rng.uniform(-1e6, 1e6))
+            B = A + float(10.0 ** rng.uniform(-6, 6))
+            end = B if k % 2 else A
+            E = math.nextafter(end, A + B - end)
+            cfg = MarketConfig(A, B, E)
+            others = [end if u < 0.8 else E for u in rng.random(int(rng.integers(1, 7)))]
+            outside += not (A <= gc.threshold_t(others, cfg) <= B)
+            assert A <= gc.best_deviation(others, cfg) <= B
+        assert outside >= 5  # the sweep does reach quotients past an end
 
     def test_bid_types_give_the_float_tuple(self):
         profiles = ([0.75, 0.25], [1.0, 1.1], [0.7, 0.7], [0.5, 0.9, 1.25], [1.0, 0.0, 0.5, 1.5],

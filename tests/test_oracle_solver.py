@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -341,6 +342,93 @@ class TestGridGame:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
         assert sol.converged
+
+
+# the default market, its five affine images, and two with E near A or B
+STEP_MARKETS = (CFG, MarketConfig(0.0, 1.5e-6, 1e-6), MarketConfig(-3.0, 0.0, -1.0),
+                MarketConfig(0.2, 2.0, 1.1), MarketConfig(0.0, 1.5e6, 1e6),
+                MarketConfig(1e6, 1e6 + 1.5, 1e6 + 1), MarketConfig(0.0, 1.5, 0.003),
+                MarketConfig(0.0, 1.01, 1.0))
+STEP_WEIGHTS = (0.0, 1e-6, 0.1, critical_p(), 0.3, 0.5, 0.7, 1.0 - 1e-6, 1.0)
+
+
+def _assert_dense_steps(kern, gx, gy):
+    """_grid_steps equals the dense step build over kernel.matrix, array for array."""
+    got = oracle_solver._grid_steps(kern, gx, gy)
+    want = oracle_solver._steps(kern.matrix(gx.array, gy.array))
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (kern, gx.size, gy.size, name)
+
+
+def _crowded_grid(kern, row):
+    """make_grid(51) plus 6 nextafter points on each side of row `row`'s h1(x) and f1(x)."""
+    g = make_grid(51, CFG)
+    x = g.points[row]
+    pts = set(g.points)
+    for c in (kern.maps.h1(x), kern.maps.f1(x)):
+        lo = hi = c
+        pts.add(c)
+        for _ in range(6):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            pts |= {lo, hi}
+    return Grid(n=51, points=tuple(sorted(pts)), cfg=CFG), x
+
+
+class TestGridSteps:
+    @pytest.mark.parametrize("cfg", STEP_MARKETS, ids=lambda c: f"{c.A},{c.B},{c.E}")
+    def test_equal_the_dense_steps(self, cfg):
+        for n in (2, 3, 51, 401):
+            gx, gy = make_grid(n, cfg), make_grid(n + 7, cfg)
+            for p in STEP_WEIGHTS:
+                kern = WeightedKernel(p=p, cfg=cfg)
+                for k in (kern, kern.swapped()):
+                    _assert_dense_steps(k, gx, gx)
+                    _assert_dense_steps(k, gx, gy)
+                    _assert_dense_steps(k, gy, gx)
+
+    def test_equal_the_dense_steps_on_ladder_grids(self):
+        for p in (critical_p(), 0.3, 0.1):
+            g = make_grid(1601, CFG, mandatory=regime_breakpoints(p, CFG))
+            kern = WeightedKernel(p=p, cfg=CFG)
+            _assert_dense_steps(kern, g, g)
+            _assert_dense_steps(kern.swapped(), g, g)
+        _assert_dense_steps(kern, g, make_grid(1601, CFG))
+
+    @pytest.mark.parametrize("p,row", [(0.1, 18), (critical_p(), 19), (0.3, 20), (0.7, 26)])
+    def test_equal_the_dense_steps_on_crowded_cutpoints(self, p, row):
+        kern = WeightedKernel(p=p, cfg=CFG)
+        g, x = _crowded_grid(kern, row)
+        # the row's step near h1(x) sits 3 or more points off the computed
+        # cutpoint, so a window of a fixed few columns would miss it
+        h = kern.maps.h1(x)
+        steps = np.nonzero(np.diff(kern.matrix([x], g.array)[0]))[0] + 1
+        assert any(3 <= abs(j - g.points.index(h)) <= 6 for j in steps)
+        for k in (kern, kern.swapped()):
+            _assert_dense_steps(k, g, g)
+            _assert_dense_steps(k, g, make_grid(51, CFG))
+            _assert_dense_steps(k, make_grid(51, CFG), g)
+
+    def test_a_ladder_solve_evaluates_a_few_cells_per_row(self, monkeypatch):
+        # the dense build evaluates every one of the 1,606 cells of a row
+        calls = []
+        batch = WeightedKernel.batch
+
+        def counted(self, x, y):
+            out = batch(self, x, y)
+            calls.append(np.broadcast_to(x, out.shape).ravel())
+            return out
+
+        monkeypatch.setattr(WeightedKernel, "batch", counted)
+        p = 0.3
+        g = make_grid(1601, CFG, mandatory=regime_breakpoints(p, CFG))
+        sol = solve_grid_game(WeightedKernel(p=p, cfg=CFG), g, g)
+        assert sol.converged
+        assert max(len(c) for c in calls) <= CELLS
+        rows, cells = np.unique(np.concatenate(calls), return_counts=True)
+        assert len(rows) == g.size
+        assert cells.max() <= 32
 
 
 class TestProjection:
