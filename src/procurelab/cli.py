@@ -206,6 +206,14 @@ def _parse_ladder(raw: str) -> list[int]:
     return list(dict.fromkeys(ladder))
 
 
+def _certificate_misses(command: str, misses: list[tuple[float, int]]) -> int:
+    """One stderr line per (p, n) grid solve that missed its certificate; the exit code."""
+    for p, n in misses:
+        print(f"procurelab {command}: error: grid solve at p={_fmt(p)}, n={n} "
+              "missed its certificate tolerance", file=sys.stderr)
+    return 1 if misses else 0
+
+
 def _cmd_value_curve(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     if not (0.0 < args.p_min <= args.p_max <= 0.5):
         raise _UsageError("need 0 < p-min <= p-max <= 0.5")
@@ -214,10 +222,10 @@ def _cmd_value_curve(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]
     ladder = _parse_ladder(args.n_ladder)
     cfg = rc.market()
     ps = [_snap_critical(float(v)) for v in np.linspace(args.p_min, args.p_max, args.steps)]
-    ladder_values: dict[tuple[float, int], float] = {}
-    if ladder:
-        for row in value_curve_oracle(ps, cfg, ladder):
-            ladder_values[(row["p"], row["n"])] = row["value_n"]
+    solves = value_curve_oracle(ps, cfg, ladder) if ladder else []
+    ladder_values = {(row["p"], row["n"]): row["value_n"] for row in solves}
+    code = _certificate_misses(
+        "value-curve", [(row["p"], row["n"]) for row in solves if not row["converged"]])
     rows = []
     for p in ps:
         rep = value_weighted(p)
@@ -232,7 +240,7 @@ def _cmd_value_curve(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]
             row[f"value_n{n}"] = ladder_values[(p, n)]
         rows.append(row)
     if rc.format == "json":
-        return _dump({"run_config": rc.to_dict(), "rows": rows}), 0
+        return _dump({"run_config": rc.to_dict(), "rows": rows}), code
     header = ["p", "v_formula", "regime", "m", "epsilon_p"] + [f"value_n{n}" for n in ladder]
     lines = [f"# run_config: {json.dumps(rc.to_dict())}", ",".join(header)]
     for row in rows:
@@ -240,7 +248,7 @@ def _cmd_value_curve(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]
                  "" if row["m"] is None else str(row["m"]), _fmt(row["epsilon_p"])]
         cells += [_fmt(row[f"value_n{n}"]) for n in ladder]
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n", 0
+    return "\n".join(lines) + "\n", code
 
 
 def _cmd_verify(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
@@ -302,7 +310,8 @@ def _cmd_solve_grid(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
         "col_support": int(np.count_nonzero(np.asarray(sol.col_mix) > 1e-12)),
         "v_formula": value_weighted(rc.p).v if 0.0 < rc.p <= 0.5 else None,
     }
-    return _dump(payload), 0
+    misses = [] if sol.converged else [(rc.p, rc.n)]
+    return _dump(payload), _certificate_misses("solve-grid", misses)
 
 
 def _cmd_cutpoints3(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:

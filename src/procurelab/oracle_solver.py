@@ -114,8 +114,11 @@ def regime_breakpoints(p: float, cfg: MarketConfig) -> tuple[float, ...]:
     if reg is Regime.SYMMETRIC:
         return tuple(sym_sequence_A(i, cfg) for i in (1, 2, 3))
     if reg is Regime.CRITICAL:
-        seq = weighted_sequences(p, 3, cfg)
-        return tuple(seq.a_check[1:4]) + (seq.d_check[1],)
+        # the critical strategy's cell ends.  d_check[1] equals a_check[3]
+        # at p* but sits an ulp away in floats: listed too, it put a twin
+        # point on every critical grid; listed instead, it made HiGHS 1.12
+        # presolve segfault at (0, 1.5, 1.4), n = 1601
+        return weighted_sequences(p, 3, cfg).a_check[1:4]
     bounds = sorted({b for cell in regime_partition(p, cfg) for b in cell})
     return tuple(b for b in bounds if b != cfg.A)
 
@@ -224,7 +227,7 @@ def _steps(M: np.ndarray):
     return _csr(M[r, c] - prev, c, np.bincount(r, minlength=len(M)), *M.shape)
 
 
-def _lp_solve(D) -> tuple[np.ndarray, np.ndarray]:
+def _lp_solve(D, presolve: bool) -> tuple[np.ndarray, np.ndarray]:
     """Column mix from the column player's LP in tail sums, row mix from its duals.
 
     With T_k = sum_{j>=k} c_j the row payoffs are M c = D T, where D holds
@@ -243,11 +246,12 @@ def _lp_solve(D) -> tuple[np.ndarray, np.ndarray]:
     bounds = [(1.0, 1.0)] + [(0.0, None)] * (m - 1) + [(None, None)]
     # at HiGHS's default feasibility tolerances (1e-7) the mixes can miss the
     # default 1e-9 certificate on a few-hundred-point grid; 1e-10 meets it.
-    # Presolve is off: at p* on markets far from the unit interval its
-    # postsolve left dual values near 1e58 and HiGHS stopped with an error.
+    # Presolve drops 2/3 of the columns at n = 1601 and p = 0.3, but on some
+    # p* grids HiGHS errors after postsolve or its mixes miss the
+    # certificate, so _solve_steps can re-solve without it.
     res = linprog(c_obj, A_ub=A_ub, b_ub=np.zeros(n + m - 1), bounds=bounds,
                   method="highs",
-                  options={"presolve": False,
+                  options={"presolve": presolve,
                            "primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     if not res.success:
@@ -277,13 +281,23 @@ def _step_certificate(D, r: np.ndarray, c: np.ndarray) -> tuple[float, float]:
 def _solve_steps(D, tol: float) -> MatrixGameSolution:
     """Solve the game whose payoff rows have the steps D, with its certificate.
 
+    One HiGHS LP with presolve on; if HiGHS fails or the mixes miss tol, the
+    same LP once more with presolve off, and that second solve is reported.
     The value and both best-response gains come from D too
     (_step_certificate).
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    r, c = (_normalize(v) for v in _lp_solve(D))
-    value, cert = _step_certificate(D, r, c)
+    for presolve in (True, False):
+        try:
+            r, c = (_normalize(v) for v in _lp_solve(D, presolve))
+        except RuntimeError:
+            if not presolve:
+                raise
+            continue
+        value, cert = _step_certificate(D, r, c)
+        if cert <= tol:
+            break
     return MatrixGameSolution(
         value=value,
         row_mix=tuple(float(x) for x in r),
@@ -296,12 +310,14 @@ def _solve_steps(D, tol: float) -> MatrixGameSolution:
 def solve_matrix_game(M, tol: float = 1e-9) -> MatrixGameSolution:
     """Solve a finite constant-sum game behind an exploitability certificate.
 
-    One HiGHS LP, the column player's in tail sums, gives the column mix
-    from its primal solution and the row mix from the duals of its
-    (M c)_i <= w rows; a solver failure raises RuntimeError.  The value and
-    the certificate are computed from the final mixes through M's step
-    matrix D (M c = D T, r M = cumsum(D^T r)), and a result that misses tol
-    is returned with converged=False rather than hidden.
+    The column player's LP in tail sums gives the column mix from its
+    primal solution and the row mix from the duals of its (M c)_i <= w
+    rows.  HiGHS solves it with presolve on, and once more with presolve
+    off if that fails or misses tol (_solve_steps); a failure of the second
+    solve raises RuntimeError.  The value and the certificate are computed
+    from the final mixes through M's step matrix D (M c = D T,
+    r M = cumsum(D^T r)), and a result that misses tol is returned with
+    converged=False rather than hidden.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.size == 0:

@@ -23,6 +23,12 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _miss_every_certificate(monkeypatch):
+    real = oracle_solver._step_certificate
+    monkeypatch.setattr(oracle_solver, "_step_certificate",
+                        lambda D, r, c: (real(D, r, c)[0], 1.0))
+
+
 def run_json(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code in (0, 1), err
@@ -148,6 +154,18 @@ class TestValueCurve:
         assert abs(float(cells[5]) - 0.5) < 1e-9
         assert abs(float(cells[6]) - 0.5) < 1e-9
 
+    def test_certificate_miss_exits_1(self, capsys, monkeypatch):
+        _miss_every_certificate(monkeypatch)
+        code, out, err = run_cli(
+            ["value-curve", "--p-min", "0.3", "--p-max", "0.4", "--steps", "2",
+             "--n-ladder", "11,21"], capsys)
+        assert code == 1
+        assert out.splitlines()[1] == "p,v_formula,regime,m,epsilon_p,value_n11,value_n21"
+        assert err.splitlines() == [
+            f"procurelab value-curve: error: grid solve at p={p}, n={n} "
+            "missed its certificate tolerance"
+            for p in ("0.3", "0.4") for n in (11, 21)]
+
     def test_steps_sweep(self, capsys):
         code, out, _ = run_cli(
             ["value-curve", "--p-min", "0.3", "--p-max", "0.4", "--steps", "3"], capsys)
@@ -229,6 +247,14 @@ class TestSolveGrid:
         # frozen from the breakpoint-enriched 101-point grid
         assert d["value"] == pytest.approx(0.372519372552, abs=1e-6)
         assert d["exploitability"] <= 1e-6
+
+    def test_certificate_miss_exits_1(self, capsys, monkeypatch):
+        _miss_every_certificate(monkeypatch)
+        code, out, err = run_cli(["solve-grid", "--p", "0.3", "--n", "11"], capsys)
+        assert code == 1
+        assert json.loads(out)["converged"] is False
+        assert err == ("procurelab solve-grid: error: grid solve at p=0.3, n=11 "
+                       "missed its certificate tolerance\n")
 
     def test_solver_failure_exits_1(self, capsys, monkeypatch):
         failed = OptimizeResult(success=False, status=4, message="numerical difficulties")

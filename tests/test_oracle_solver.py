@@ -44,6 +44,10 @@ from procurelab.oracle_solver import (
 from procurelab.strategy import point_mass
 
 CFG = default_config()
+# the default market and its five affine images x -> a + s x
+AFFINE_MARKETS = (CFG, MarketConfig(0.0, 1.5e-6, 1e-6), MarketConfig(-3.0, 0.0, -1.0),
+                  MarketConfig(0.2, 2.0, 1.1), MarketConfig(0.0, 1.5e6, 1e6),
+                  MarketConfig(1e6, 1e6 + 1.5, 1e6 + 1))
 MP = np.array([[1.0, 0.0], [0.0, 1.0]])
 
 
@@ -59,6 +63,19 @@ def _dense_value(M) -> float:
                            "dual_feasibility_tolerance": 1e-10})
     assert res.success
     return -res.fun
+
+
+def _count_presolves(monkeypatch, solve=None) -> list[bool]:
+    """Patch oracle_solver.linprog to record each call's presolve option."""
+    calls = []
+    solve = solve or oracle_solver.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["options"]["presolve"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_solver, "linprog", counting)
+    return calls
 
 
 class TestGrid:
@@ -217,17 +234,29 @@ class TestSolver:
         assert sol.exploitability <= 1e-9 and sol.converged
 
     def test_one_lp_per_solve(self, monkeypatch):
-        calls = []
-        real = oracle_solver.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(oracle_solver, "linprog", counting)
+        calls = _count_presolves(monkeypatch)
         g = make_grid(51, CFG, mandatory=regime_breakpoints(0.3, CFG))
         sol = solve_matrix_game(payoff_matrix(WeightedKernel(p=0.3, cfg=CFG), g, g))
-        assert len(calls) == 1 and sol.converged
+        assert calls == [True] and sol.converged
+
+    def test_certificate_miss_solves_again_without_presolve(self, monkeypatch):
+        real = oracle_solver.linprog
+
+        def perturbing(*args, **kwargs):
+            res = real(*args, **kwargs)
+            if kwargs["options"]["presolve"]:
+                # move 1% of the row player's mass onto the first row
+                res.ineqlin.marginals[:] *= 0.99
+                res.ineqlin.marginals[0] -= 0.01
+            return res
+
+        calls = _count_presolves(monkeypatch, perturbing)
+        g = make_grid(51, CFG, mandatory=regime_breakpoints(0.3, CFG))
+        M = payoff_matrix(WeightedKernel(p=0.3, cfg=CFG), g, g)
+        sol = solve_matrix_game(M)
+        assert calls == [True, False]
+        assert sol.converged and sol.exploitability <= 1e-9
+        assert exploitability(M, sol.row_mix, sol.col_mix) <= 1e-9
 
     def test_lp_is_sparse(self, monkeypatch):
         seen = {}
@@ -250,11 +279,15 @@ class TestSolver:
         MarketConfig(A=0.0, B=1.5e6, E=1e6),
         MarketConfig(A=1e6, B=1e6 + 1.5, E=1e6 + 1),
     ])
-    def test_critical_solve_far_from_unit_market(self, cfg):
-        # with HiGHS presolve on, these solves stopped with a solver error
+    def test_critical_solve_far_from_unit_market(self, cfg, monkeypatch):
+        # with HiGHS presolve on, these solves stop with a solver error
+        # ("excessive primal values" after postsolve); the second solve,
+        # with presolve off, converges
+        calls = _count_presolves(monkeypatch)
         p = critical_p()
         g = make_grid(801, cfg, mandatory=regime_breakpoints(p, cfg))
         sol = solve_matrix_game(payoff_matrix(WeightedKernel(p=p, cfg=cfg), g, g))
+        assert calls == [True, False]
         assert sol.converged
 
     @pytest.mark.parametrize("p", [0.5, critical_p(), 0.3, 0.1])
@@ -274,9 +307,10 @@ class TestSolver:
             return OptimizeResult(success=False, status=4, message="numerical difficulties",
                                   x=np.full(3, 0.5))
 
-        monkeypatch.setattr(oracle_solver, "linprog", failing)
+        calls = _count_presolves(monkeypatch, failing)
         with pytest.raises(RuntimeError, match=r"status 4.*numerical difficulties"):
             solve_matrix_game(MP)
+        assert calls == [True, False]
 
     @pytest.mark.parametrize("shape, columns", [
         ((9, 6), None),  # negative entries and a nonzero first column
@@ -306,6 +340,14 @@ class TestGridGame:
             sol = solve_grid_game(kern, g, g)
             assert sol == solve_matrix_game(payoff_matrix(kern, g, g))
             assert sol.converged
+
+    @pytest.mark.parametrize(
+        "cfg", AFFINE_MARKETS + (MarketConfig(0.0, 1.5, 1.4), MarketConfig(0.0, 1.5, 1.49)),
+        ids=lambda c: f"{c.A},{c.B},{c.E}")
+    def test_converges_across_markets(self, cfg):
+        for p in (0.5, critical_p(), 0.3, 0.1):
+            g = make_grid(201, cfg, mandatory=regime_breakpoints(p, cfg))
+            assert solve_grid_game(WeightedKernel(p=p, cfg=cfg), g, g).converged, p
 
     def test_non_square_with_a_short_last_block(self):
         gx, gy = make_grid(203, CFG), make_grid(301, CFG)
@@ -345,10 +387,7 @@ class TestGridGame:
 
 
 # the default market, its five affine images, and two with E near A or B
-STEP_MARKETS = (CFG, MarketConfig(0.0, 1.5e-6, 1e-6), MarketConfig(-3.0, 0.0, -1.0),
-                MarketConfig(0.2, 2.0, 1.1), MarketConfig(0.0, 1.5e6, 1e6),
-                MarketConfig(1e6, 1e6 + 1.5, 1e6 + 1), MarketConfig(0.0, 1.5, 0.003),
-                MarketConfig(0.0, 1.01, 1.0))
+STEP_MARKETS = AFFINE_MARKETS + (MarketConfig(0.0, 1.5, 0.003), MarketConfig(0.0, 1.01, 1.0))
 STEP_WEIGHTS = (0.0, 1e-6, 0.1, critical_p(), 0.3, 0.5, 0.7, 1.0 - 1e-6, 1.0)
 
 
@@ -581,8 +620,14 @@ class TestRegimeBreakpoints:
 
     def test_critical(self):
         seq = weighted_sequences(critical_p(), 3, CFG)
-        marks = regime_breakpoints(critical_p(), CFG)
-        assert marks == tuple(seq.a_check[1:4]) + (seq.d_check[1],)
+        assert regime_breakpoints(critical_p(), CFG) == seq.a_check[1:4]
+
+    @pytest.mark.parametrize("cfg", AFFINE_MARKETS, ids=lambda c: f"{c.A},{c.B},{c.E}")
+    def test_critical_landmarks_are_distinct(self, cfg):
+        # d_check[1] equals a_check[3] at p* but sits an ulp from it in
+        # floats; listed twice it put a twin point on every critical grid
+        marks = np.array(regime_breakpoints(critical_p(), cfg))
+        assert (np.diff(marks) > 1e-9 * (cfg.E - cfg.A)).all()
 
     @pytest.mark.parametrize("p", [0.3, 0.1])
     def test_interval_regimes_cover_partition(self, p):
