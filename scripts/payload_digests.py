@@ -21,6 +21,11 @@ The payloads are:
   benchmark's equilibrium-scan workload at seeds 1-3 (exact and quadrature
   ``expect_vs``, residuals, joint value and Monte Carlo), run in this
   process from ``perfbench.workloads.equilibrium_scan`` of the same ROOT;
+* ``floatpath/<label>/<side>/<method>,n=<n>``: every value that the
+  seed-1 scan op ``<label>`` takes from a float-bid ``expect_vs`` call on
+  that side and method, in call order, as float64 bytes (20,000 exact and
+  1,000 quadrature values a side), so a last-ulp change shows even where
+  the scan's payload keeps only a max or a min;
 * ``verify/<strategy>[-p<p>]``: stdout and exit code of ``verify --format
   json`` for the uniform, log and critical strategies and the weighted one
   at p in {0.5, 0.3, 0.1, 0.05, 0.01} (the last in the low-p regime, where
@@ -58,6 +63,7 @@ A digest covers the bytes of the payload, so any moved digit shows.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -95,6 +101,27 @@ def cli_digest(root: Path, env: dict, args: list[str]) -> str:
     return digest(proc.stdout + f"\nexit={proc.returncode}\n".encode())
 
 
+@contextlib.contextmanager
+def recording_float_bids(values: dict):
+    """Wrap strategy.expect_vs, the attribute the scan ops call, so that each
+    float-bid call appends its value to values[(side value, method)]."""
+    from procurelab import strategy
+
+    real = strategy.expect_vs
+
+    def expect_vs(bid, s, kernel, *, side=strategy.Side.AS_ROW, method="exact"):
+        out = real(bid, s, kernel, side=side, method=method)
+        if not isinstance(bid, np.ndarray):
+            values.setdefault((side.value, method), []).append(out)
+        return out
+
+    strategy.expect_vs = expect_vs
+    try:
+        yield
+    finally:
+        strategy.expect_vs = real
+
+
 def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -123,11 +150,18 @@ def main(argv: list[str]) -> int:
         for args in cli_args(seed):
             print(f"cli/seed={seed}/{'_'.join(args)} {cli_digest(root, env, args)}")
     print(f"cli/{'_'.join(SLICE)} {cli_digest(root, env, SLICE)}")
+    float_paths = []
     for seed in SEEDS:
         ops, _ = equilibrium_scan(seed, root)
         for label, op in ops:
-            _, payload, _ = op(False)
+            values = {}
+            with recording_float_bids(values) if seed == 1 else contextlib.nullcontext():
+                _, payload, _ = op(False)
             print(f"scan/seed={seed}/{label} {digest(payload.encode())}")
+            float_paths += [(label, key, vals) for key, vals in values.items()]
+    for label, (side, method), vals in float_paths:
+        print(f"floatpath/{label}/{side}/{method},n={len(vals)} "
+              f"{digest(np.array(vals, dtype=np.float64).tobytes())}")
     for args in VERIFY:
         name = args[1] + (f"-p{args[3]}" if len(args) > 2 else "")
         print(f"verify/{name} "

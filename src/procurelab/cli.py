@@ -222,7 +222,7 @@ def _cmd_value_curve(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]
     ladder = _parse_ladder(args.n_ladder)
     cfg = rc.market()
     ps = [_snap_critical(float(v)) for v in np.linspace(args.p_min, args.p_max, args.steps)]
-    solves = value_curve_oracle(ps, cfg, ladder) if ladder else []
+    solves = value_curve_oracle(ps, cfg, ladder, rc.tol) if ladder else []
     ladder_values = {(row["p"], row["n"]): row["value_n"] for row in solves}
     code = _certificate_misses(
         "value-curve", [(row["p"], row["n"]) for row in solves if not row["converged"]])

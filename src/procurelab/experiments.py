@@ -138,21 +138,26 @@ def mc_tournament(
     require_market(cfg, *strategies)
     if kernel is not None:
         values = sorted({0.0, kernel.tie_value, 1.0})
-        score = lambda x, y: kernel.batch(x, y)[:, None]
+        # the row payoff of each draw, a 1-D array counted as a whole: one
+        # row of counts, summed without numpy's slower axis= path
+        score = kernel.batch
+        count = lambda pay: [[np.count_nonzero(pay == v) for v in values]]
     else:
         values = sorted({0.0, *(1.0 / k for k in range(1, len(strategies) + 1))})
         score = lambda *bids: payoff_n_batch(np.column_stack(bids), cfg)
+        count = lambda pay: np.stack([np.count_nonzero(pay == v, axis=0)
+                                      for v in values], axis=1).tolist()
     seeds = [derive_seed(seed, "tournament", i) for i in range(len(strategies))]
-    counts = 0
+    blocks = []
     for start in range(0, samples, CELLS):
         k = min(CELLS, samples - start)
         pay = score(*(s.quantile(uniform_block(sd, start, k))
                       for s, sd in zip(strategies, seeds)))
-        block = np.stack([np.count_nonzero(pay == v, axis=0) for v in values], axis=1)
-        if (block.sum(axis=1) != k).any():
+        block = count(pay)
+        if any(sum(row) != k for row in block):
             raise RuntimeError(f"payoffs outside {values} in draws {start}..{start + k - 1}")
-        counts = counts + block
-    tallies = [dict(zip(values, row.tolist())) for row in counts]
+        blocks.append(block)
+    tallies = [dict(zip(values, row)) for row in np.sum(blocks, axis=0).tolist()]
     if kernel is not None:
         tallies.append({1.0 - v: c for v, c in tallies[0].items()})
     stats = [_count_stats(t, samples) for t in tallies]
@@ -459,6 +464,13 @@ def run_battery(
             k = min(m, rows - i)
             yield i, cfg.A + span * uniform_block(stream, cols * i, cols * k).reshape(k, cols)
 
+    def float_rows(a: np.ndarray):
+        # the rows of a as lists of Python floats, on which the scalar
+        # oracles run faster than on numpy scalars, made 512 rows at a time:
+        # a whole block's lists would outweigh its array
+        for i in range(0, len(a), 512):
+            yield from a[i:i + 512].tolist()
+
     # --- game_core ---------------------------------------------------------
 
     def conservation():
@@ -491,8 +503,8 @@ def run_battery(
             m = CELLS // n_players
             for i in range(0, len(bids), m):
                 block = bids[i:i + m]
-                oracle = payoff_n_combinatorial(block, cfg).tolist()
-                for prof, want in zip(map(tuple, block.tolist()), oracle):
+                oracle = payoff_n_combinatorial(block, cfg)
+                for prof, want in zip(map(tuple, float_rows(block)), float_rows(oracle)):
                     if list(payoff_n(prof, cfg)) != want:
                         bad += 1
                         if len(worst) < 5:
@@ -522,9 +534,8 @@ def run_battery(
     def deviation_wins():
         bad, worst = 0, []
         for n_players in (2, 3, 5):
-            others = draw_bids("deviate", 3_334, n_players - 1)
-            for row in others:
-                star = best_deviation(list(row), cfg)
+            for row in float_rows(draw_bids("deviate", 3_334, n_players - 1)):
+                star = best_deviation(row, cfg)
                 if payoff_n((star, *row), cfg)[0] != 1.0:
                     bad += 1
                     if len(worst) < 5:

@@ -446,7 +446,8 @@ class Side(Enum):
 
 
 # on Python 3.11 a member looked up on its Enum class costs ≈100 ns, a module
-# global a few; win_ends runs once per float expect_vs call
+# global a few; win_ends and strategy.expect_vs test the side once per float
+# expect_vs call
 _AS_ROW, _AS_COLUMN = Side.AS_ROW, Side.AS_COLUMN
 
 
@@ -463,16 +464,15 @@ def win_ends(
     region is [A, bid) and the upper one is empty; at E this keeps the tie
     out, where h2(E) may round above E.  win_region_ends is the array form.
     """
-    A, B, E = cfg.A, cfg.B, cfg.E
     if side is _AS_ROW:
         # max(h, A) and max(f, bid) as conditionals, the first argument
         # kept on a tie
-        h, f = maps.h1(bid), maps.f1(bid)
-        return (A if A > h else h, bid), (bid if bid > f else f, B)
+        A, h, f = cfg.A, maps.h1(bid), maps.f1(bid)
+        return (A if A > h else h, bid), (bid if bid > f else f, cfg.B)
     if side is _AS_COLUMN:
-        if bid >= E:
-            return (A, bid), (bid, bid)
-        return (A, maps.h2(bid)), (bid, maps.f2(bid))
+        if bid >= cfg.E:
+            return (cfg.A, bid), (bid, bid)
+        return (cfg.A, maps.h2(bid)), (bid, maps.f2(bid))
     raise DomainError(f"unknown side {side!r}")
 
 

@@ -538,13 +538,14 @@ def value_curve_oracle(
     p_list: Sequence[float],
     cfg: MarketConfig,
     n_list: Sequence[int],
+    tol: float = 1e-9,
 ) -> list[dict]:
     """Grid-game values against the analytic value and the regime benchmark.
 
-    One row per (p, n) pair: the finite-game value from solve_grid_game
-    (so no n x n payoff matrix is built), the closed-form value with its
-    gap, the regime's coarse benchmark with its gap, and which of the two
-    predictions the finite value sits closer to.
+    One row per (p, n) pair: the finite-game value from solve_grid_game at
+    certificate tolerance tol (so no n x n payoff matrix is built), the
+    closed-form value with its gap, the regime's coarse benchmark with its
+    gap, and which of the two predictions the finite value sits closer to.
     """
     if list(n_list) != sorted(n_list):
         raise DomainError("n_list must be ascending")
@@ -555,7 +556,7 @@ def value_curve_oracle(
         marks = regime_breakpoints(p, cfg)
         for n in n_list:
             g = make_grid(n, cfg, mandatory=marks)
-            sol = solve_grid_game(kernel, g, g)
+            sol = solve_grid_game(kernel, g, g, tol)
             gap = abs(sol.value - rep.v)
             bench_gap = abs(sol.value - rep.benchmark)
             if math.isclose(gap, bench_gap, rel_tol=0.0, abs_tol=1e-12):

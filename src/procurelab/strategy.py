@@ -23,6 +23,8 @@ from numpy.polynomial.legendre import leggauss
 
 from procurelab._rng import uniform_block
 from procurelab.game_core import (
+    _AS_COLUMN,
+    _AS_ROW,
     BLOCK,
     CELLS,
     DomainError,
@@ -215,10 +217,16 @@ class MixedStrategy:
         return tables
 
     def quantile(self, u) -> float | np.ndarray:
-        """Generalized inverse of the CDF: inf{x : cdf(x) >= u}."""
+        """Generalized inverse of the CDF: inf{x : cdf(x) >= u}.
+
+        Every u must lie in [0, 1]; NaN or anything outside raises
+        DomainError.  An empty array gives an empty array.
+        """
         scalar = np.isscalar(u) or np.asarray(u).ndim == 0
         uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        if ((uu < 0.0) | (uu > 1.0)).any():
+        # one pass for each end; min and max return NaN if any u is NaN, and
+        # the comparisons then fail
+        if uu.size and not (uu.min() >= 0.0 and uu.max() <= 1.0):
             raise DomainError("quantile argument outside [0, 1]")
         tables = self._quantile_tables
         if tables is not None:
@@ -309,6 +317,9 @@ _GL_NODES, _GL_WEIGHTS = (
     np.concatenate(parts) for parts in zip(*(leggauss(n) for n in (_GL_LOW, 2 * _GL_LOW)))
 )
 _GL_NODES += 1.0
+# the same tables halved: a panel of width d has its nodes at d·(t/2) and its
+# weights d·(w/2), which equal (d/2)·t and (d/2)·w exactly for normal floats
+_GL_HALF_NODES, _GL_HALF_WEIGHTS = _GL_NODES / 2.0, _GL_WEIGHTS / 2.0
 
 
 @dataclass(frozen=True)
@@ -327,7 +338,7 @@ def _region_cutpoints(bid: float, side: Side, kernel: WeightedKernel) -> list[fl
     p = kernel.p
     if 0.0 < p < 1.0:
         maps = kernel.maps
-        if side is Side.AS_ROW:
+        if side is _AS_ROW:
             pts += [maps.h1(bid), maps.f1(bid)]
         else:
             pts += [maps.h2(bid), maps.f2(bid)]
@@ -337,20 +348,22 @@ def _region_cutpoints(bid: float, side: Side, kernel: WeightedKernel) -> list[fl
     return [q for q in pts if cfg.A < q < cfg.B]
 
 
-def _panels(points: Iterable[float], lo: float, hi: float, E: float) -> list[tuple[float, float]]:
-    """Panels of [lo, hi] between the points inside it, halved toward E.
+def _panels(points: Iterable[float], lo: float, hi: float, E: float) -> list[float]:
+    """The right ends of the panels of [lo, hi], in order; the first starts at lo.
 
-    The reciprocal densities, and the payoffs against them, are singular at
-    E; a panel below E is cut at its midpoints toward E until none lies
-    closer to E than its own length, so a fixed-order rule resolves it.
+    Panels run between the points inside [lo, hi], halved toward E.  The
+    reciprocal densities, and the payoffs against them, are singular at E;
+    a panel below E is cut at its midpoints toward E until none lies closer
+    to E than its own length, so a fixed-order rule resolves it.
     """
-    cuts = sorted({lo, hi} | {q for q in points if lo < q < hi})
     out = []
-    for a, b in zip(cuts, cuts[1:]):
+    a = lo
+    for b in [*sorted({q for q in points if lo < q < hi}), hi]:
         while b < E and (mid := (a + E) / 2.0) < b:
-            out.append((a, mid))
+            out.append(mid)
             a = mid
-        out.append((a, b))
+        out.append(b)
+        a = b
     return out
 
 
@@ -383,9 +396,12 @@ def expect_vs(
     payoff.
 
     Any other bid (a float, an int, a numpy scalar or a 0-d array) is read
-    as float(bid).  Its exact path builds no closure or array: it clips the
+    as float(bid); an admissible float passes its range check in one chained
+    comparison.  Its exact path builds no closure or array: it clips the
     float win_ends to each piece with the strategy's cached piece_constants,
-    and scores atoms with the kernel.
+    and scores atoms with the kernel.  Its quadrature path is one block of
+    _integrate_against: one call of kernel.batch on every node of its
+    panels.
 
     A 1-D array of bids gives the array of their payoffs.  The exact path
     adds the same terms in the same order as a float bid does; reciprocal
@@ -397,50 +413,60 @@ def expect_vs(
     bit for bit.
 
     A side that is not a Side, or a strategy built on another market than
-    the kernel's, raises DomainError on every path.
+    the kernel's, raises DomainError on every path.  The checks run in the
+    order method, side, market, weight, bid, so a call with several faults
+    names the first of them.
     """
-    if method not in ("exact", "quadrature"):
+    # each check in its cheapest form: Side has two members, so identity with
+    # them is the isinstance test, and the market needs require_market's
+    # equality test only when it is not the kernel's object
+    if method == "exact":
+        exact = True
+    elif method == "quadrature":
+        exact = False
+    else:
         raise DomainError(f"unknown method {method!r}")
-    if not isinstance(side, Side):
+    if side is not _AS_ROW and side is not _AS_COLUMN:
         raise DomainError(f"unknown side {side!r}")
     cfg = kernel.cfg
-    require_market(cfg, s)
-    exact = method == "exact"
+    if s.cfg is not cfg:
+        require_market(cfg, s)
     if exact and not 0.0 < kernel.p < 1.0:
         raise UnsupportedError("exact win regions need 0 < p < 1")
-    if isinstance(bid, np.ndarray) and bid.ndim:
-        if bid.ndim != 1:
-            raise DomainError(f"array bids must be 1-D, got shape {bid.shape}")
-        bids = cfg.require_bids(bid)
-        if exact:
-            return _expect_vs_exact_array(bids, s, kernel, side)
-        return _expect_vs_quadrature(bids, s, kernel, side)
+    # an admissible float needs no more checks; anything else is an array or
+    # goes through require_bid, which reads it as float(bid)
+    if type(bid) is not float or not cfg.A <= bid <= cfg.B:
+        if isinstance(bid, np.ndarray) and bid.ndim:
+            if bid.ndim != 1:
+                raise DomainError(f"array bids must be 1-D, got shape {bid.shape}")
+            bids = cfg.require_bids(bid)
+            if exact:
+                return _expect_vs_exact_array(bids, s, kernel, side)
+            return _expect_vs_quadrature(bids, s, kernel, side)
+        bid = cfg.require_bid(bid)
     # a float bid stays on scalar code for the exact path: for one bid it is
     # several times faster than a one-element array
-    bid = cfg.require_bid(bid)
     if exact:
         # each piece's mass inside the two win regions, from plain floats and
         # the per-strategy constants; an empty region adds no term.  The
         # conditionals clip as max(lo, a) and min(hi, b) do, ties included
         E, log = cfg.E, math.log
-        atom_part = 0.0
-        if s.atoms:
-            row = side is Side.AS_ROW
-            atom_part = sum(a.m * (kernel(bid, a.x) if row else kernel(a.x, bid))
-                            for a in s.atoms)
-        pieces = s.piece_constants
         cont = 0.0
         for lo, hi in win_ends(bid, side, kernel.maps, cfg):
-            for flat, a, b, w, c in pieces:
+            for flat, a, b, w, c in s.piece_constants:
                 lo_in = a if a > lo else lo
                 hi_in = b if b < hi else hi
                 if hi_in > lo_in:
                     cont += (w * (hi_in - lo_in) / (b - a) if flat
                              else c * log((E - lo_in) / (E - hi_in)))
-        return atom_part + cont
+        if s.atoms:
+            row = side is _AS_ROW
+            cont += sum(a.m * (kernel(bid, a.x) if row else kernel(a.x, bid))
+                        for a in s.atoms)
+        return cont
 
     # the one-bid case of the array quadrature below
-    f = ((lambda _, ys: kernel.batch(bid, ys)) if side is Side.AS_ROW
+    f = ((lambda _, ys: kernel.batch(bid, ys)) if side is _AS_ROW
          else (lambda _, ys: kernel.batch(ys, bid)))
     return _integrate_against(s, f, [_region_cutpoints(bid, side, kernel)], at=(bid,))[0]
 
@@ -508,37 +534,55 @@ def _integrate_against(mu: MixedStrategy, f: Callable[[np.ndarray, np.ndarray], 
     is one integrand) and points that broadcast against them, and returns
     values of the broadcast shape.
     It is called on the Gauss-Legendre nodes of every panel of every piece
-    at both orders, for all integrands together, CELLS nodes at a time (a
-    panel's sums do not depend on the others in its block), and once more
-    on the atoms, whose mass is added exactly.  Integrand k's summed gap
-    between the orders over its panels is its error estimate; when any miss
-    the tolerance, QuadratureError names the worst of all, as at[k] when at
-    is given.
+    at both orders, for all integrands together, and once more on the
+    atoms, whose mass is added exactly.  Panels that fit one block of CELLS
+    nodes (a float bid's always do) are summed in one call of f; more are
+    summed CELLS nodes at a time, and since a panel's sums do not depend on
+    the other panels in its block, each panel gives the same floats either
+    way.  Integrand k's summed gap between the orders over its panels is its
+    error estimate; when any miss the tolerance, QuadratureError names the
+    worst of all, as at[k] when at is given.
     """
     E = mu.cfg.E
     m = len(cuts)
-    panels, ends = [], []
+    consts = mu.piece_constants
+    # True or False when every piece is uniform or every one reciprocal, so
+    # the density needs no per-node choice; None for a mixture of both
+    flat = consts[0][0] if len({pc[0] for pc in consts}) == 1 else None
+    los, his, cs, flats, ends = [], [], [], [], []
     for ck in cuts:
-        panels += [(lo, hi, c, flat) for flat, a, b, _, c in mu.piece_constants
-                   for lo, hi in _panels(ck, a, b, E)]
-        ends.append(len(panels))
-    lo, hi, c, flat = np.array(panels, dtype=np.float64).reshape(-1, 4).T[:, :, None]
-    del panels  # its tuples take more memory than the array
+        for is_flat, a, b, _, c in consts:
+            tops = _panels(ck, a, b, E)
+            los += [a, *tops[:-1]]
+            his += tops
+            cs += [c] * len(tops)
+            if flat is None:
+                flats += [is_flat] * len(tops)
+        ends.append(len(his))
+    # the panels' starts, ends and density constants (and kinds) as columns
+    # of one array, built from one flat list
+    n = len(los)
+    if flat is None:
+        panel = np.array(los + his + cs + flats, dtype=np.float64).reshape(4, n, 1)
+        flat = panel[3]
+    else:
+        panel = np.array(los + his + cs, dtype=np.float64).reshape(3, n, 1)
+    del los, his, cs, flats  # lists of floats take more memory than the array
+    lo, c = panel[0], panel[2]
+    d = panel[1] - lo
     # each panel's integrand; a lone integrand's index is passed as a scalar,
     # which numpy broadcasts faster
     owner = 0 if m == 1 else np.repeat(np.arange(m), np.diff([0, *ends]))[:, None]
-    high, spread = np.empty(len(lo)), np.empty(len(lo))
     step = CELLS // _GL_NODES.size
-    for i in range(0, len(lo), step):
-        blk = slice(i, i + step)
-        half = (hi[blk] - lo[blk]) / 2.0
-        x = lo[blk] + half * _GL_NODES
-        # each panel's density: c on a uniform piece, c/(E - x) on a
-        # reciprocal one
-        weights = half * _GL_WEIGHTS * (c[blk] / np.where(flat[blk], 1.0, E - x))
-        wf = weights * f(owner if m == 1 else owner[blk], x)
-        high[blk] = np.add.reduce(wf[:, _GL_LOW:], axis=1)
-        spread[blk] = np.abs(high[blk] - np.add.reduce(wf[:, :_GL_LOW], axis=1))
+    if 0 < n <= step:
+        high, spread = _panel_sums(f, owner, E, lo, d, c, flat)
+    else:
+        high, spread = np.empty(n), np.empty(n)
+        for i in range(0, n, step):
+            blk = slice(i, i + step)
+            high[blk], spread[blk] = _panel_sums(
+                f, owner if m == 1 else owner[blk], E, lo[blk], d[blk], c[blk],
+                flat if isinstance(flat, bool) else flat[blk])
     if mu.atoms:
         masses = [a.m for a in mu.atoms]
         at_atoms = f(np.arange(m)[:, None], np.tile([a.x for a in mu.atoms], (m, 1)))
@@ -561,6 +605,28 @@ def _integrate_against(mu: MixedStrategy, f: Callable[[np.ndarray, np.ndarray], 
         where = f" at {float(at[k])!r}" if at is not None else f" in integrand {k}"
         raise QuadratureError(f"Gauss-Legendre orders disagree{where}", gap)
     return totals
+
+
+def _panel_sums(f: Callable[[np.ndarray, np.ndarray], np.ndarray], owner, E: float,
+                lo: np.ndarray, d: np.ndarray, c: np.ndarray, flat: bool | np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Each panel's higher-order sum and its gap to the lower-order one.
+
+    lo, d and c are columns of panel starts, widths and density constants;
+    flat is True (all uniform), False (all reciprocal) or a column saying
+    which panels are uniform.
+    """
+    x = lo + d * _GL_HALF_NODES
+    # each panel's density: c on a uniform piece, c/(E - x) on a reciprocal one
+    if flat is True:
+        density = c
+    elif flat is False:
+        density = c / (E - x)
+    else:
+        density = c / np.where(flat, 1.0, E - x)
+    wf = d * _GL_HALF_WEIGHTS * density * f(owner, x)
+    high = np.add.reduce(wf[:, _GL_LOW:], axis=1)
+    return high, np.abs(high - np.add.reduce(wf[:, :_GL_LOW], axis=1))
 
 
 def expect_joint(mu: MixedStrategy, nu: MixedStrategy, kernel: WeightedKernel) -> JointExpectation:

@@ -166,6 +166,17 @@ class TestValueCurve:
             "missed its certificate tolerance"
             for p in ("0.3", "0.4") for n in (11, 21)]
 
+    def test_ladder_reads_tol(self, capsys):
+        # no LP certificate reaches 1e-30, so the one ladder solve misses it
+        code, out, err = run_cli(
+            ["value-curve", "--p-min", "0.3", "--p-max", "0.3", "--n-ladder", "51",
+             "--tol", "1e-30"], capsys)
+        assert code == 1
+        assert out.splitlines()[1] == "p,v_formula,regime,m,epsilon_p,value_n51"
+        assert err.splitlines() == [
+            "procurelab value-curve: error: grid solve at p=0.3, n=51 "
+            "missed its certificate tolerance"]
+
     def test_steps_sweep(self, capsys):
         code, out, _ = run_cli(
             ["value-curve", "--p-min", "0.3", "--p-max", "0.4", "--steps", "3"], capsys)

@@ -224,6 +224,13 @@ class TestTournament:
         with pytest.raises(RuntimeError, match="payoffs outside"):
             mc_tournament([s, s, s], None, 100, 0)
 
+    def test_unexpected_two_player_payoff_raises(self, monkeypatch):
+        real = WeightedKernel.batch
+        monkeypatch.setattr(WeightedKernel, "batch", lambda self, x, y: 0.9 * real(self, x, y))
+        s = log_equilibrium(CFG)
+        with pytest.raises(RuntimeError, match="payoffs outside"):
+            mc_tournament([s, s], symmetric_kernel(CFG), 100, 0)
+
     @pytest.mark.parametrize("make", [log_equilibrium, critical_regime_strategy])
     def test_million_draws_stay_small(self, make):
         # the draws, payoffs and statistics are made a block at a time; a

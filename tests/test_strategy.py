@@ -144,9 +144,15 @@ class TestCdfQuantile:
         s = st.point_mass(0.7, CFG)
         assert s.quantile(0.0) == 0.7 and s.quantile(1.0) == 0.7
 
-    def test_quantile_domain(self):
+    @pytest.mark.parametrize("u", [-1e-9, 1.5, math.nan, np.array([0.2, math.nan])],
+                             ids=["below", "above", "nan", "array-with-nan"])
+    def test_quantile_domain(self, u):
         with pytest.raises(DomainError):
-            uniform_pair().quantile(1.5)
+            uniform_pair().quantile(u)
+
+    def test_quantile_takes_empty_array(self):
+        out = uniform_pair().quantile(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     def test_overlapping_pieces_fall_back_to_bisection(self):
         s = MixedStrategy(
