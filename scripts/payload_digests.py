@@ -44,7 +44,15 @@ The payloads are:
   (kernel None), and of a pair of mixtures with atoms (so bids tie) under
   the p = 0.3 kernel and under p = 0.0 and 1.0, where the tie value equals
   the loss or the win value, as JSON of the result's fields; and the raw
-  bytes of the critical strategy's ``sample``;
+  bytes of the critical strategy's quantiles of ``uniform_stream(7, n)``;
+* ``joint/<label>,p=<p>``: ``expect_joint`` of the uniform, log, critical
+  and weighted-0.3 strategies against themselves, as JSON of the value, the
+  per-form values and the max gap, under the kernels of p in {0.3, 0.0,
+  1.0}; at p in {0, 1} the outer form takes the quadrature path and both
+  read the limits of the kernel's cutpoints;
+* ``quad/<label>/<side>,p=<p>``: the raw bytes of array-bid quadrature
+  ``expect_vs`` against the same four strategies, on A, B, E and 151
+  evenly spaced bids, on both sides, under the kernels of p in {0.0, 1.0};
 * ``ddpm/...``: the ``ddpm_probe`` report as JSON at 1,000 samples on the
   default market, and on two narrow markets, ``(0, 1.5, 0.003)`` at 40
   samples and ``(5, 6, 5.004)`` at 25, where E sits close to A, so the
@@ -135,13 +143,16 @@ def main(argv: list[str]) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
 
+    from procurelab._rng import uniform_stream
     from procurelab.equilibria import (critical_regime_strategy, log_equilibrium,
-                                       uniform_equilibrium)
+                                       uniform_equilibrium, weighted_equilibrium)
     from procurelab.experiments import br_dynamics, mc_tournament, run_battery
-    from procurelab.game_core import MarketConfig, WeightedKernel, critical_p, default_config
+    from procurelab.game_core import (MarketConfig, Side, WeightedKernel, critical_p,
+                                      default_config)
     from procurelab.oracle_solver import (ddpm_probe, make_grid, solve_grid_game,
                                           value_curve_oracle)
-    from procurelab.strategy import Atom, MixedStrategy, Piece, PieceKind
+    from procurelab.strategy import (Atom, MixedStrategy, Piece, PieceKind, expect_joint,
+                                     expect_vs)
     from perfbench.workloads import cli_args, equilibrium_scan
 
     for report in run_battery(seed=42):
@@ -197,8 +208,23 @@ def main(argv: list[str]) -> int:
         print(f"mc/{name},samples={MC_SAMPLES} "
               f"{digest(json.dumps(dataclasses.asdict(res), sort_keys=True).encode())}")
     n = 2 * 65_536 + 5
-    draws = critical_regime_strategy(cfg).sample(7, n)
+    draws = critical_regime_strategy(cfg).quantile(uniform_stream(7, n))
     print(f"mc/sample/critical,n={n} {digest(draws.tobytes())}")
+    labelled = (("uniform", uniform_equilibrium(cfg)), ("log", log_equilibrium(cfg)),
+                ("critical", critical_regime_strategy(cfg)),
+                ("weighted-0.3", weighted_equilibrium(0.3, cfg)))
+    for label, s in labelled:
+        for p in (0.3, 0.0, 1.0):
+            joint = expect_joint(s, s, WeightedKernel(p=p, cfg=cfg))
+            print(f"joint/{label},p={p} "
+                  f"{digest(json.dumps(dataclasses.asdict(joint), sort_keys=True).encode())}")
+    bids = np.append([cfg.A, cfg.B, cfg.E], np.linspace(cfg.A, cfg.B, 151))
+    for label, s in labelled:
+        for side in Side:
+            for p in (0.0, 1.0):
+                vals = expect_vs(bids, s, WeightedKernel(p=p, cfg=cfg), side=side,
+                                 method="quadrature")
+                print(f"quad/{label}/{side.value},p={p} {digest(vals.tobytes())}")
     for market, samples in DDPM:
         report = ddpm_probe(samples, 7, MarketConfig(*market))
         print(f"ddpm/market={market},samples={samples} {digest(report.to_json().encode())}")
