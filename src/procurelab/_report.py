@@ -1,10 +1,10 @@
-"""Verification report records and their JSON-lines serialization."""
+"""Verification report records and their JSON serialization."""
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,3 @@ def make_report(
     return VerificationReport(
         check, parameters, max_violation, tolerance, ok, tuple(worst), runtime_s
     )
-
-
-def write_reports(reports: Iterable[VerificationReport], path: str) -> None:
-    with open(path, "w") as fh:
-        for r in reports:
-            fh.write(r.to_json() + "\n")

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._report import VerificationReport, make_report, write_reports
+from ._report import VerificationReport, make_report
 from ._rng import derive_seed, uniform_block, uniform_stream
 from .game_core import (
     CELLS,
@@ -63,7 +63,6 @@ from .strategy import MixedStrategy, expect_joint, expect_vs, require_market
 __all__ = [
     "VerificationReport",
     "make_report",
-    "write_reports",
     "TournamentResult",
     "mc_tournament",
     "DynamicsTrajectory",
@@ -121,11 +120,11 @@ def mc_tournament(
     complement of the row draw.  kernel=None plays the N-player
     equal-weight game instead.
 
-    Player i's bids are MixedStrategy.sample(derive_seed(seed, "tournament",
-    i), samples), made and scored CELLS draws at a time: the award rule pays
-    only known values ({0, tie value, 1} under a kernel, 0 or 1/k for k
-    tied winners otherwise), so each block adds to exact per-value counts
-    and no array of `samples` elements is built.  A payoff outside those
+    Player i's bids are the quantiles of uniform_stream(derive_seed(seed,
+    "tournament", i), samples), made and scored CELLS draws at a time: the
+    award rule pays only known values ({0, tie value, 1} under a kernel, 0
+    or 1/k for k tied winners otherwise), so each block adds to exact
+    per-value counts and no array of `samples` elements is built.  A payoff outside those
     values raises instead of being dropped.
     """
     if samples < 2:

@@ -9,8 +9,8 @@ award evenly.
 This module evaluates those rules exactly and exposes the analytic objects
 attached to them: deviation thresholds, the four affine reflection maps of the
 weighted two-player game, cutpoint sequences, regime classification, win
-regions, the N=3 cutpoint geometry, and the discontinuity taxonomy used
-by the numeric probes.
+regions and the kernel's cutpoints, the N=3 cutpoint geometry, and the
+discontinuity taxonomy used by the numeric probes.
 
 Everything here is a pure function of its arguments.  Payoff comparisons are
 exact float comparisons (ties happen only for bit-equal bids); a tolerance is
@@ -491,6 +491,32 @@ def win_region_ends(
     else:
         raise DomainError(f"unknown side {side!r}")
     return lower, upper
+
+
+def kernel_cutpoints(kernel: WeightedKernel, bid: float | np.ndarray, side: Side) -> tuple:
+    """(bid, E, lo, hi): the opponent bids where the payoff of `bid` may jump.
+
+    For a fixed own bid the kernel is piecewise constant in the opponent's
+    bid; it jumps only at the tie, at E and at the two win-region ends, lo
+    and hi: h1(bid) and f1(bid) on the row seat, h2(bid) and f2(bid) on the
+    column seat, not clipped to [A, B] or to the bid.  At p in {0, 1} the
+    maps are not defined, and lo and hi are their limits 2 bid - E and
+    (bid + E) / 2 on either seat.  A float bid gives four floats; a 1-D array
+    gives four arrays of its shape, each entry equal to the float's.
+    """
+    if side is not _AS_ROW and side is not _AS_COLUMN:
+        raise DomainError(f"unknown side {side!r}")
+    E = kernel.cfg.E
+    if not 0.0 < kernel.p < 1.0:
+        lo, hi = 2.0 * bid - E, (bid + E) / 2.0
+    elif side is _AS_ROW:
+        maps = kernel.maps
+        lo, hi = maps.h1(bid), maps.f1(bid)
+    else:
+        maps = kernel.maps
+        lo, hi = maps.h2(bid), maps.f2(bid)
+    # E in the bid's shape: 0 * bid is a zero of either sign, so the sum is E
+    return bid, 0.0 * bid + E, lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .game_core import (
     WeightedKernel,
     best_deviation,
     classify_discontinuity,
+    kernel_cutpoints,
     payoff_n,
     payoff_n_batch,
     payoff_n_tilde,
@@ -35,7 +36,6 @@ from .game_core import (
     sym_sequence_A,
     threshold_t,
     weighted_sequences,
-    win_region_ends,
 )
 from .equilibria import regime_partition, value_weighted
 from .strategy import MixedStrategy
@@ -332,21 +332,6 @@ def solve_matrix_game(M, tol: float = 1e-9) -> MatrixGameSolution:
 _REACH_ULPS = 32
 
 
-def _row_cutpoints(kernel: WeightedKernel, xs: np.ndarray) -> np.ndarray:
-    """(len(xs), 4) bids where row xs[i]'s payoff may jump as the column bid moves.
-
-    x, E and the ends of the row's win regions: h1(x) and f1(x) from
-    win_region_ends for 0 < p < 1, or both limits 2x - E and (x + E) / 2 at
-    p in {0, 1}, as strategy._region_cutpoints lists them.
-    """
-    E = kernel.cfg.E
-    if 0.0 < kernel.p < 1.0:
-        (lo, _), (hi, _) = win_region_ends(xs, Side.AS_ROW, kernel.maps, kernel.cfg)
-    else:
-        lo, hi = 2.0 * xs - E, (xs + E) / 2.0
-    return np.stack([xs, np.full_like(xs, E), lo, hi], axis=1)
-
-
 def _grid_steps(kernel: WeightedKernel, gridX: Grid, gridY: Grid):
     """The step matrix D of payoff_matrix(kernel, gridX, gridY), from a few cells per row.
 
@@ -354,9 +339,9 @@ def _grid_steps(kernel: WeightedKernel, gridX: Grid, gridY: Grid):
     constant: exactly, with the kernel's float weights p and w = w_col, it
     jumps only at y = x (the tie), at h1(x), past which a lower y lets the
     price (p x + w y + E) / 2 reach x, and at f1(x), past which a higher y
-    stays above the price (_row_cutpoints, which also lists E, the limit
-    of f1(x) at p = 0).  In floats only the price's rounding moves a jump.
-    With u = 2**-53 and K = max(|A|, |B|):
+    stays above the price (kernel_cutpoints lists these three and E, and
+    the limits of h1 and f1 at p in {0, 1}).  In floats only the price's
+    rounding moves a jump.  With u = 2**-53 and K = max(|A|, |B|):
 
     - the price's four rounded operations err by at most 2 u K, so a
       column whose float value differs from the exact one lies within
@@ -380,7 +365,7 @@ def _grid_steps(kernel: WeightedKernel, gridX: Grid, gridY: Grid):
     lies between two evaluated columns with only such columns between them,
     so the steps between consecutive evaluated columns are M's steps, taken
     with the same subtraction: D equals _steps(payoff_matrix(...)) bit for
-    bit.  A grid-ladder row evaluates at most 13 cells, so the build costs
+    bit.  A grid-ladder row evaluates at most 12 cells, so the build costs
     O(cells per row * len(gridX)), not len(gridX) * len(gridY); it runs in
     blocks of CELLS cells (at least one row).
     """
@@ -406,10 +391,10 @@ def _grid_steps(kernel: WeightedKernel, gridX: Grid, gridY: Grid):
         cols.append(col[step])
         counts.append(np.add.reduceat(step, starts, dtype=np.int64))
 
-    rows = CELLS // 32  # one block at up to 32 cells a row; grid-ladder rows take <= 13
+    rows = CELLS // 32  # one block at up to 32 cells a row; grid-ladder rows take <= 12
     for i in range(0, n, rows):
         x = xs[i:i + rows]
-        cuts = _row_cutpoints(kernel, x)
+        cuts = np.stack(kernel_cutpoints(kernel, x, Side.AS_ROW), axis=1)
         # column 0, then each cutpoint's window with a neighbour on each side
         first = np.zeros((len(x), 5), dtype=np.int64)
         last = np.zeros_like(first)

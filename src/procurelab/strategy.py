@@ -7,8 +7,8 @@ win region all have closed forms, so expected payoffs
 against the procurement kernels are computed exactly; Gauss-Legendre
 quadrature at two fixed orders is kept as an independent cross-check path.
 
-Sampling is inverse-transform driven by the deterministic stream in _rng,
-so a seed pins results bit-for-bit across platforms.
+Draws are inverse-transform: quantile maps the deterministic uniform stream
+of _rng, so a seed pins them bit-for-bit across platforms.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from procurelab._rng import uniform_block
 from procurelab.game_core import (
     _AS_COLUMN,
     _AS_ROW,
@@ -32,6 +31,7 @@ from procurelab.game_core import (
     Side,
     UnsupportedError,
     WeightedKernel,
+    kernel_cutpoints,
     maps_p,
     win_ends,
     win_region_ends,
@@ -287,18 +287,6 @@ class MixedStrategy:
         out[todo] = hi
         return out
 
-    def sample(self, rng_seed: int, n: int) -> np.ndarray:
-        """n inverse-transform samples; a seed fixes them bit-for-bit."""
-        if n < 1:
-            raise DomainError(f"sample count must be >= 1, got {n}")
-        # one block of the stream at a time, so its draws and the quantile's
-        # temporaries stay in cache; each block is the same slice of
-        # quantile(uniform_stream(rng_seed, n))
-        out = np.empty(n)
-        for i in range(0, n, BLOCK):
-            out[i:i + BLOCK] = self.quantile(uniform_block(rng_seed, i, min(BLOCK, n - i)))
-        return out
-
 
 def point_mass(x: float, cfg: MarketConfig) -> MixedStrategy:
     return MixedStrategy((), (Atom(cfg.require_bid(x), 1.0),), cfg).validate()
@@ -329,23 +317,6 @@ class JointExpectation:
     value: float
     by_form: dict[str, float]
     max_gap: float
-
-
-def _region_cutpoints(bid: float, side: Side, kernel: WeightedKernel) -> list[float]:
-    """Points where the kernel, as a function of the opponent bid, may jump."""
-    cfg = kernel.cfg
-    pts = [bid, cfg.E]
-    p = kernel.p
-    if 0.0 < p < 1.0:
-        maps = kernel.maps
-        if side is _AS_ROW:
-            pts += [maps.h1(bid), maps.f1(bid)]
-        else:
-            pts += [maps.h2(bid), maps.f2(bid)]
-    else:
-        # limiting boundaries when one bid has no influence on the price
-        pts += [2.0 * bid - cfg.E, (bid + cfg.E) / 2.0]
-    return [q for q in pts if cfg.A < q < cfg.B]
 
 
 def _panels(points: Iterable[float], lo: float, hi: float, E: float) -> list[float]:
@@ -468,7 +439,7 @@ def expect_vs(
     # the one-bid case of the array quadrature below
     f = ((lambda _, ys: kernel.batch(bid, ys)) if side is _AS_ROW
          else (lambda _, ys: kernel.batch(ys, bid)))
-    return _integrate_against(s, f, [_region_cutpoints(bid, side, kernel)], at=(bid,))[0]
+    return _integrate_against(s, f, [kernel_cutpoints(kernel, bid, side)], at=(bid,))[0]
 
 
 def _expect_vs_exact_array(bids: np.ndarray, s: MixedStrategy, kernel: WeightedKernel,
@@ -498,35 +469,26 @@ def _expect_vs_quadrature(bids: np.ndarray, s: MixedStrategy, kernel: WeightedKe
         f = lambda k, ys: kernel.batch(bids[k], ys)
     else:
         f = lambda k, ys: kernel.batch(ys, bids[k])
-    cuts = [_region_cutpoints(bid, side, kernel) for bid in bids.tolist()]
+    cuts = [kernel_cutpoints(kernel, bid, side) for bid in bids.tolist()]
     return np.array(_integrate_against(s, f, cuts, at=bids), dtype=np.float64)
 
 
-def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> list[float]:
-    """Bid values at which the expected payoff against `inner` can kink."""
-    cfg = kernel.cfg
-    qs = {cfg.E}
+def _outer_cutpoints(inner: MixedStrategy, kernel: WeightedKernel) -> set[float]:
+    """Bid values at which the expected payoff against `inner` can kink.
+
+    A bid's payoff kinks where one of its kernel cutpoints crosses a
+    breakpoint q of `inner` (E, a piece end or an atom), that is at the
+    preimages of q.  Since h1 and f2, and h2 and f1, are inverse pairs, those
+    are the cutpoints of q on both seats.
+    """
+    qs = {kernel.cfg.E, *(a.x for a in inner.atoms)}
     for p in inner.pieces:
         qs |= {p.a, p.b}
-    for a in inner.atoms:
-        qs.add(a.x)
-    out = set()
-    if 0.0 < kernel.p < 1.0:
-        maps = kernel.maps
-        preimages = (lambda q: q, maps.f2, maps.h2, maps.f1, maps.h1)
-    else:
-        # the limits of those maps when one bid has no influence on the price
-        preimages = (lambda q: q, lambda q: (q + cfg.E) / 2.0, lambda q: 2.0 * q - cfg.E)
-    for q in qs:
-        for f in preimages:
-            t = f(q)
-            if cfg.A < t < cfg.B:
-                out.add(t)
-    return sorted(out)
+    return {t for q in qs for side in Side for t in kernel_cutpoints(kernel, q, side)}
 
 
 def _integrate_against(mu: MixedStrategy, f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                       cuts: Sequence[Sequence[float]], at: Sequence[float] | None = None
+                       cuts: Sequence[Iterable[float]], at: Sequence[float] | None = None
                        ) -> list[float]:
     """The floats ∫ f(k, ·) dμ for k < len(cuts); f(k, ·) is smooth between cuts[k].
 
@@ -642,7 +604,7 @@ def expect_joint(mu: MixedStrategy, nu: MixedStrategy, kernel: WeightedKernel) -
     cfg = kernel.cfg
     E = cfg.E
 
-    def integral(dist: MixedStrategy, f, cuts: list[float]) -> float:
+    def integral(dist: MixedStrategy, f, cuts: Iterable[float]) -> float:
         return _integrate_against(dist, lambda _, ys: f(ys), [cuts])[0]
 
     # the exact win regions need 0 < p < 1

@@ -26,7 +26,6 @@ from procurelab.experiments import (
     region_grid,
     region_grid_csv,
     run_battery,
-    write_reports,
 )
 from procurelab.game_core import (
     DomainError,
@@ -106,15 +105,6 @@ class TestReport:
         # wall time varies between runs and must not leak into the payload
         assert "runtime_s" not in payload
         assert "runtime" not in r.to_json()
-
-    def test_write_reports_one_line_each(self, tmp_path):
-        reports = [make_report("a", {}, 0.0, 1.0), make_report("b", {}, 2.0, 1.0)]
-        path = tmp_path / "reports.jsonl"
-        write_reports(reports, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        assert [json.loads(l)["check"] for l in lines] == ["a", "b"]
-        assert [json.loads(l)["pass"] for l in lines] == [True, False]
 
 
 class TestTournament:
@@ -599,7 +589,7 @@ class TestBattery:
 
     def test_battery_roundtrips_through_file(self, battery, tmp_path):
         path = tmp_path / "battery.jsonl"
-        write_reports(battery, path)
+        path.write_text("".join(r.to_json() + "\n" for r in battery))
         lines = path.read_text().splitlines()
         assert len(lines) == len(BATTERY_CHECKS)
         assert all(json.loads(l)["pass"] for l in lines)

@@ -582,6 +582,50 @@ class TestWinRegions:
                               scalars.view(np.uint64))
 
 
+class TestKernelCutpoints:
+    @pytest.mark.parametrize("cfg", [CFG, MarketConfig(1e6, 1e6 + 1.5, 1e6 + 1)])
+    @pytest.mark.parametrize("p", [0.0, 0.3, gc.critical_p(), 1.0])
+    @pytest.mark.parametrize("side", [Side.AS_ROW, Side.AS_COLUMN])
+    def test_every_jump_is_near_a_cutpoint(self, side, p, cfg):
+        from procurelab.oracle_solver import _REACH_ULPS
+
+        kern = gc.WeightedKernel(p, cfg)
+        bids = np.append([cfg.A, cfg.B, cfg.E], np.linspace(cfg.A, cfg.B, 151))
+        cuts = np.stack(gc.kernel_cutpoints(kern, bids, side), axis=1)
+        # a dense opponent axis holding every bid (for the ties) and each
+        # cutpoint with its one-ulp neighbours (for the region ends)
+        near = np.concatenate([cuts.ravel(), np.nextafter(cuts.ravel(), -np.inf),
+                               np.nextafter(cuts.ravel(), np.inf)])
+        ys = np.unique(np.concatenate([np.linspace(cfg.A, cfg.B, 2_001), bids, near]))
+        ys = ys[(ys >= cfg.A) & (ys <= cfg.B)]
+        vals = (kern.batch(bids[:, None], ys[None, :]) if side is Side.AS_ROW
+                else kern.batch(ys[None, :], bids[:, None]))
+        row, col = np.nonzero(np.diff(vals, axis=1))
+        assert len(row) >= len(bids)
+        # _grid_steps' rounding allowance, with the opponent's price weight
+        weight = kern.w_col if side is Side.AS_ROW else kern.p
+        reach = _REACH_ULPS * math.ulp(max(abs(cfg.A), abs(cfg.B))) / (weight or 1.0)
+        c = cuts[row]
+        near_jump = (c >= ys[col, None] - reach) & (c <= ys[col + 1, None] + reach)
+        missed = ~near_jump.any(axis=1)
+        assert not missed.any(), (bids[row[missed]][:3], ys[col[missed]][:3])
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, gc.critical_p(), 1.0])
+    @pytest.mark.parametrize("side", [Side.AS_ROW, Side.AS_COLUMN])
+    def test_array_form_equals_float_form(self, side, p):
+        kern = gc.WeightedKernel(p, CFG).swapped()
+        bids = np.append([CFG.A, CFG.B, CFG.E], np.linspace(CFG.A, CFG.B, 151))
+        arrays = np.stack(gc.kernel_cutpoints(kern, bids, side), axis=1)
+        floats = [gc.kernel_cutpoints(kern, x, side) for x in bids.tolist()]
+        assert all(type(q) is float for cut in floats for q in cut)
+        # bit for bit, so a signed zero or an ulp apart would show
+        assert np.array_equal(arrays.view(np.uint64), np.array(floats).view(np.uint64))
+
+    def test_unknown_side_raises(self):
+        with pytest.raises(DomainError):
+            gc.kernel_cutpoints(gc.WeightedKernel(0.0, CFG), 0.5, "AsRow")
+
+
 class TestCutpointGeometry:
     def test_relations(self):
         rng = np.random.default_rng(21)

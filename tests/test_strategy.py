@@ -282,32 +282,22 @@ class TestSampling:
         for s in (eq.critical_regime_strategy(CFG), strategies[-1]):
             assert np.array_equal(s.quantile(us), _reference_quantile(s, us)), s
 
-    def test_sample_is_quantile_of_stream(self):
-        from procurelab import equilibria as eq
-
-        n = 2 * 65_536 + 5
-        for s in (eq.critical_regime_strategy(CFG), log_curve(), st.point_mass(0.7, CFG)):
-            assert np.array_equal(s.sample(8, n), s.quantile(_rng.uniform_stream(8, n))), s
-
     def test_determinism(self):
         s = log_curve()
-        assert np.array_equal(s.sample(99, 1000), s.sample(99, 1000))
-        assert not np.array_equal(s.sample(99, 1000), s.sample(100, 1000))
+        draws = lambda seed: s.quantile(_rng.uniform_stream(seed, 1000))
+        assert np.array_equal(draws(99), draws(99))
+        assert not np.array_equal(draws(99), draws(100))
 
     def test_atom_only_constant(self):
-        samp = st.point_mass(0.7, CFG).sample(1, 50)
+        samp = st.point_mass(0.7, CFG).quantile(_rng.uniform_stream(1, 50))
         assert (samp == 0.7).all()
 
     def test_ks_statistic(self):
         s = log_curve()
         n = 10**6
-        samp = np.sort(s.sample(2024, n))
+        samp = np.sort(s.quantile(_rng.uniform_stream(2024, n)))
         ks = np.abs(s.cdf(samp) - np.arange(1, n + 1) / n).max()
         assert ks <= 0.002
-
-    def test_count_validated(self):
-        with pytest.raises(DomainError):
-            log_curve().sample(1, 0)
 
 
 class TestExpectVs:
@@ -594,7 +584,7 @@ class TestExpectVsArray:
         ends = [q for pc in s.pieces for q in (pc.a, pc.b)] + [a.x for a in s.atoms]
         bids = np.concatenate([[CFG.A, CFG.B, CFG.E], ends, np.linspace(CFG.A, CFG.B, 151)])
         # the nodes of all panels span more than one block of CELLS
-        cuts = [st._region_cutpoints(x, side, kern) for x in bids.tolist()]
+        cuts = [gc.kernel_cutpoints(kern, x, side) for x in bids.tolist()]
         panels = sum(len(st._panels(ck, a, b, CFG.E))
                      for ck in cuts for _, a, b, _, _ in s.piece_constants)
         assert panels * st._GL_NODES.size > gc.CELLS
@@ -607,7 +597,7 @@ class TestExpectVsArray:
         s = MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 1.0, 1.0),), (), CFG).validate()
         bids = np.array([0.3, 0.6, 0.9])
         f = lambda k, ys: SYM.batch(bids[k], ys)
-        cuts = [st._region_cutpoints(x, gc.Side.AS_ROW, SYM) for x in bids.tolist()]
+        cuts = [gc.kernel_cutpoints(SYM, x, gc.Side.AS_ROW) for x in bids.tolist()]
         assert np.array_equal(st._integrate_against(s, f, cuts, at=bids),
                               st.expect_vs(bids, s, SYM, method="quadrature"))
         # 0.6 loses the cut at itself, 0.3 the one at its h1 image (which
@@ -622,7 +612,7 @@ class TestExpectVsArray:
         # the error names it and not the first failing bid
         bids = np.concatenate([[0.3, 0.6], np.linspace(0.05, 1.45, 400), [0.4]])
         assert len(bids) - 1 >= gc.CELLS // st._GL_NODES.size
-        cuts = [st._region_cutpoints(x, gc.Side.AS_ROW, SYM) for x in bids.tolist()]
+        cuts = [gc.kernel_cutpoints(SYM, x, gc.Side.AS_ROW) for x in bids.tolist()]
         cuts[1] = [q for q in cuts[1] if q != 0.6]
         cuts[-1] = [q for q in cuts[-1] if q != 0.4]
         with pytest.raises(st.QuadratureError, match=r"at 0\.4 ") as worst:
@@ -701,7 +691,7 @@ class TestQuadrature:
     def test_missing_cut_raises(self):
         s = MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 1.0, 1.0),), (), CFG).validate()
         f = lambda k, ys: SYM.batch(0.6, ys)
-        cuts = st._region_cutpoints(0.6, gc.Side.AS_ROW, SYM)
+        cuts = gc.kernel_cutpoints(SYM, 0.6, gc.Side.AS_ROW)
         assert st._integrate_against(s, f, [cuts])[0] == pytest.approx(
             st.expect_vs(0.6, s, SYM), abs=1e-12)
         # without the cut at the bid itself the kernel jumps inside a panel
@@ -740,8 +730,8 @@ class TestExpectJoint:
         nu = random_mixture(rng)
         j = st.expect_joint(mu, nu, SYM)
         n = 200_000
-        xs = mu.sample(7, n)
-        ys = nu.sample(8, n)
+        xs = mu.quantile(_rng.uniform_stream(7, n))
+        ys = nu.quantile(_rng.uniform_stream(8, n))
         vals = SYM.batch(xs, ys)
         err = vals.std() / math.sqrt(n)
         assert abs(vals.mean() - j.value) <= 4 * max(err, 1e-9)
