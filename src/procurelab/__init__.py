@@ -4,183 +4,22 @@ A constant-sum bidding game where the award goes to the bid closest to a
 reference price from below.  The package holds the exact payoff kernels, the
 closed-form mixed equilibria with their verification machinery, brute-force
 grid oracles, seeded experiment drivers, and a CLI front end.
+
+Each submodule's ``__all__`` declares its public names; the package exports
+all five lists.
 """
 
-from procurelab.equilibria import (
-    ClosedFormCurve,
-    CurveKind,
-    FunctionalSystem,
-    ValueReport,
-    closed_form_curves,
-    critical_regime_strategy,
-    functional_residual,
-    log_equilibrium,
-    regime_partition,
-    uniform_equilibrium,
-    value_weighted,
-    weighted_equilibrium,
-)
-from procurelab.experiments import (
-    DynamicsTrajectory,
-    RegionKind,
-    TournamentResult,
-    VerificationReport,
-    battery_passed,
-    br_dynamics,
-    make_report,
-    mc_tournament,
-    region_grid,
-    region_grid_csv,
-    run_battery,
-)
-from procurelab.game_core import (
-    AffineMaps,
-    BoundaryError,
-    Cutpoints3,
-    DiscontinuityClass,
-    DomainError,
-    HYPERSURFACE_TOL,
-    MarketConfig,
-    OrderingCell,
-    OrderingCells,
-    Regime,
-    Side,
-    UnsupportedError,
-    WeightedKernel,
-    best_deviation,
-    classify_discontinuity,
-    critical_p,
-    cutpoints3,
-    default_config,
-    jump_signs,
-    low_p_m,
-    maps_p,
-    ordering_cell,
-    ordering_cells,
-    payoff_3,
-    payoff_n,
-    payoff_n_batch,
-    payoff_n_combinatorial,
-    payoff_n_tilde,
-    regime,
-    sym_sequence_A,
-    symmetric_kernel,
-    threshold_t,
-    weighted_sequences,
-    win_region_ends,
-)
-from procurelab.oracle_solver import (
-    Grid,
-    MatrixGameSolution,
-    ddpm_probe,
-    exploitability,
-    grid_exploitability,
-    grid_sup_inf,
-    make_grid,
-    payoff_matrix,
-    project_to_grid,
-    pure_ne_scan,
-    regime_breakpoints,
-    solve_grid_game,
-    solve_matrix_game,
-    value_curve_oracle,
-)
-from procurelab.strategy import (
-    Atom,
-    JointExpectation,
-    MixedStrategy,
-    Piece,
-    PieceKind,
-    QuadratureError,
-    expect_joint,
-    expect_vs,
-    point_mass,
-)
+from procurelab.equilibria import *
+from procurelab.experiments import *
+from procurelab.game_core import *
+from procurelab.oracle_solver import *
+from procurelab.strategy import *
+from procurelab import equilibria, experiments, game_core, oracle_solver, strategy
 
 __all__ = [
-    # game_core
-    "MarketConfig",
-    "default_config",
-    "DomainError",
-    "UnsupportedError",
-    "BoundaryError",
-    "HYPERSURFACE_TOL",
-    "payoff_n",
-    "payoff_n_tilde",
-    "payoff_n_batch",
-    "payoff_n_combinatorial",
-    "payoff_3",
-    "best_deviation",
-    "threshold_t",
-    "win_region_ends",
-    "WeightedKernel",
-    "symmetric_kernel",
-    "Side",
-    "AffineMaps",
-    "maps_p",
-    "Regime",
-    "regime",
-    "critical_p",
-    "low_p_m",
-    "sym_sequence_A",
-    "weighted_sequences",
-    "Cutpoints3",
-    "cutpoints3",
-    "OrderingCell",
-    "ordering_cell",
-    "OrderingCells",
-    "ordering_cells",
-    "jump_signs",
-    "DiscontinuityClass",
-    "classify_discontinuity",
-    # strategy
-    "Piece",
-    "PieceKind",
-    "Atom",
-    "MixedStrategy",
-    "point_mass",
-    "expect_vs",
-    "expect_joint",
-    "JointExpectation",
-    "QuadratureError",
-    # equilibria
-    "uniform_equilibrium",
-    "log_equilibrium",
-    "weighted_equilibrium",
-    "critical_regime_strategy",
-    "regime_partition",
-    "ValueReport",
-    "value_weighted",
-    "CurveKind",
-    "ClosedFormCurve",
-    "closed_form_curves",
-    "FunctionalSystem",
-    "functional_residual",
-    # oracle_solver
-    "Grid",
-    "make_grid",
-    "regime_breakpoints",
-    "payoff_matrix",
-    "exploitability",
-    "grid_exploitability",
-    "MatrixGameSolution",
-    "solve_matrix_game",
-    "solve_grid_game",
-    "project_to_grid",
-    "grid_sup_inf",
-    "pure_ne_scan",
-    "value_curve_oracle",
-    "ddpm_probe",
-    # experiments
-    "VerificationReport",
-    "make_report",
-    "TournamentResult",
-    "mc_tournament",
-    "DynamicsTrajectory",
-    "br_dynamics",
-    "RegionKind",
-    "region_grid",
-    "region_grid_csv",
-    "run_battery",
-    "battery_passed",
+    *equilibria.__all__,
+    *experiments.__all__,
+    *game_core.__all__,
+    *oracle_solver.__all__,
+    *strategy.__all__,
 ]

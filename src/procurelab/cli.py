@@ -30,9 +30,11 @@ from .experiments import (
     br_dynamics,
     equilibrium_inequalities,
     functional_residuals,
+    joint_value_consistency,
     mc_tournament,
     region_grid,
     region_grid_csv,
+    strategy_normalization,
 )
 from .game_core import (
     MarketConfig,
@@ -53,7 +55,7 @@ from .oracle_solver import (
     solve_grid_game,
     value_curve_oracle,
 )
-from .strategy import MixedStrategy, expect_joint
+from .strategy import MixedStrategy
 
 __all__ = ["RunConfig", "main"]
 
@@ -203,7 +205,7 @@ def _parse_ladder(raw: str) -> list[int]:
         raise _UsageError(f"n-ladder must be comma-separated integers, got {raw!r}")
     if any(n < 2 for n in ladder):
         raise _UsageError("every ladder grid size must be at least 2")
-    return list(dict.fromkeys(ladder))
+    return sorted(set(ladder))
 
 
 def _certificate_misses(command: str, misses: list[tuple[float, int]]) -> int:
@@ -266,7 +268,7 @@ def _cmd_verify(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     s = _named_strategy(name, kp, cfg)
     v = value_weighted(kp).v
     reports = [make_report(
-        "normalization", {"strategy": name}, abs(s.total_mass - 1.0), 1e-12
+        "normalization", {"strategy": name}, strategy_normalization([(name, s)])[0], 1e-12
     )]
     top, worst = equilibrium_inequalities([(name, s, kp)], np.linspace(cfg.A, cfg.B, grid_n))
     reports.append(make_report(
@@ -277,9 +279,8 @@ def _cmd_verify(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
         reports.append(make_report(
             "functional-residuals", {"p": kp, "points": RESIDUAL_POINTS}, top, 1e-9, worst
         ))
-    joint = expect_joint(s, s, WeightedKernel(p=kp, cfg=cfg))
     reports.append(make_report(
-        "joint-value", {"strategy": name}, abs(joint.value - v), rc.tol
+        "joint-value", {"strategy": name}, joint_value_consistency([(s, kp)])[0], rc.tol
     ))
     ok = all(r.passed for r in reports)
     payload = {
@@ -541,7 +542,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         rc = _run_config_from(args)
-        if args.format is None and args.command not in ("value-curve", "region-grid"):
+        if args.command not in ("value-curve", "region-grid"):
+            if args.format == "csv":
+                raise _UsageError("--format csv applies only to value-curve and region-grid")
             rc = dataclasses.replace(rc, format="json")
         text, code = _DISPATCH[args.command](rc, args)
         _emit(text, rc)

@@ -7,6 +7,7 @@ closed form against quadrature.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,6 +28,21 @@ from .game_core import (
     weighted_sequences,
 )
 from .strategy import MixedStrategy, Piece, PieceKind
+
+__all__ = [
+    "uniform_equilibrium",
+    "log_equilibrium",
+    "weighted_equilibrium",
+    "critical_regime_strategy",
+    "regime_partition",
+    "ValueReport",
+    "value_weighted",
+    "CurveKind",
+    "ClosedFormCurve",
+    "closed_form_curves",
+    "FunctionalSystem",
+    "functional_residual",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +346,10 @@ class FunctionalSystem(Enum):
     WEIGHTED_COLUMN = "WeightedColumn"
 
 
+# one AffineMaps per (p, cfg), which a residual sweep holds fixed
+_residual_maps = functools.lru_cache(maxsize=16)(maps_p)
+
+
 def functional_residual(
     which: FunctionalSystem,
     f: MixedStrategy,
@@ -351,7 +371,7 @@ def functional_residual(
     cfg.require_bid(x)
     if which is FunctionalSystem.SYMMETRIC and p != 0.5:
         raise DomainError("the symmetric system fixes p = 1/2")
-    m = maps_p(p, cfg)
+    m = _residual_maps(p, cfg)
     if which in (FunctionalSystem.SYMMETRIC, FunctionalSystem.WEIGHTED_ROW):
         if x >= cfg.E:
             return -f.density(x)

@@ -413,6 +413,35 @@ def functional_residuals(cases: Sequence[tuple]) -> tuple[float, list]:
     return top, worst
 
 
+def strategy_normalization(cases: Sequence[tuple]) -> tuple[float, list]:
+    """Worst |total mass − 1| of each (label, strategy) case.
+
+    Returns (max_violation, [label] at the worst case).
+    """
+    top, worst = 0.0, []
+    for label, s in cases:
+        dev = abs(s.total_mass - 1.0)
+        if not dev <= top:  # a NaN mass is the worst case
+            top, worst = dev, [label]
+    return top, worst
+
+
+def joint_value_consistency(cases: Sequence[tuple]) -> tuple[float, list]:
+    """Worst |G(s, s) − v(p)| of each (strategy, p) case.
+
+    G(s, s) is the joint expectation of the strategy against itself in the
+    weight-p game, which an equilibrium must bring to the value v(p).
+    Returns (max_violation, [p] at the worst case).
+    """
+    top, worst = 0.0, []
+    for s, p in cases:
+        j = expect_joint(s, s, WeightedKernel(p=p, cfg=s.cfg))
+        dev = abs(j.value - value_weighted(p).v)
+        if not dev <= top:  # a NaN value is the worst case
+            top, worst = dev, [p]
+    return top, worst
+
+
 # ---------------------------------------------------------------------------
 # The verification battery
 
@@ -668,18 +697,12 @@ def run_battery(
     p_star = critical_p()
 
     def normalization():
-        named = {
-            "uniform": uniform_equilibrium(cfg),
-            "log": log_equilibrium(cfg),
-            "weighted-0.3": weighted_equilibrium(0.3, cfg),
-            "critical": critical_regime_strategy(cfg),
-        }
-        top, worst = 0.0, []
-        for name, s in named.items():
-            dev = abs(s.total_mass - 1.0)
-            if dev > top:
-                top, worst = dev, [name]
-        return top, worst
+        return strategy_normalization([
+            ("uniform", uniform_equilibrium(cfg)),
+            ("log", log_equilibrium(cfg)),
+            ("weighted-0.3", weighted_equilibrium(0.3, cfg)),
+            ("critical", critical_regime_strategy(cfg)),
+        ])
 
     run("strategy-normalization", {"strategies": 4}, 1e-12, normalization)
 
@@ -750,18 +773,11 @@ def run_battery(
     run("critical-map-identity", {"configs": 2}, 1e-9, critical_identity)
 
     def joint_values():
-        cases = [
-            (0.5, log_equilibrium(cfg)),
-            (0.3, weighted_equilibrium(0.3, cfg)),
-            (p_star, weighted_equilibrium(p_star, cfg)),
-        ]
-        top, worst = 0.0, []
-        for p, s in cases:
-            j = expect_joint(s, s, WeightedKernel(p=p, cfg=cfg))
-            dev = abs(j.value - value_weighted(p).v)
-            if dev > top:
-                top, worst = dev, [p]
-        return top, worst
+        return joint_value_consistency([
+            (log_equilibrium(cfg), 0.5),
+            (weighted_equilibrium(0.3, cfg), 0.3),
+            (weighted_equilibrium(p_star, cfg), p_star),
+        ])
 
     run("joint-value-consistency", {"p": [0.5, 0.3, p_star]}, 1e-6, joint_values)
 

@@ -27,6 +27,43 @@ from typing import Sequence
 
 import numpy as np
 
+__all__ = [
+    "MarketConfig",
+    "default_config",
+    "DomainError",
+    "UnsupportedError",
+    "BoundaryError",
+    "HYPERSURFACE_TOL",
+    "payoff_n",
+    "payoff_n_tilde",
+    "payoff_n_batch",
+    "payoff_n_combinatorial",
+    "payoff_3",
+    "best_deviation",
+    "threshold_t",
+    "win_region_ends",
+    "WeightedKernel",
+    "symmetric_kernel",
+    "Side",
+    "AffineMaps",
+    "maps_p",
+    "Regime",
+    "regime",
+    "critical_p",
+    "low_p_m",
+    "sym_sequence_A",
+    "weighted_sequences",
+    "Cutpoints3",
+    "cutpoints3",
+    "OrderingCell",
+    "ordering_cell",
+    "OrderingCells",
+    "ordering_cells",
+    "jump_signs",
+    "DiscontinuityClass",
+    "classify_discontinuity",
+]
+
 # Absolute tolerance for deciding that a profile sits on a measure-zero
 # hypersurface (tie / fixed-point / transition).  Payoff evaluation itself
 # never uses it.

@@ -37,6 +37,18 @@ from procurelab.game_core import (
     win_region_ends,
 )
 
+__all__ = [
+    "Piece",
+    "PieceKind",
+    "Atom",
+    "MixedStrategy",
+    "point_mass",
+    "expect_vs",
+    "expect_joint",
+    "JointExpectation",
+    "QuadratureError",
+]
+
 
 class QuadratureError(RuntimeError):
     """Numeric integration failed to reach the requested tolerance."""
@@ -240,17 +252,13 @@ class MixedStrategy:
         E = self.cfg.E
 
         def block(u: np.ndarray) -> np.ndarray:
-            if len(edges) == 1:
-                # every u falls in the one component: no search and no gathers
-                pick = lambda v: v[0]
-            else:
-                # the component of each u: how many of the first len(edges) - 1
-                # edges lie below it; for a few components this is several
-                # times faster than np.searchsorted
-                idx = np.zeros(u.shape, dtype=np.intp)
-                for e in edges[:-1]:
-                    idx += u > e
-                pick = lambda v: np.take(v, idx)
+            # the component of each u: how many of the first len(edges) - 1
+            # edges lie below it; for a few components this is several times
+            # faster than np.searchsorted
+            idx = np.zeros(u.shape, dtype=np.intp)
+            for e in edges[:-1]:
+                idx += u > e
+            pick = lambda v: np.take(v, idx)
             local = u - pick(base)
             if rec.all():
                 return E - pick(to_e) * np.exp(-local / pick(norm))
@@ -259,10 +267,17 @@ class MixedStrategy:
                 return lin
             return np.where(pick(rec), E - pick(to_e) * np.exp(-local / pick(norm)), lin)
 
+        out = np.minimum(u, edges[-1])
+        if len(edges) == 1 and rec[0]:
+            # one reciprocal component (log and every weighted equilibrium):
+            # E - to_e·exp(-u/norm) in place, so no temporaries at all
+            out /= -norm[0]
+            np.exp(out, out=out)
+            out *= to_e[0]
+            return np.clip(np.subtract(E, out, out=out), self.cfg.A, self.cfg.B, out=out)
         # blocks of BLOCK draws bound the temporaries, a few per-element
         # arrays of 512 KiB, to 2-3 MiB however many draws there are (less
         # for a shorter u, such as mc_tournament's CELLS draws)
-        out = np.minimum(u, edges[-1])
         for i in range(0, out.size, BLOCK):
             out[i:i + BLOCK] = block(out[i:i + BLOCK])
         return np.clip(out, self.cfg.A, self.cfg.B, out=out)

@@ -104,6 +104,20 @@ class TestRunConfig:
         assert code == 2 and out == ""
         assert "config field A" in err
 
+    @pytest.mark.parametrize("command", [
+        "verify --strategy log", "solve-grid", "cutpoints3 --y 0.9 --z 0.8", "regimes",
+        "simulate --row log --col log", "pure-ne-scan", "ddpm-probe", "br-dynamics"])
+    def test_csv_is_refused_where_only_json_is_written(self, capsys, command):
+        code, out, err = run_cli([*command.split(), "--format", "csv"], capsys)
+        assert code == 2 and out == ""
+        assert "value-curve" in err and "region-grid" in err
+
+    def test_config_format_csv_still_writes_json(self, capsys, tmp_path):
+        path = tmp_path / "rc.json"
+        path.write_text('{"format": "csv"}')
+        code, d = run_json(["regimes", "--config", str(path)], capsys)
+        assert code == 0 and d["run_config"]["format"] == "json"
+
     def test_invalid_market_is_usage_error(self, capsys):
         assert run_cli(["regimes", "--A", "2", "--B", "1"], capsys)[0] == 2
 
@@ -153,6 +167,13 @@ class TestValueCurve:
         cells = lines[2].split(",")
         assert abs(float(cells[5]) - 0.5) < 1e-9
         assert abs(float(cells[6]) - 0.5) < 1e-9
+
+    def test_ladder_order_and_repeats_do_not_matter(self, capsys):
+        argv = ["value-curve", "--p-min", "0.5", "--p-max", "0.5", "--n-ladder"]
+        up = run_cli(argv + ["51,101"], capsys)
+        assert up[0] == 0
+        assert run_cli(argv + ["101,51"], capsys) == up
+        assert run_cli(argv + ["101,51,101"], capsys) == up
 
     def test_certificate_miss_exits_1(self, capsys, monkeypatch):
         _miss_every_certificate(monkeypatch)

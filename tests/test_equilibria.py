@@ -315,6 +315,25 @@ class TestResiduals:
         ]
         assert max(abs(r) for r in res) <= 1e-9
 
+    def test_alternating_markets_and_weights(self):
+        # each (p, market) keeps its own maps, so alternating calls must not
+        # hand one market's maps to another
+        cases = []
+        for cfg in (CFG, MarketConfig(0.2, 2.0, 1.1)):
+            for p in (0.3, 0.1):
+                seq = weighted_sequences(p, 1, cfg)
+                xs = np.linspace(cfg.A, seq.d_check[1], 41)[1:-1]
+                for a in (seq.a_check[1], seq.a_hat[1]):  # where the residual jumps
+                    xs = xs[np.abs(xs - a) > 1e-9]
+                cases.append((eq.weighted_equilibrium(p, cfg), p, cfg, xs))
+        worst = max(
+            abs(eq.functional_residual(system, f, float(xs[i]), p, cfg))
+            for i in range(min(len(xs) for *_, xs in cases))
+            for system in (FunctionalSystem.WEIGHTED_ROW, FunctionalSystem.WEIGHTED_COLUMN)
+            for f, p, cfg, xs in cases
+        )
+        assert worst <= 1e-9
+
     def test_upper_branch_forces_zero_density(self):
         f = eq.log_equilibrium(CFG)
         assert eq.functional_residual(FunctionalSystem.SYMMETRIC, f, 1.2, 0.5, CFG) == 0.0

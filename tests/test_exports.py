@@ -20,3 +20,13 @@ def test_star_import():
     namespace = {}
     exec("from procurelab import *", namespace)
     assert set(procurelab.__all__) <= set(namespace)
+
+
+def test_package_exports_the_submodule_lists():
+    joined = []
+    for name in ("equilibria", "experiments", "game_core", "oracle_solver", "strategy"):
+        mod = importlib.import_module(f"procurelab.{name}")
+        joined += mod.__all__
+        assert all(getattr(procurelab, n) is getattr(mod, n) for n in mod.__all__)
+    assert len(set(procurelab.__all__)) == len(procurelab.__all__)
+    assert procurelab.__all__ == joined

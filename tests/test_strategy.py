@@ -279,7 +279,8 @@ class TestSampling:
             assert s.quantile(0.5) == _reference_quantile(s, np.array([0.5]))[0]
         # more draws than one quantile block, so the seams between blocks count
         us = _rng.uniform_stream(6, 2 * _rng.BLOCK + 5)
-        for s in (eq.critical_regime_strategy(CFG), strategies[-1]):
+        for s in (eq.critical_regime_strategy(CFG), eq.weighted_equilibrium(0.1, CFG),
+                  strategies[-1]):
             assert np.array_equal(s.quantile(us), _reference_quantile(s, us)), s
 
     def test_determinism(self):
