@@ -4,7 +4,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,3 +64,24 @@ def make_report(
     return VerificationReport(
         check, parameters, max_violation, tolerance, ok, tuple(worst), runtime_s
     )
+
+
+def worst_of(pairs: Iterable[tuple]) -> tuple[float, list]:
+    """(max_violation, [where]) of (violation, where) pairs: every check's reduction.
+
+    A violation is a float, or an array whose where is a function of the
+    index of its largest entry; that function is called before the next
+    pair is drawn, so it may read the caller's loop variables.  A NaN ranks
+    above every number and a NaN top stays on top, so a NaN violation is
+    reported and fails its check.  On ties the first case is kept.  If no
+    violation is above 0, the result is (0.0, []).
+    """
+    top, worst = 0.0, []
+    for dev, where in pairs:
+        if isinstance(dev, np.ndarray):
+            k = int(dev.argmax())  # the first NaN, if any
+            dev, where = dev[k], where(k)
+        dev = float(dev)
+        if not (dev <= top or math.isnan(top)):
+            top, worst = dev, [where]
+    return top, worst

@@ -270,14 +270,14 @@ def _cmd_verify(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     reports = [make_report(
         "normalization", {"strategy": name}, strategy_normalization([(name, s)])[0], 1e-12
     )]
-    top, worst = equilibrium_inequalities([(name, s, kp)], np.linspace(cfg.A, cfg.B, grid_n))
+    dev, worst = equilibrium_inequalities([(name, s, kp)], np.linspace(cfg.A, cfg.B, grid_n))
     reports.append(make_report(
-        "payoff-inequalities", {"grid": grid_n, "value": _sig(v)}, top, rc.tol, worst
+        "payoff-inequalities", {"grid": grid_n, "value": _sig(v)}, dev, rc.tol, worst
     ))
     if name in ("log", "weighted"):
-        top, worst = functional_residuals([(s, kp)])
+        dev, worst = functional_residuals([(s, kp)])
         reports.append(make_report(
-            "functional-residuals", {"p": kp, "points": RESIDUAL_POINTS}, top, 1e-9, worst
+            "functional-residuals", {"p": kp, "points": RESIDUAL_POINTS}, dev, 1e-9, worst
         ))
     reports.append(make_report(
         "joint-value", {"strategy": name}, joint_value_consistency([(s, kp)])[0], rc.tol

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._report import VerificationReport, make_report
+from ._report import VerificationReport, make_report, worst_of
 from ._rng import derive_seed, uniform_block, uniform_stream
 from .game_core import (
     CELLS,
@@ -352,26 +352,27 @@ def equilibrium_inequalities(cases: Sequence[tuple], grid: Sequence[float]) -> t
     Each case is (label, strategy, p): the opponent plays the strategy in the
     weight-p game.  Below the end of the strategy's last piece, less
     1e-9·(E − A), the row payoff must also equal v(p) exactly: the flat band.
-    Returns (max_violation, [(label, bid)] at the worst point).
+    Returns worst_of's (max_violation, [(label, bid)]), so a NaN payoff is
+    the worst point and fails the check.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    top, worst = 0.0, []
-    for label, s, p in cases:
-        if not s.pieces:
-            raise DomainError(f"strategy {label!r} has no density pieces")
-        if not grid.size:
-            continue
-        kern = WeightedKernel(p=p, cfg=s.cfg)
-        v = value_weighted(p).v
-        flat_hi = max(pc.b for pc in s.pieces) - 1e-9 * (s.cfg.E - s.cfg.A)
-        row = expect_vs(grid, s, kern, method="exact", side=Side.AS_ROW)
-        col = expect_vs(grid, s, kern, method="exact", side=Side.AS_COLUMN)
-        dev = np.maximum(row - v, v - col)
-        dev = np.where(grid < flat_hi, np.maximum(dev, np.abs(row - v)), dev)
-        k = int(dev.argmax())
-        if dev[k] > top:
-            top, worst = float(dev[k]), [(label, float(grid[k]))]
-    return top, worst
+
+    def breaches():
+        for label, s, p in cases:
+            if not s.pieces:
+                raise DomainError(f"strategy {label!r} has no density pieces")
+            if not grid.size:
+                continue
+            kern = WeightedKernel(p=p, cfg=s.cfg)
+            v = value_weighted(p).v
+            flat_hi = max(pc.b for pc in s.pieces) - 1e-9 * (s.cfg.E - s.cfg.A)
+            row = expect_vs(grid, s, kern, method="exact", side=Side.AS_ROW)
+            col = expect_vs(grid, s, kern, method="exact", side=Side.AS_COLUMN)
+            dev = np.maximum(row - v, v - col)
+            dev = np.where(grid < flat_hi, np.maximum(dev, np.abs(row - v)), dev)
+            yield dev, lambda k: (label, float(grid[k]))
+
+    return worst_of(breaches())
 
 
 def functional_residuals(cases: Sequence[tuple]) -> tuple[float, list]:
@@ -384,46 +385,42 @@ def functional_residuals(cases: Sequence[tuple]) -> tuple[float, list]:
     Residuals are densities, which scale as 1/(E − A), so each is reported
     times (E − A), and the domain offsets are 1e-9·(E − A): the result does
     not change when the market is rescaled.
-    Returns (max_violation, [(p, system, bid)] at the worst point).
+    Returns worst_of's (max_violation, [(p, system, bid)]), so a NaN
+    residual is the worst point and fails the check.
     """
-    top, worst = 0.0, []
-    for s, p in cases:
-        cfg = s.cfg
-        scale = cfg.E - cfg.A
-        blocks = []
-        if p == 0.5:
+    def residuals():
+        for s, p in cases:
+            cfg = s.cfg
+            scale = cfg.E - cfg.A
+            blocks = []
+            if p == 0.5:
+                blocks.append((
+                    (FunctionalSystem.SYMMETRIC,),
+                    sym_sequence_A(2, cfg), (sym_sequence_A(1, cfg),),
+                ))
+            seq = weighted_sequences(p, 1, cfg)
             blocks.append((
-                (FunctionalSystem.SYMMETRIC,),
-                sym_sequence_A(2, cfg), (sym_sequence_A(1, cfg),),
+                (FunctionalSystem.WEIGHTED_ROW, FunctionalSystem.WEIGHTED_COLUMN),
+                seq.d_check[1], (seq.a_check[1], seq.a_hat[1]),
             ))
-        seq = weighted_sequences(p, 1, cfg)
-        blocks.append((
-            (FunctionalSystem.WEIGHTED_ROW, FunctionalSystem.WEIGHTED_COLUMN),
-            seq.d_check[1], (seq.a_check[1], seq.a_hat[1]),
-        ))
-        for systems, hi, avoid in blocks:
-            xs = np.linspace(cfg.A, hi - 1e-9 * scale, RESIDUAL_POINTS)
-            for a in avoid:
-                xs = xs[np.abs(xs - a) > 1e-9 * scale]
-            for system in systems:
-                for x in xs:
-                    r = abs(functional_residual(system, s, float(x), p, cfg)) * scale
-                    if r > top:
-                        top, worst = r, [(p, system.value, float(x))]
-    return top, worst
+            for systems, hi, avoid in blocks:
+                xs = np.linspace(cfg.A, hi - 1e-9 * scale, RESIDUAL_POINTS)
+                for a in avoid:
+                    xs = xs[np.abs(xs - a) > 1e-9 * scale]
+                for system in systems:
+                    r = [functional_residual(system, s, x, p, cfg) for x in xs.tolist()]
+                    yield np.abs(r) * scale, lambda k: (p, system.value, float(xs[k]))
+
+    return worst_of(residuals())
 
 
 def strategy_normalization(cases: Sequence[tuple]) -> tuple[float, list]:
     """Worst |total mass − 1| of each (label, strategy) case.
 
-    Returns (max_violation, [label] at the worst case).
+    Returns worst_of's (max_violation, [label]), so a NaN mass is the worst
+    case and fails the check.
     """
-    top, worst = 0.0, []
-    for label, s in cases:
-        dev = abs(s.total_mass - 1.0)
-        if not dev <= top:  # a NaN mass is the worst case
-            top, worst = dev, [label]
-    return top, worst
+    return worst_of((abs(s.total_mass - 1.0), label) for label, s in cases)
 
 
 def joint_value_consistency(cases: Sequence[tuple]) -> tuple[float, list]:
@@ -431,15 +428,13 @@ def joint_value_consistency(cases: Sequence[tuple]) -> tuple[float, list]:
 
     G(s, s) is the joint expectation of the strategy against itself in the
     weight-p game, which an equilibrium must bring to the value v(p).
-    Returns (max_violation, [p] at the worst case).
+    Returns worst_of's (max_violation, [p]), so a NaN value is the worst
+    case and fails the check.
     """
-    top, worst = 0.0, []
-    for s, p in cases:
-        j = expect_joint(s, s, WeightedKernel(p=p, cfg=s.cfg))
-        dev = abs(j.value - value_weighted(p).v)
-        if not dev <= top:  # a NaN value is the worst case
-            top, worst = dev, [p]
-    return top, worst
+    return worst_of(
+        (abs(expect_joint(s, s, WeightedKernel(p=p, cfg=s.cfg)).value - value_weighted(p).v), p)
+        for s, p in cases
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,19 +499,15 @@ def run_battery(
     def conservation():
         # the rows of draw_bids("conserve", 10_000, N), the first quarter
         # tied, a block at a time
-        worst, top = [], 0.0
         for n_players in (2, 3, 4, 5):
             for i, bids in bid_blocks("conserve", 10_000, n_players):
                 ties = max(0, 10_000 // 4 - i)
                 bids[:ties, 1] = bids[:ties, 0]
-                dev = np.abs(payoff_n_batch(bids, cfg).sum(axis=1) - 1.0)
-                k = int(dev.argmax())
-                if dev[k] > top:
-                    top, worst = float(dev[k]), [tuple(bids[k])]
-        return top, worst
+                yield (np.abs(payoff_n_batch(bids, cfg).sum(axis=1) - 1.0),
+                       lambda k: tuple(bids[k]))
 
     run("payoff-conservation", {"profiles": 10_000, "N": [2, 3, 4, 5], "tie_share": 0.25}, 1e-12,
-        conservation)
+        lambda: worst_of(conservation()))
 
     def combinatorial():
         # the scalar payoff_n, profile by profile, against the array oracle;
@@ -547,17 +538,14 @@ def run_battery(
         # the indicator cascade against payoff_n_batch's first column; the
         # rows of payoff_n_batch must also sum to exactly 1.  The profiles
         # are draw_bids("three", 100_000, 3), made a block at a time
-        top, worst = 0.0, []
         for _, bids in bid_blocks("three", 100_000, 3):
             general = payoff_n_batch(bids, cfg)
-            dev = np.maximum(np.abs(payoff_3(*bids.T, cfg) - general[:, 0]),
-                             np.abs(general.sum(axis=1) - 1.0))
-            j = int(dev.argmax())
-            if dev[j] > top:
-                top, worst = float(dev[j]), [tuple(bids[j])]
-        return top, worst
+            yield (np.maximum(np.abs(payoff_3(*bids.T, cfg) - general[:, 0]),
+                              np.abs(general.sum(axis=1) - 1.0)),
+                   lambda k: tuple(bids[k]))
 
-    run("three-player-agreement", {"profiles": 100_000, "conservation": True}, 0.0, three_way)
+    run("three-player-agreement", {"profiles": 100_000, "conservation": True}, 0.0,
+        lambda: worst_of(three_way()))
 
     def deviation_wins():
         bad, worst = 0, []
@@ -580,8 +568,7 @@ def run_battery(
             np.abs((c.p_z - z) - 5.0 * (z - c.t)),
             np.abs((c.p_y - c.p_z) - 6.0 * (y - z)),
         ])
-        k = int(r.argmax())
-        return (float(r[k]), [(float(y[k]), float(z[k]))]) if r[k] > 0.0 else (0.0, [])
+        return worst_of([(r, lambda k: (float(y[k]), float(z[k])))])
 
     run("cutpoint-relations", {"pairs": 10_000}, 1e-12, relations)
 
@@ -676,19 +663,19 @@ def run_battery(
     def maps_roundtrip():
         draws = draw_bids("maps", 1_000, 1)[:, 0]
         ps = 0.01 + 0.49 * uniform_stream(derive_seed(seed, "maps-p"), 1_000)
-        top, worst = 0.0, []
+        terms = []
         for p, x in zip(ps, draws):
             m = maps_p(float(p), cfg)
-            r = max(
+            terms.append((
                 abs(m.h2(m.f1(x)) - x),
                 abs(m.h1(m.f2(x)) - x),
                 abs(m.f1(m.f2(x)) - m.f2(m.f1(x))),
                 abs(m.f1(cfg.E) - cfg.E),
                 abs(m.f2(cfg.E) - cfg.E),
-            )
-            if r > top:
-                top, worst = r, [(float(p), float(x))]
-        return top, worst
+            ))
+        # np.max, unlike max, keeps a NaN term
+        r = np.max(terms, axis=1)
+        return worst_of([(r, lambda k: (float(ps[k]), float(draws[k])))])
 
     run("map-roundtrips", {"samples": 1_000}, 1e-12, maps_roundtrip)
 
@@ -728,19 +715,16 @@ def run_battery(
             (CurveKind.WEIGHTED_ROW, 0.3, weighted_equilibrium(0.3, cfg), Side.AS_ROW),
             (CurveKind.WEIGHTED_COLUMN, 0.3, weighted_equilibrium(0.3, cfg), Side.AS_COLUMN),
         ]
-        top, worst = 0.0, []
         for which, p, s, side in cases:
             curve = closed_form_curves(which, p, cfg, side=side)
             kern = WeightedKernel(p=p, cfg=cfg)
             us = uniform_stream(derive_seed(seed, "curves", which.value, side.value), 500)
             xs = cfg.A + span * us
-            dev = np.abs(curve(xs) - expect_vs(xs, s, kern, side=side, method="quadrature"))
-            k = int(dev.argmax())
-            if dev[k] > top:
-                top, worst = float(dev[k]), [(which.value, side.value, float(xs[k]))]
-        return top, worst
+            yield (np.abs(curve(xs) - expect_vs(xs, s, kern, side=side, method="quadrature")),
+                   lambda k: (which.value, side.value, float(xs[k])))
 
-    run("curve-quadrature-agreement", {"curves": 6, "points": 500}, 1e-6, curve_quadrature)
+    run("curve-quadrature-agreement", {"curves": 6, "points": 500}, 1e-6,
+        lambda: worst_of(curve_quadrature()))
 
     def residuals():
         cases = [(log_equilibrium(cfg), 0.5)]
@@ -761,16 +745,11 @@ def run_battery(
     run("value-at-critical", {}, 1e-10, value_anchor_critical)
 
     def critical_identity():
-        top, worst = 0.0, []
         for c in (cfg, MarketConfig(A=0.2, B=2.0, E=1.1)):
             seq = weighted_sequences(p_star, 2, c)
-            m = maps_p(p_star, c)
-            dev = abs(m.h2(seq.a_check[2]) - c.A)
-            if dev > top:
-                top, worst = dev, [(c.A, c.B, c.E)]
-        return top, worst
+            yield abs(maps_p(p_star, c).h2(seq.a_check[2]) - c.A), (c.A, c.B, c.E)
 
-    run("critical-map-identity", {"configs": 2}, 1e-9, critical_identity)
+    run("critical-map-identity", {"configs": 2}, 1e-9, lambda: worst_of(critical_identity()))
 
     def joint_values():
         return joint_value_consistency([
@@ -786,19 +765,18 @@ def run_battery(
             ("log", log_equilibrium(cfg), 0.5, 0.5),
             ("weighted-0.3", weighted_equilibrium(0.3, cfg), 0.3, value_weighted(0.3).v),
         ]
-        top, worst = 0.0, []
         for name, s, p, v in cases:
             kern = WeightedKernel(p=p, cfg=cfg)
             res = mc_tournament([s, s], kern, 1_000_000, derive_seed(seed, "mc", name))
             again = mc_tournament([s, s], kern, 1_000_000, derive_seed(seed, "mc", name))
             if res != again:
-                return math.inf, [(name, "rerun-mismatch")]
-            ratio = abs(res.means[0] - v) / (4.0 * res.stderrs[0])
-            if ratio > top:
-                top, worst = ratio, [(name, res.means[0], res.stderrs[0])]
-        return top, worst
+                yield math.inf, (name, "rerun-mismatch")
+                return
+            yield (abs(res.means[0] - v) / (4.0 * res.stderrs[0]),
+                   (name, res.means[0], res.stderrs[0]))
 
-    run("mc-consistency", {"samples": 1_000_000, "band": "4 stderr"}, 1.0, mc_consistency)
+    run("mc-consistency", {"samples": 1_000_000, "band": "4 stderr"}, 1.0,
+        lambda: worst_of(mc_consistency()))
 
     # --- oracle_solver ------------------------------------------------------
 
@@ -808,34 +786,30 @@ def run_battery(
         # row blocks of M and the matching column blocks of Mo
         xs = make_grid(201, cfg).array
         m = CELLS // len(xs)
-        top = 0.0
         for kern in (symmetric_kernel(cfg), WeightedKernel(p=0.3, cfg=cfg)):
             for i in range(0, len(xs), m):
                 rows = kern.matrix(xs[i:i + m], xs)
                 cols = kern.swapped().matrix(xs, xs[i:i + m]).T
-                top = max(top, float(np.abs(rows + cols - 1.0).max()),
-                          float(np.abs(np.diagonal(rows, offset=i) - kern.p).max()))
-        return top, []
+                yield np.abs(rows + cols - 1.0).max(), None
+                yield np.abs(np.diagonal(rows, offset=i) - kern.p).max(), None
 
-    run("matrix-constant-sum", {"n": 201}, 0.0, constant_sum_matrices)
+    run("matrix-constant-sum", {"n": 201}, 0.0,
+        lambda: (worst_of(constant_sum_matrices())[0], []))
 
     def solver_certificates():
-        top, worst = 0.0, []
         for p in (0.5, 0.3):
             g = make_grid(101, cfg)
             kern = WeightedKernel(p=p, cfg=cfg)
             sol = solve_grid_game(kern, g, g)
             # the dense oracle against the certificate solve_grid_game took from D
             dense = exploitability(payoff_matrix(kern, g, g), sol.row_mix, sol.col_mix)
-            dev = abs(dense - sol.exploitability)
             if not sol.converged:
-                return math.inf, [(p, "non-convergence")]
-            if dev > top:
-                top, worst = dev, [p]
-        return top, worst
+                yield math.inf, (p, "non-convergence")
+                return
+            yield abs(dense - sol.exploitability), p
 
     run("solver-certificate-recompute", {"n": 101, "p": [0.5, 0.3]}, 1e-12,
-        solver_certificates)
+        lambda: worst_of(solver_certificates()))
 
     def projection_ladder():
         s = log_equilibrium(cfg)
@@ -845,11 +819,8 @@ def run_battery(
             g = make_grid(n, cfg)
             w = project_to_grid(s, g)
             gaps.append(grid_exploitability(kern, g, g, w, w))
-        worst = [tuple(gaps)]
-        increase = max(
-            [b - a for a, b in zip(gaps, gaps[1:])] + [0.0]
-        )
-        return max(increase, gaps[-1] - 0.02), worst
+        rises = [(b - a, None) for a, b in zip(gaps, gaps[1:])]
+        return worst_of(rises + [(gaps[-1] - 0.02, None)])[0], [tuple(gaps)]
 
     run("projection-gap-ladder", {"n": [101, 201, 401, 801], "cap": 0.02}, 1e-12,
         projection_ladder)
@@ -867,7 +838,7 @@ def run_battery(
     run("pure-ne-scan", {"N2_n": 101, "N3_n": 21}, 0.0, scans)
 
     def dynamics():
-        fp, low = 0, 1.0
+        fp, lows = 0, []
         for n_players in (2, 3):
             for run_idx in range(10):
                 u = uniform_stream(derive_seed(seed, "br", n_players, run_idx), n_players)
@@ -875,8 +846,10 @@ def run_battery(
                 traj = br_dynamics(start, 10_000, cfg)
                 if traj.fixed_point_step is not None:
                     fp += 1
-                low = min(low, traj.min_winner_payoff)
-        return float(fp) + max(0.0, 1.0 - low), [("min_winner_payoff", low)]
+                lows.append(traj.min_winner_payoff)
+        # the lowest winner payoff, a NaN one first, and its shortfall below 1
+        short, at = worst_of((1.0 - w, w) for w in lows)
+        return float(fp) + short, [("min_winner_payoff", at[0] if at else 1.0)]
 
     run("br-dynamics-no-fixed-point", {"starts": 10, "steps": 10_000, "N": [2, 3]},
         0.0, dynamics)
@@ -886,7 +859,7 @@ def run_battery(
         bad = 0.0
         for p in (0.3, p_star):
             gaps = [r["gap"] for r in rows if r["p"] == p]
-            bad += max(0.0, gaps[1] - gaps[0])
+            bad += worst_of([(gaps[1] - gaps[0], None)])[0]
         bad += sum(0.0 if r["converged"] else 1.0 for r in rows)
         return bad, [(r["p"], r["n"], r["gap"]) for r in rows]
 

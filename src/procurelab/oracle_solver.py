@@ -149,7 +149,7 @@ def _check_mix(v, size: int, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=np.float64)
     if arr.shape != (size,):
         raise DomainError(f"{name} has shape {arr.shape}, expected ({size},)")
-    if arr.min() < -1e-12 or abs(arr.sum() - 1.0) > 1e-9:
+    if not (arr.min() >= -1e-12 and abs(arr.sum() - 1.0) <= 1e-9):  # so NaN fails
         raise DomainError(f"{name} is not a probability vector")
     return np.maximum(arr, 0.0)
 
@@ -182,9 +182,9 @@ class MatrixGameSolution:
 
     def __post_init__(self) -> None:
         for mix in (self.row_mix, self.col_mix):
-            if min(mix) < 0.0 or abs(sum(mix) - 1.0) > 1e-12:
+            if not (min(mix) >= 0.0 and abs(sum(mix) - 1.0) <= 1e-12):
                 raise DomainError("solution mixes must be distributions")
-        if self.exploitability < 0.0:
+        if not self.exploitability >= 0.0:
             raise DomainError("exploitability must be nonnegative")
 
 

@@ -107,7 +107,7 @@ class MixedStrategy:
         for p in self.pieces:
             if not (A <= p.a < p.b <= B):
                 raise DomainError(f"piece [{p.a}, {p.b}) not inside [{A}, {B}]")
-            if p.w <= 0.0:
+            if not p.w > 0.0:  # a NaN weight too
                 raise DomainError(f"piece weight {p.w} must be positive")
             if p.kind is PieceKind.RECIPROCAL and p.b >= E:
                 raise DomainError(
@@ -116,7 +116,7 @@ class MixedStrategy:
                 )
         for atom in self.atoms:
             self.cfg.require_bid(atom.x)
-            if atom.m <= 0.0:
+            if not atom.m > 0.0:
                 raise DomainError(f"atom mass {atom.m} must be positive")
 
     @cached_property
@@ -135,7 +135,7 @@ class MixedStrategy:
         return sum(p.w for p in self.pieces) + sum(a.m for a in self.atoms)
 
     def validate(self) -> "MixedStrategy":
-        if abs(self.total_mass - 1.0) > 1e-12:
+        if not abs(self.total_mass - 1.0) <= 1e-12:
             raise DomainError(f"total mass {self.total_mass} differs from 1")
         return self
 

@@ -1,10 +1,12 @@
 """Golden-output and exit-code tests for the command-line front end."""
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
@@ -262,6 +264,16 @@ class TestVerify:
 
     def test_unknown_strategy_is_usage_error(self, capsys):
         assert run_cli(["verify", "--strategy", "bogus"], capsys)[0] == 2
+
+    def test_nan_payoff_fails(self, capsys, monkeypatch):
+        from procurelab import experiments
+
+        monkeypatch.setattr(experiments, "expect_vs", lambda xs, *a, **k: np.full(len(xs), np.nan))
+        code, d = run_json(["verify", "--strategy", "log"], capsys)
+        assert code == 1 and d["pass"] is False
+        failed = [r for r in d["reports"] if not r["pass"]]
+        assert [r["check"] for r in failed] == ["payoff-inequalities"]
+        assert math.isnan(failed[0]["max_violation"])
 
 
 class TestSolveGrid:

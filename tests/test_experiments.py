@@ -1,11 +1,14 @@
 """Tests for the experiment drivers and the verification battery."""
+import dataclasses
 import json
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from procurelab._report import worst_of
 from procurelab._rng import derive_seed, uniform_stream
 from procurelab.equilibria import (
     log_equilibrium,
@@ -93,6 +96,37 @@ class TestReport:
         assert not make_report("c", {}, math.nan, 1e-12).passed
         with pytest.raises(ValueError):
             VerificationReport("c", {}, math.nan, 1e-12, True)
+
+    @pytest.mark.parametrize("pairs, at", [
+        ([(math.nan, "a"), (1.0, "b"), (math.nan, "c")], "a"),
+        ([(1.0, "a"), (math.nan, "b"), (2.0, "c")], "b"),
+        ([(1.0, "a"), (2.0, "b"), (math.nan, "c")], "c"),
+    ], ids=["first", "middle", "last"])
+    def test_worst_of_ranks_nan_on_top(self, pairs, at):
+        top, worst = worst_of(pairs)
+        assert math.isnan(top) and worst == [at]
+
+    def test_worst_of_keeps_the_first_tie(self):
+        assert worst_of([(0.5, "a"), (1.0, "b"), (1.0, "c")]) == (1.0, ["b"])
+        assert worst_of([(np.array([0.5, 2.0, 2.0]), lambda k: k)]) == (2.0, [1])
+
+    def test_worst_of_without_a_positive_violation(self):
+        assert worst_of([]) == (0.0, [])
+        assert worst_of([(0.0, "a"), (-1.0, "b"), (np.zeros(3), lambda k: k)]) == (0.0, [])
+
+    def test_worst_of_hands_the_argmax_to_where(self):
+        seen = []
+
+        def where(k):
+            seen.append(k)
+            return ("bid", k)
+
+        top, worst = worst_of([(np.array([0.1, 0.4, 0.3]), where), (0.2, "scalar"),
+                               (np.array([0.0, 0.5, math.nan, 0.7]), where)])
+        assert seen == [1, 2]  # the first NaN is the largest entry
+        assert math.isnan(top) and worst == [("bid", 2)]
+        top, worst = worst_of([(np.array([0.1, 0.4, 0.3]), where), (0.2, "scalar")])
+        assert type(top) is float and (top, worst) == (0.4, [("bid", 1)])
 
     def test_json_shape(self):
         r = make_report("c", {"n": 3}, 0.5, 1.0, worst=((1, 2),), runtime_s=0.25)
@@ -488,6 +522,91 @@ class TestEquilibriumChecks:
         top, _ = functional_residuals(cases)
         assert top <= 1e-9
 
+    def test_nan_mass_before_a_finite_one_is_the_worst(self):
+        cases = [("bad", SimpleNamespace(total_mass=math.nan)),
+                 ("u", uniform_equilibrium(CFG))]
+        top, worst = experiments.strategy_normalization(cases)
+        assert math.isnan(top) and worst == ["bad"]
+
+
+def _first_nan(a):
+    a = np.array(a, dtype=np.float64)
+    a.flat[0] = math.nan
+    return a
+
+
+# each check whose quantity the nan_battery fixture makes NaN, in part or
+# whole; every other check must still pass
+NAN_CHECKS = {
+    "payoff-conservation", "three-player-agreement", "cutpoint-relations", "map-roundtrips",
+    "equilibrium-inequalities", "curve-quadrature-agreement", "functional-residuals",
+    "critical-map-identity", "joint-value-consistency", "mc-consistency",
+    "solver-certificate-recompute", "projection-gap-ladder", "br-dynamics-no-fixed-point",
+    "value-ladder-desk",
+}
+
+
+@pytest.fixture(scope="module")
+def nan_battery():
+    """One battery run (seed 42) with NaN put into the quantities of NAN_CHECKS.
+
+    Arrays get a NaN first entry among finite ones; scalars become NaN.
+    The faults go in through the module's bindings, so only the battery's
+    calls see them.
+    """
+    import procurelab.experiments as ex
+
+    real = {name: getattr(ex, name) for name in (
+        "payoff_n_batch", "cutpoints3", "maps_p", "expect_vs", "closed_form_curves",
+        "expect_joint", "mc_tournament", "exploitability", "grid_exploitability", "br_dynamics",
+        "value_curve_oracle")}
+
+    def cutpoints(*args):
+        c = real["cutpoints3"](*args)
+        return dataclasses.replace(c, p_y=_first_nan(c.p_y))
+
+    def maps(p, cfg):
+        m = real["maps_p"](p, cfg)
+        return SimpleNamespace(f1=m.f1, f2=m.f2, h1=m.h1, h2=lambda x: math.nan)
+
+    def exact_vs(xs, s, kern, method, side):
+        out = real["expect_vs"](xs, s, kern, method=method, side=side)
+        return _first_nan(out) if method == "exact" else out
+
+    def curves(*args, **kwargs):
+        curve = real["closed_form_curves"](*args, **kwargs)
+        return lambda xs: _first_nan(curve(xs))
+
+    def mc(*args):
+        # one NaN object in both runs, so the rerun still compares equal
+        res = real["mc_tournament"](*args)
+        return dataclasses.replace(res, means=(math.nan,) * len(res.means))
+
+    def last_gap(kern, g, *args):
+        return math.nan if g.size > 801 else real["grid_exploitability"](kern, g, *args)
+
+    patches = {
+        "payoff_n_batch": lambda bids, cfg: _first_nan(real["payoff_n_batch"](bids, cfg)),
+        "cutpoints3": cutpoints,
+        "maps_p": maps,
+        "expect_vs": exact_vs,
+        "closed_form_curves": curves,
+        "functional_residual": lambda *args: math.nan,
+        "expect_joint": lambda *args: dataclasses.replace(real["expect_joint"](*args),
+                                                          value=math.nan),
+        "mc_tournament": mc,
+        "exploitability": lambda *args: math.nan,
+        "grid_exploitability": last_gap,
+        "br_dynamics": lambda *args: dataclasses.replace(real["br_dynamics"](*args),
+                                                         min_winner_payoff=math.nan),
+        "value_curve_oracle": lambda *args: [{**row, "gap": math.nan}
+                                             for row in real["value_curve_oracle"](*args)],
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in patches.items():
+            mp.setattr(ex, name, fn)
+        return ex.run_battery(seed=42)
+
 
 @pytest.fixture(scope="module")
 def faulted_battery():
@@ -557,6 +676,13 @@ class TestBattery:
         by_name = {r.check: r for r in reports}
         assert by_name["payoff-conservation"].passed
         assert by_name["matrix-constant-sum"].passed
+
+    def test_nan_violation_fails_its_check(self, nan_battery):
+        assert [r.check for r in nan_battery] == BATTERY_CHECKS
+        failed = {r.check: r for r in nan_battery if not r.passed}
+        assert set(failed) == NAN_CHECKS
+        for r in failed.values():
+            assert math.isnan(r.max_violation) and "error" not in r.parameters
 
     def test_raising_probe_is_isolated(self, faulted_battery):
         reports = faulted_battery

@@ -168,6 +168,19 @@ class TestExploitability:
         with pytest.raises(DomainError):
             exploitability(MP, (0.7, 0.7), (1, 0))
 
+    def test_nan_mixes_are_rejected(self):
+        with pytest.raises(DomainError, match="row_mix"):
+            exploitability(MP, (math.nan, 1.0), (1, 0))
+        g = make_grid(5, CFG)
+        with pytest.raises(DomainError, match="col_mix"):
+            grid_exploitability(symmetric_kernel(CFG), g, g, np.full(g.size, 1 / g.size),
+                                np.full(g.size, math.nan))
+        for mixes in (((math.nan, 1.0), (1.0,)), ((1.0,), (math.nan,))):
+            with pytest.raises(DomainError, match="distributions"):
+                MatrixGameSolution(0.5, *mixes, 0.0, True)
+        with pytest.raises(DomainError, match="nonnegative"):
+            MatrixGameSolution(0.5, (1.0,), (1.0,), math.nan, True)
+
 
 class TestSolver:
     def test_matching_pennies(self):

@@ -78,6 +78,13 @@ class TestConstruction:
         with pytest.raises(DomainError):
             MixedStrategy((), (Atom(0.5, 0.0),), CFG)
 
+    def test_nan_masses_are_rejected(self):
+        with pytest.raises(DomainError, match="piece weight"):
+            MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 1.0, math.nan),), (), CFG)
+        with pytest.raises(DomainError, match="atom mass"):
+            MixedStrategy((Piece(PieceKind.UNIFORM, 0.0, 1.0, 0.5),),
+                          (Atom(0.5, math.nan),), CFG)
+
     def test_reciprocal_must_avoid_estimate(self):
         with pytest.raises(DomainError):
             MixedStrategy((Piece(PieceKind.RECIPROCAL, 0.0, 1.0, 1.0),), (), CFG)
