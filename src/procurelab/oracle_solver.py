@@ -452,7 +452,7 @@ def project_to_grid(s: MixedStrategy, g: Grid) -> np.ndarray:
     w[0] = F[0]
     w[1:-1] = np.diff(F)
     w[-1] = 1.0 - F[-1]
-    if abs(w.sum() - 1.0) > 1e-12:
+    if not abs(w.sum() - 1.0) <= 1e-12:
         raise DomainError("projected masses fail to sum to 1")
     return np.maximum(w, 0.0)
 

@@ -502,6 +502,12 @@ class TestProjection:
         assert w == pytest.approx(manual, abs=1e-15)
         assert abs(w.sum() - 1.0) <= 1e-12
 
+    def test_nan_cdf_is_rejected(self, monkeypatch):
+        s = log_equilibrium(CFG)
+        monkeypatch.setattr(type(s), "cdf", lambda self, x: np.full(np.shape(x), math.nan))
+        with pytest.raises(DomainError, match="sum to 1"):
+            project_to_grid(s, make_grid(11, CFG))
+
     def test_log_projection_gap_ladder(self):
         # measured gaps: 0.0159, 0.0113, 0.0042, 0.0030
         s = log_equilibrium(CFG)
