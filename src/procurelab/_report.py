@@ -1,4 +1,4 @@
-"""Verification report records and their JSON serialization."""
+"""Verification report records, their JSON serialization and the worst-violation reduction."""
 from __future__ import annotations
 
 import json
