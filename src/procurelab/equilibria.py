@@ -248,11 +248,7 @@ class ClosedFormCurve:
     _fns: tuple[Callable[[np.ndarray], np.ndarray], ...] = field(repr=False, compare=False)
 
     def __call__(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
-        xs = np.asarray(x, dtype=float)
-        if xs.size and not (
-            np.nanmin(xs) >= self.cfg.A and np.nanmax(xs) <= self.cfg.B
-        ):
-            raise DomainError("curve evaluated outside [A, B]")
+        xs = self.cfg.require_bids(x)
         idx = np.searchsorted(np.asarray(self.breakpoints), xs, side="right")
         out = np.empty_like(xs, dtype=float)
         for k, fn in enumerate(self._fns):

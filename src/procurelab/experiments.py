@@ -18,7 +18,6 @@ from .game_core import (
     Side,
     UnsupportedError,
     WeightedKernel,
-    award,
     best_deviation,
     critical_p,
     cutpoints3,
@@ -189,44 +188,19 @@ class DynamicsTrajectory:
     period: Optional[int]
 
 
-def _secured_move(current: list[float], i: int, cfg: MarketConfig, eps: float) -> float:
-    """Winning bid for player i, verified in i's actual slot.
-
-    The verification must use the mover's real position: float summation
-    order shifts the reference price by an ulp between slot orders, and a
-    bid sitting exactly on the price surface can win in one order and lose
-    in the other.
-    """
-    others = current[:i] + current[i + 1 :]
-    star = best_deviation(others, cfg)
-    trial = list(current)
-    trial[i] = star
-    if award(tuple(trial), cfg) == (star, 1):
-        return star
-    # star ties an opponent or sits an ulp off the price; undercut just
-    # enough to win outright.  Halving handles the rare opponent inside
-    # the first epsilon window.
-    e = eps
-    for _ in range(80):
-        cand = max(cfg.A, star - e)
-        trial[i] = cand
-        if award(tuple(trial), cfg) == (cand, 1):
-            return cand
-        e *= 0.5
-    raise DomainError(f"no winning undercut below {star} against {others}")
-
-
 def br_dynamics(start: Sequence[float], steps: int, cfg: MarketConfig) -> DynamicsTrajectory:
     """Round-robin best-response play from a starting profile.
 
-    Each move secures the award (payoff 1), undercutting by eps on exact
-    ties.  A fixed point would need every player to keep its bid through a
-    full round; the trajectory records one if that ever happens.
+    Each move is best_deviation against the other bids in the mover's own
+    slot, so it wins the award outright (payoff 1).  A fixed point would
+    need every player to keep its bid through a full round; the trajectory
+    records one if that ever happens.
 
     A move depends only on the state (profile, next mover), so play stops
     simulating at the first repeated state and fills the remaining
     profiles from the cycle already seen; min_winner_payoff over the
-    replayed steps is its minimum over that cycle.
+    replayed steps is its minimum over that cycle.  A NaN winner payoff is
+    the minimum, as worst_of ranks it.
     """
     if len(start) < 2:
         raise DomainError("need at least two players")
@@ -234,20 +208,19 @@ def br_dynamics(start: Sequence[float], steps: int, cfg: MarketConfig) -> Dynami
         raise DomainError("steps must be positive")
     current = [cfg.require_bid(b) for b in start]
     n = len(current)
-    eps = 1e-6 * (cfg.E - cfg.A)
     profiles = [tuple(current)]
     seen = {(profiles[0], 0): 0}
     unchanged = 0
     fixed_at: Optional[int] = None
     cycle_start: Optional[int] = None
     period: Optional[int] = None
-    min_winner = 1.0
+    winner_payoffs = []
     for t in range(steps):
         i = t % n
-        bid = _secured_move(current, i, cfg, eps)
+        bid = best_deviation(current[:i] + current[i + 1:], i, cfg)
         unchanged = unchanged + 1 if bid == current[i] else 0
         current[i] = bid
-        min_winner = min(min_winner, payoff_n(tuple(current), cfg)[i])
+        winner_payoffs.append(payoff_n(tuple(current), cfg)[i])
         profiles.append(tuple(current))
         # a fixed point repeats its state at exactly this step, so it is
         # tested first to keep fixed_point_step
@@ -261,10 +234,11 @@ def br_dynamics(start: Sequence[float], steps: int, cfg: MarketConfig) -> Dynami
     if period is not None:
         for k in range(len(profiles), steps + 1):
             profiles.append(profiles[k - period])
+    lowest = worst_of((1.0 - w, w) for w in winner_payoffs)[1]
     return DynamicsTrajectory(
         profiles=tuple(profiles),
         fixed_point_step=fixed_at,
-        min_winner_payoff=min_winner,
+        min_winner_payoff=lowest[0] if lowest else 1.0,
         cycle_start=cycle_start,
         period=period,
     )
@@ -551,7 +525,7 @@ def run_battery(
         bad, worst = 0, []
         for n_players in (2, 3, 5):
             for row in float_rows(draw_bids("deviate", 3_334, n_players - 1)):
-                star = best_deviation(row, cfg)
+                star = best_deviation(row, 0, cfg)
                 if payoff_n((star, *row), cfg)[0] != 1.0:
                     bad += 1
                     if len(worst) < 5:

@@ -283,39 +283,53 @@ def payoff_3(x, y, z, cfg: MarketConfig) -> float | np.ndarray:
 # Deviations and thresholds
 
 
-def best_deviation(others: Sequence[float], cfg: MarketConfig) -> float:
-    """The bid that lands on the reference price it induces.
+def best_deviation(others: Sequence[float], i: int, cfg: MarketConfig) -> float:
+    """The bid that wins the award outright in slot i of others[:i] + (bid,) + others[i:].
 
-    Against opponents x_{-i}, bidding (sum(x_{-i}) + N*E) / (2N - 1) makes the
-    completed profile's reference price equal the bid itself, securing the
-    award unless an opponent matches it exactly (the caller then undercuts by
-    a small epsilon).
-
-    The exact quotient has no binary representation, and rounding it up puts
-    the bid an ulp above the price it induces, forfeiting the award.  The
-    result is threshold_t's raw quotient nudged down by at most a few ulps
-    until the completed profile actually awards to it.
-
-    The exact quotient lies strictly inside (A, B), since A < E < B and
-    every opponent bids in [A, B], so a float quotient past an end is
-    rounding (it happens when E sits an ulp from B or from A): it is
-    clipped to [A, B] before the nudge.
+    The one award-securing move: best-response play, the pure scan and
+    deviation-optimality call it.  The slot matters, since float summation
+    order shifts the reference price by an ulp between slot orders.  The
+    bid starts from threshold_t's quotient, the bid equal to the price it
+    induces, clipped to [A, B] (it lies inside in exact arithmetic, so a
+    quotient past an end is rounding).  While it does not win, it steps down
+    an ulp, at most 8 times, stopping at an opponent's bid; then it is
+    undercut by e = 1e-6 * (E - A), halving e up to 80 times.  DomainError
+    if no bid wins.
     """
     star = float(min(max(threshold_t(others, cfg), cfg.A), cfg.B))
     others = tuple(map(float, others))
+    if not 0 <= i <= len(others):
+        raise DomainError(f"slot {i} outside 0..{len(others)}")
+    head, tail = others[:i], others[i:]
+
+    def wins(bid: float) -> bool:
+        return award((*head, bid, *tail), cfg) == (bid, 1)
+
     for _ in range(8):
-        if award((star, *others), cfg) == (star, 1) or star in others:
+        if star in others:
             break
+        if wins(star):
+            return star
         star = math.nextafter(star, cfg.A)
-    return star
+    else:
+        if wins(star):
+            return star
+    e = 1e-6 * (cfg.E - cfg.A)
+    for _ in range(80):
+        cand = max(cfg.A, star - e)
+        if wins(cand):
+            return cand
+        e *= 0.5
+    raise DomainError(f"no winning undercut below {star} against {others} in slot {i}")
 
 
 def threshold_t(others: Sequence[float], cfg: MarketConfig) -> float:
     """Opponents-only threshold: own bids at or below it are at or below P.
 
-    Same quotient as best_deviation but without the award-securing nudge
-    (the two can differ by a few ulps): a classification threshold must not
-    move, while a bid to play must actually win.
+    The quotient (sum(x_{-i}) + N*E) / (2N - 1), unclipped: a
+    classification threshold must not move, while best_deviation, which
+    starts from it, must return a bid that wins (a few ulps lower, or
+    undercut on a tie).
     """
     if len(others) < 1:
         raise DomainError("need at least one opponent")
@@ -633,8 +647,8 @@ def ordering_cells(y: np.ndarray, z: np.ndarray, cfg: MarketConfig) -> OrderingC
     mirrored = z < y
     a = np.where(mirrored, z, y)  # a < b
     b = np.where(mirrored, y, z)
-    p_a = 5.0 * a - 3.0 * cfg.E - b
-    p_b = 5.0 * b - 3.0 * cfg.E - a
+    p_a = np.where(mirrored, cut.p_z, cut.p_y)
+    p_b = np.where(mirrored, cut.p_y, cut.p_z)
     tag = np.where(
         b < cut.t,
         np.where(p_b < a, "O1", "O2"),

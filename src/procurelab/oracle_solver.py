@@ -473,9 +473,9 @@ def pure_ne_scan(N: int, g: Grid) -> list[tuple[float, ...]]:
     """Exhaustive pure-equilibrium scan of the award rule over grid profiles.
 
     A profile survives only if no player can improve by any grid deviation,
-    nor by the continuum best_deviation against the others, nor by an
-    epsilon-undercut of it (the undercut settles exact ties).  The theory
-    says the returned list is empty; the scan does not assume it.
+    nor by the continuum best_deviation against the others in its own slot
+    (its payoff_n at that bid beats its current payoff).  The theory says
+    the returned list is empty; the scan does not assume it.
     """
     cap = _SCAN_CAPS.get(N)
     if cap is None:
@@ -493,26 +493,18 @@ def pure_ne_scan(N: int, g: Grid) -> list[tuple[float, ...]]:
         tensor = pay[:, player].reshape((s,) * N)
         best = tensor.max(axis=player, keepdims=True)
         mask &= (tensor == best).reshape(-1)
-    eps = 1e-6 * (cfg.E - cfg.A)
     out = []
     for flat in np.nonzero(mask)[0]:
-        prof = [float(v) for v in profiles[flat]]
-        if not _continuum_deviation_improves(prof, cfg, eps):
-            out.append(tuple(prof))
+        prof = tuple(float(v) for v in profiles[flat])
+        current = payoff_n(prof, cfg)
+        for i in range(N):
+            head, tail = prof[:i], prof[i + 1:]
+            star = best_deviation(head + tail, i, cfg)
+            if payoff_n((*head, star, *tail), cfg)[i] > current[i]:
+                break
+        else:
+            out.append(prof)
     return out
-
-
-def _continuum_deviation_improves(prof: list[float], cfg: MarketConfig, eps: float) -> bool:
-    current = payoff_n(tuple(prof), cfg)
-    for i in range(len(prof)):
-        others = prof[:i] + prof[i + 1 :]
-        star = best_deviation(others, cfg)
-        for cand in (star, max(cfg.A, star - eps)):
-            trial = list(prof)
-            trial[i] = cand
-            if payoff_n(tuple(trial), cfg)[i] > current[i]:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,14 @@ class TestCurves:
         with pytest.raises(DomainError):
             curve(2.0)
 
+    @pytest.mark.parametrize("kind", [CurveKind.WEIGHTED_ROW, CurveKind.WEIGHTED_COLUMN])
+    def test_nan_bid_is_refused(self, kind):
+        # a NaN among finite bids, or every bid NaN, is not a bid in [A, B]
+        curve = eq.closed_form_curves(kind, 0.3, CFG)
+        for xs in ([0.5, math.nan], [math.nan, math.nan], math.nan):
+            with pytest.raises(DomainError, match="nan outside"):
+                curve(np.array(xs))
+
     def test_fields(self):
         curve = eq.closed_form_curves(CurveKind.WEIGHTED_ROW, 0.3, CFG)
         assert curve.kind is CurveKind.WEIGHTED_ROW and len(curve.breakpoints) == 2

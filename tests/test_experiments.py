@@ -35,9 +35,12 @@ from procurelab.game_core import (
     MarketConfig,
     UnsupportedError,
     WeightedKernel,
+    best_deviation,
     default_config,
+    payoff_n,
     payoff_n_batch,
     symmetric_kernel,
+    threshold_t,
 )
 from procurelab import experiments
 from procurelab.equilibria import critical_regime_strategy
@@ -314,13 +317,11 @@ class TestDynamics:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["default", "other", "translated"])
     @pytest.mark.parametrize("n_players", [2, 3, 4, 5])
     def test_secured_move_wins_in_own_slot(self, cfg, n_players):
-        # ties everywhere: all bids equal (at A, E and B), the mover tied
-        # with an opponent, and an opponent on the threshold the others
-        # induce, so the deviation ties it and must undercut
-        import procurelab.experiments as ex
-
+        # best_deviation, the move of best-response play, against ties
+        # everywhere: all bids equal (at A, E and B), the mover tied with an
+        # opponent, and an opponent on the threshold the others induce, so
+        # the deviation ties it and must undercut
         span = cfg.B - cfg.A
-        eps = 1e-6 * (cfg.E - cfg.A)
         u = uniform_stream(derive_seed(13, "secured", n_players), 40 * n_players)
         profiles = [[b] * n_players for b in (cfg.A, cfg.E, cfg.B)]
         for row in (cfg.A + span * u).reshape(40, n_players).tolist():
@@ -331,10 +332,18 @@ class TestDynamics:
             profiles += [row, tied, [row[0], min(on_t, cfg.B), *rest]]
         for current in profiles:
             for i in range(n_players):
-                bid = ex._secured_move(list(current), i, cfg, eps)
-                trial = list(current)
-                trial[i] = bid
-                assert ex.payoff_n(tuple(trial), cfg)[i] == 1.0, (current, i)
+                head, tail = current[:i], current[i + 1:]
+                bid = best_deviation(head + tail, i, cfg)
+                assert payoff_n((*head, bid, *tail), cfg)[i] == 1.0, (current, i)
+
+    def test_nan_winner_payoff_is_the_minimum(self, monkeypatch):
+        import procurelab.experiments as ex
+
+        monkeypatch.setattr(ex, "payoff_n", lambda bids, cfg: (math.nan,) * len(bids))
+        assert math.isnan(br_dynamics([0.3, 0.7], 200, default_config()).min_winner_payoff)
+        by_name = {r.check: r for r in run_battery(seed=42)}
+        report = by_name["br-dynamics-no-fixed-point"]
+        assert not report.passed and math.isnan(report.max_violation)
 
 
 def reference_br_dynamics(start, steps, cfg):
@@ -343,14 +352,13 @@ def reference_br_dynamics(start, steps, cfg):
 
     current = [cfg.require_bid(b) for b in start]
     n = len(current)
-    eps = 1e-6 * (cfg.E - cfg.A)
     profiles = [tuple(current)]
     unchanged = 0
     fixed_at = None
     min_winner = 1.0
     for t in range(steps):
         i = t % n
-        bid = ex._secured_move(current, i, cfg, eps)
+        bid = ex.best_deviation(current[:i] + current[i + 1:], i, cfg)
         unchanged = unchanged + 1 if bid == current[i] else 0
         current[i] = bid
         min_winner = min(min_winner, ex.payoff_n(tuple(current), cfg)[i])
@@ -392,16 +400,17 @@ class TestDynamicsCycles:
                     assert (traj.cycle_start, traj.period) == (full.cycle_start, full.period)
 
     @pytest.mark.parametrize("move", [
-        lambda current, i: current[i],
-        lambda current, i: min(current),
+        lambda others, i: (0.3, 0.7, 0.5)[i],
+        lambda others, i: min(others),
     ], ids=["keep", "match-lowest"])
     def test_fixed_point_is_reported_before_the_repeat(self, monkeypatch, move):
-        # the game has no pure equilibrium, so a stand-in move rule makes one;
-        # match-lowest reaches its fixed point after a transient, at the very
-        # step its state first repeats
+        # the game has no pure equilibrium, so a stand-in move rule, which
+        # sees only the opponents and the slot, makes one: keep bids the
+        # start again, and match-lowest reaches its fixed point after a
+        # transient, at the very step its state first repeats
         import procurelab.experiments as ex
 
-        monkeypatch.setattr(ex, "_secured_move", lambda current, i, cfg, eps: move(current, i))
+        monkeypatch.setattr(ex, "best_deviation", lambda others, i, cfg: move(others, i))
         start = (0.3, 0.7, 0.5)
         traj = br_dynamics(start, 50, CFG)
         assert traj.fixed_point_step is not None
@@ -409,14 +418,35 @@ class TestDynamicsCycles:
         assert same_as_reference(traj, start, 50, CFG)
 
     def test_battery_starts_cycle_early(self):
-        span = CFG.B - CFG.A
-        for n_players, period in ((2, 46), (3, 75)):
-            for run_idx in range(10):
-                u = uniform_stream(derive_seed(42, "br", n_players, run_idx), n_players)
-                traj = br_dynamics([CFG.A + span * float(x) for x in u], 10_000, CFG)
-                assert traj.period == period
-                assert traj.cycle_start + traj.period <= 189
-                assert len(traj.profiles) == 10_001
+        for n_players, traj in battery_trajectories():
+            assert traj.period == {2: 46, 3: 81}[n_players]
+            assert traj.cycle_start + traj.period <= 189
+            assert len(traj.profiles) == 10_001
+
+    def test_battery_moves_sit_on_the_threshold(self):
+        # each simulated move of the battery's starts is the clipped
+        # threshold or one of the 8 floats under it, unless an opponent bids
+        # one of those 9 and the move undercuts it
+        far = 0
+        for n_players, traj in battery_trajectories():
+            simulated = traj.profiles[:traj.cycle_start + traj.period + 1]
+            for t, (before, after) in enumerate(zip(simulated, simulated[1:])):
+                i = t % n_players
+                others = before[:i] + before[i + 1:]
+                ladder = [min(max(threshold_t(others, CFG), CFG.A), CFG.B)]
+                for _ in range(8):
+                    ladder.append(math.nextafter(ladder[-1], CFG.A))
+                far += after[i] not in ladder and not any(b in ladder for b in others)
+        assert far == 0
+
+
+def battery_trajectories():
+    """(N, trajectory) of br-dynamics-no-fixed-point's 20 starts at seed 42."""
+    span = CFG.B - CFG.A
+    for n_players in (2, 3):
+        for run_idx in range(10):
+            u = uniform_stream(derive_seed(42, "br", n_players, run_idx), n_players)
+            yield n_players, br_dynamics([CFG.A + span * float(x) for x in u], 10_000, CFG)
 
 
 class TestRegionGrid:

@@ -25,6 +25,11 @@ from procurelab.game_core import (
 CFG = default_config()
 
 
+def last_slot_deviation(others, cfg):
+    """best_deviation with the mover after every opponent."""
+    return gc.best_deviation(others, len(others), cfg)
+
+
 def test_config_ordering_enforced():
     with pytest.raises(DomainError):
         MarketConfig(A=1.0, B=1.5, E=0.5)
@@ -136,7 +141,7 @@ class TestScalarAwardRule:
             with pytest.raises(DomainError, match=msg):
                 gc.classify_discontinuity(0, prof, CFG)
             others = prof[1:] if prof[0] == 0.5 else prof
-            for dev in (gc.threshold_t, gc.best_deviation):
+            for dev in (gc.threshold_t, last_slot_deviation):
                 with pytest.raises(DomainError, match=msg):
                     dev(others, CFG)
 
@@ -146,7 +151,7 @@ class TestScalarAwardRule:
                 rule([0.5], CFG)
             with pytest.raises(DomainError, match="at least 2 bids"):
                 rule([], CFG)
-        for dev in (gc.threshold_t, gc.best_deviation):
+        for dev in (gc.threshold_t, last_slot_deviation):
             with pytest.raises(DomainError, match="at least one opponent"):
                 dev([], CFG)
 
@@ -158,7 +163,7 @@ class TestScalarAwardRule:
         B = 206827.85867444094
         cfg = MarketConfig(0.0, B, math.nextafter(B, 0.0))
         assert gc.threshold_t([B] * 5, cfg) > B
-        star = gc.best_deviation([B] * 5, cfg)
+        star = gc.best_deviation([B] * 5, 2, cfg)
         assert type(star) is float and star <= B
         traj = br_dynamics((B,) * 6, 60, cfg)
         assert all(cfg.A <= b <= B for prof in traj.profiles for b in prof)
@@ -166,9 +171,12 @@ class TestScalarAwardRule:
     def test_deviation_on_near_degenerate_markets(self):
         # E an ulp from B (or A) and every opponent at B or E (A or E): the
         # quotient rounds past the end now and then, and the deviation is
-        # still an admissible bid
+        # still an admissible bid that wins in its slot.  On these markets
+        # the reference price rounds by more than E - A, and a tie at the
+        # threshold often leaves no bid that wins outright: then the
+        # deviation raises
         rng = np.random.default_rng(20)
-        outside = 0
+        outside = clipped_wins = 0
         for k in range(2_000):
             A = float(rng.uniform(-1e6, 1e6))
             B = A + float(10.0 ** rng.uniform(-6, 6))
@@ -176,9 +184,19 @@ class TestScalarAwardRule:
             E = math.nextafter(end, A + B - end)
             cfg = MarketConfig(A, B, E)
             others = [end if u < 0.8 else E for u in rng.random(int(rng.integers(1, 7)))]
-            outside += not (A <= gc.threshold_t(others, cfg) <= B)
-            assert A <= gc.best_deviation(others, cfg) <= B
+            past = not (A <= gc.threshold_t(others, cfg) <= B)
+            outside += past
+            for i in range(len(others) + 1):
+                try:
+                    star = gc.best_deviation(others, i, cfg)
+                except DomainError as err:
+                    assert "no winning undercut" in str(err)
+                    continue
+                assert A <= star <= B
+                assert gc.payoff_n(others[:i] + [star] + others[i:], cfg)[i] == 1.0
+                clipped_wins += past
         assert outside >= 5  # the sweep does reach quotients past an end
+        assert clipped_wins >= 5  # and clipped deviations that win
 
     def test_bid_types_give_the_float_tuple(self):
         profiles = ([0.75, 0.25], [1.0, 1.1], [0.7, 0.7], [0.5, 0.9, 1.25], [1.0, 0.0, 0.5, 1.5],
@@ -194,7 +212,7 @@ class TestScalarAwardRule:
                 if all(b == int(b) for b in prof):
                     assert rule([int(b) for b in prof], CFG) == want
             others = prof[1:]
-            for dev in (gc.threshold_t, gc.best_deviation):
+            for dev in (gc.threshold_t, last_slot_deviation):
                 want = dev(others, CFG)
                 assert type(want) is float
                 assert dev(np.array(others), CFG) == want
@@ -351,22 +369,30 @@ class TestScalarPayoffs:
 class TestDeviation:
     def test_two_player_formula(self):
         # (y + 2E) / 3 for a single opponent
-        assert gc.best_deviation([0.8], CFG) == pytest.approx((0.8 + 2.0) / 3.0)
+        for i in (0, 1):
+            assert gc.best_deviation([0.8], i, CFG) == pytest.approx((0.8 + 2.0) / 3.0)
 
     def test_deviation_wins(self):
         rng = np.random.default_rng(15)
         for _ in range(2000):
             n = int(rng.integers(2, 6))
             others = list(rng.uniform(0.0, 1.5, n - 1))
-            star = gc.best_deviation(others, CFG)
-            assert CFG.A < star < CFG.B
-            g = gc.payoff_n([star] + others, CFG)[0]
-            assert g == 1.0 or any(b == star for b in others)
+            for i in range(n):
+                star = gc.best_deviation(others, i, CFG)
+                assert CFG.A < star < CFG.B
+                assert gc.payoff_n(others[:i] + [star] + others[i:], CFG)[i] == 1.0
+
+    def test_slot_is_required_and_checked(self):
+        with pytest.raises(TypeError):
+            gc.best_deviation([0.8], CFG)
+        for i in (-1, 2):
+            with pytest.raises(DomainError, match="slot"):
+                gc.best_deviation([0.8], i, CFG)
 
     def test_threshold_matches_deviation(self):
         # same quotient; the deviation may sit a few ulps lower
         t = gc.threshold_t([0.4, 0.9], CFG)
-        star = gc.best_deviation([0.4, 0.9], CFG)
+        star = gc.best_deviation([0.4, 0.9], 1, CFG)
         assert t == pytest.approx(star, abs=1e-12)
         assert gc.threshold_t([0.2], CFG) == pytest.approx(2.2 / 3.0, abs=1e-15)
         assert gc.threshold_t([1.0, 1.0], CFG) == pytest.approx(1.0, abs=1e-15)
