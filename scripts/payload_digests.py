@@ -33,6 +33,10 @@ The payloads are:
 * ``grid/p=<p>,n=<n>``: the ``value_curve_oracle`` row, as sorted-key JSON,
   of the benchmark's grid-ladder solves (p*, 0.3 and 0.1 at n = 401, 801
   and 1601 on the default market);
+* ``landmarks/market=<market>,p=<p>``: the raw float64 bytes of
+  ``regime_breakpoints`` at p in {0.3, 0.1, 0.05, 0.01, 1e-4} on the default
+  market and its five affine images, the grid landmarks of both the
+  intermediate and the low-p regime;
 * ``grid/solve,...``: the ``solve_grid_game`` result (value, both mixes,
   certificate and converged flag) as JSON, for the p = 0.3 kernel at
   n = 401 on the five affine images of the default market and on
@@ -97,6 +101,7 @@ BR_START = (0.2, 0.9, 1.3)
 MATRIX_SHAPES = ((1601, 1601), (7, 70_000), (70_000, 1))
 GRID_MARKETS = ((0.0, 1.5e-6, 1e-6), (-3.0, 0.0, -1.0), (0.2, 2.0, 1.1), (0.0, 1.5e6, 1e6),
                 (1e6, 1e6 + 1.5, 1e6 + 1), (0.0, 1.5, 0.003))
+LANDMARK_P = (0.3, 0.1, 0.05, 0.01, 1e-4)
 
 
 def digest(data: bytes) -> str:
@@ -149,8 +154,8 @@ def main(argv: list[str]) -> int:
     from procurelab.experiments import br_dynamics, mc_tournament, run_battery
     from procurelab.game_core import (MarketConfig, Side, WeightedKernel, critical_p,
                                       default_config)
-    from procurelab.oracle_solver import (ddpm_probe, make_grid, solve_grid_game,
-                                          value_curve_oracle)
+    from procurelab.oracle_solver import (ddpm_probe, make_grid, regime_breakpoints,
+                                          solve_grid_game, value_curve_oracle)
     from procurelab.strategy import (Atom, MixedStrategy, Piece, PieceKind, expect_joint,
                                      expect_vs)
     from perfbench.workloads import cli_args, equilibrium_scan
@@ -182,6 +187,10 @@ def main(argv: list[str]) -> int:
             (row,) = value_curve_oracle([p], default_config(), [n])
             print(f"grid/p={p!r},n={n} {digest(json.dumps(row, sort_keys=True).encode())}")
     cfg = default_config()
+    for market in ((cfg.A, cfg.B, cfg.E), *GRID_MARKETS[:5]):
+        for p in LANDMARK_P:
+            marks = np.array(regime_breakpoints(p, MarketConfig(*market)), dtype=np.float64)
+            print(f"landmarks/market={market},p={p!r} {digest(marks.tobytes())}")
 
     def solve_digest(market: tuple, p: float, nx: int, ny: int) -> None:
         mcfg = MarketConfig(*market)

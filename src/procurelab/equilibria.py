@@ -34,7 +34,6 @@ __all__ = [
     "log_equilibrium",
     "weighted_equilibrium",
     "critical_regime_strategy",
-    "regime_partition",
     "ValueReport",
     "value_weighted",
     "CurveKind",
@@ -106,60 +105,6 @@ def critical_regime_strategy(cfg: MarketConfig) -> MixedStrategy:
     for lo, hi in zip(seq.a_check[:3], seq.a_check[1:4]):
         thirds.append(Piece(PieceKind.UNIFORM, lo, hi, 1.0 / 3.0))
     return MixedStrategy(tuple(thirds), (), cfg).validate()
-
-
-def _intermediate_partition(p: float, cfg: MarketConfig) -> tuple[tuple[float, float], ...]:
-    seq = weighted_sequences(p, 3, cfg)
-    bounds = (
-        cfg.A,
-        seq.c_check[1],
-        seq.a_check[1],
-        seq.c_check[2],
-        seq.a_check[2],
-        seq.d_check[1],
-    )
-    return tuple(zip(bounds, bounds[1:]))
-
-
-def _low_p_partition(p: float, cfg: MarketConfig) -> tuple[tuple[float, float], ...]:
-    # Alternating check-A / hat-D cells. The i-th hat-D index is offset by
-    # m+1, which keeps every bound inside (A, E); sorted order has real gaps.
-    m = low_p_m(p, cfg)
-    seq = weighted_sequences(p, 2 * m + 2, cfg)
-    cells = []
-    for i in range(m + 2):
-        if i % 2 == 1:
-            cells.append((seq.a_check[i], seq.d_hat[m + 1 + i]))
-        else:
-            cells.append((seq.d_hat[m + 1 + i], seq.a_check[i + 1]))
-    cells.append((seq.a_check[m + 2], seq.d_check[1]))
-    cells.sort()
-    return tuple(cells)
-
-
-def regime_partition(p: float, cfg: MarketConfig) -> tuple[tuple[float, float], ...]:
-    """Check-A, check-C, hat-D and check-D cells of the regime, sorted ascending.
-
-    These are not the support of an equilibrium (weighted_equilibrium is the
-    equilibrium for every p in (0, 1/2]); their edges serve as grid landmarks
-    in oracle_solver.regime_breakpoints, where they sharpen the grid values.
-    """
-    reg = regime(p)
-    if reg is Regime.INTERMEDIATE:
-        cells = _intermediate_partition(p, cfg)
-    elif reg is Regime.LOW_P:
-        cells = _low_p_partition(p, cfg)
-    else:
-        raise DomainError(f"no interval family in the {reg.value} regime")
-    prev_hi = cfg.A
-    for lo, hi in cells:
-        # collapsed or out-of-order cells mean the sequences have gone bad
-        if not (prev_hi <= lo < hi):
-            raise DomainError(f"degenerate partition cell [{lo}, {hi}) at p={p}")
-        prev_hi = hi
-    if prev_hi > cfg.E:
-        raise DomainError(f"partition escapes [A, E) at p={p}")
-    return cells
 
 
 # ---------------------------------------------------------------------------

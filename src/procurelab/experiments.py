@@ -439,7 +439,7 @@ def run_battery(
             reports.append(build())
         except Exception as exc:  # isolation is the contract here
             reports.append(VerificationReport(name, {**params, "error": repr(exc)}, math.inf,
-                                              tol, False, (), time.perf_counter() - t0))
+                                              tol, (), time.perf_counter() - t0))
 
     def run(name: str, params: dict, tol: float, fn: Callable[[], tuple[float, list]]):
         def build() -> VerificationReport:
@@ -556,11 +556,12 @@ def run_battery(
         for i in range(0, len(axis), band):
             y, z = (g.ravel() for g in np.meshgrid(axis[i:i + band], axis, indexing="ij"))
             cells = ordering_cells(y, z, cfg)
-            t = cutpoints3(y, z, cfg).t
+            cut = cutpoints3(y, z, cfg)
+            t = cut.t
             a = np.where(cells.mirrored, z, y)
             b = np.where(cells.mirrored, y, z)
-            p_a = 5.0 * a - 3.0 * cfg.E - b
-            p_b = 5.0 * b - 3.0 * cfg.E - a
+            p_a = np.where(cells.mirrored, cut.p_z, cut.p_y)
+            p_b = np.where(cells.mirrored, cut.p_y, cut.p_z)
             patterns = (
                 [p_a, p_b, a, b, t],
                 [p_a, a, p_b, b, t],

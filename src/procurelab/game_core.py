@@ -384,7 +384,9 @@ def sym_sequence_A(i: int, cfg: MarketConfig) -> float:
     return cfg.E - (cfg.E - cfg.A) / 3.0**i
 
 
-_SEQ_I_MAX = 64
+# low_p_m counts m up to _M_MAX; regime_breakpoints reads d_hat up to 2m + 2
+_M_MAX = 64
+_SEQ_I_MAX = 2 * _M_MAX + 2
 
 
 @dataclass(frozen=True)
@@ -473,15 +475,9 @@ def low_p_m(p: float, cfg: MarketConfig) -> int:
     """Largest i with a_check[2+i] <= d_check[1]; >= 1 throughout the regime."""
     if regime(p) is not Regime.LOW_P:
         raise DomainError(f"p={p} is not in the low-p regime")
-    maps = maps_p(p, cfg)
-    d1 = (2.0 * cfg.E + p * (1.0 - p) * cfg.A) / ((2.0 - p) * (p + 1.0))
-    a = cfg.A
-    for _ in range(3):
-        a = maps.f2(a)
-    m = 0
-    while a <= d1 and m < _SEQ_I_MAX:
-        m += 1
-        a = maps.f2(a)
+    seq = weighted_sequences(p, _M_MAX + 2, cfg)
+    d1 = seq.d_check[1]
+    m = next((k for k, a in enumerate(seq.a_check[3:]) if not a <= d1), _M_MAX)
     if m < 1:
         raise DomainError(f"no admissible m at p={p}; regime guarantee violated")
     return m

@@ -29,6 +29,7 @@ from .game_core import (
     best_deviation,
     classify_discontinuity,
     kernel_cutpoints,
+    low_p_m,
     payoff_n,
     payoff_n_batch,
     payoff_n_tilde,
@@ -37,7 +38,7 @@ from .game_core import (
     threshold_t,
     weighted_sequences,
 )
-from .equilibria import regime_partition, value_weighted
+from .equilibria import value_weighted
 from .strategy import MixedStrategy
 
 __all__ = [
@@ -107,20 +108,38 @@ def make_grid(
 
 
 def regime_breakpoints(p: float, cfg: MarketConfig) -> tuple[float, ...]:
-    """Interior landmarks of the regime's equilibrium support, for grids."""
+    """Interior grid landmarks at weight p, from the weighted sequences.
+
+    - symmetric (p = 1/2): A_1, A_2 and A_3;
+    - critical (p*): a_check[1..3], the critical strategy's cell ends;
+    - intermediate: c_check[1..2], a_check[1..2] and d_check[1];
+    - low p, with m = low_p_m(p, cfg): a_check at the odd indices up to
+      m + 2, a_check[m + 2], d_hat[m + 1 .. 2m + 2] and d_check[1].
+
+    The last two lists come sorted, deduplicated and without A.  d_check[1]
+    ends weighted_equilibrium's support; the other points sharpen the grid
+    values.
+    """
     reg = regime(p)
     if reg is Regime.DEGENERATE:
         raise DomainError("no breakpoints in the degenerate regime")
     if reg is Regime.SYMMETRIC:
         return tuple(sym_sequence_A(i, cfg) for i in (1, 2, 3))
     if reg is Regime.CRITICAL:
-        # the critical strategy's cell ends.  d_check[1] equals a_check[3]
-        # at p* but sits an ulp away in floats: listed too, it put a twin
-        # point on every critical grid; listed instead, it made HiGHS 1.12
-        # presolve segfault at (0, 1.5, 1.4), n = 1601
+        # d_check[1] equals a_check[3] at p* but sits an ulp away in floats:
+        # listed too, it put a twin point on every critical grid; listed
+        # instead, it made HiGHS 1.12 presolve segfault at (0, 1.5, 1.4),
+        # n = 1601
         return weighted_sequences(p, 3, cfg).a_check[1:4]
-    bounds = sorted({b for cell in regime_partition(p, cfg) for b in cell})
-    return tuple(b for b in bounds if b != cfg.A)
+    if reg is Regime.INTERMEDIATE:
+        seq = weighted_sequences(p, 3, cfg)
+        marks = (*seq.c_check[1:3], *seq.a_check[1:3], seq.d_check[1])
+    else:
+        m = low_p_m(p, cfg)
+        seq = weighted_sequences(p, 2 * m + 2, cfg)
+        marks = (*seq.a_check[1:m + 3:2], seq.a_check[m + 2], *seq.d_hat[m + 1:],
+                 seq.d_check[1])
+    return tuple(b for b in sorted(set(marks)) if b != cfg.A)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,12 @@ class TestSolveGrid:
         assert d["value"] == pytest.approx(0.372519372552, abs=1e-6)
         assert d["exploitability"] <= 1e-6
 
+    def test_tiny_weight_solves(self, capsys):
+        # m = 38 here, so the landmarks read d_hat up to index 78
+        code, d = run_json(["solve-grid", "--p", "1e-12", "--n", "101"], capsys)
+        assert code == 0 and d["converged"] is True
+        assert d["grid_n"] > 101
+
     def test_certificate_miss_exits_1(self, capsys, monkeypatch):
         _miss_every_certificate(monkeypatch)
         code, out, err = run_cli(["solve-grid", "--p", "0.3", "--n", "11"], capsys)

@@ -130,40 +130,6 @@ class TestEquilibriumInequalities:
             assert j.value == pytest.approx(eq.value_weighted(p).v, abs=1e-6)
 
 
-class TestRegimeFamily:
-    def test_intermediate_partition_frozen(self):
-        cells = eq.regime_partition(0.3, CFG)
-        bounds = [cells[0][0]] + [hi for _, hi in cells]
-        expect = [0.0, 230.0 / 867.0, 10.0 / 17.0, 10280.0 / 14739.0, 240.0 / 289.0, 200.0 / 221.0]
-        assert bounds == pytest.approx(expect, abs=1e-12)
-
-    def test_low_p_partition_has_gaps(self):
-        cells = eq.regime_partition(0.1, CFG)
-        assert len(cells) == 5  # m = 2
-        seq = weighted_sequences(0.1, 6, CFG)
-        assert cells[0][0] == pytest.approx(seq.d_hat[3])
-        assert cells[0][1] == pytest.approx(seq.a_check[1])
-        assert cells[-1] == pytest.approx((seq.a_check[4], seq.d_check[1]))
-        # strictly positive gaps between cells 2-3 and 4-5
-        assert cells[2][0] > cells[1][1] + 1e-3
-        assert cells[4][0] > cells[3][1] + 1e-3
-
-    def test_low_p_cell_counts(self):
-        assert len(eq.regime_partition(0.05, CFG)) == 6  # m = 3
-        assert len(eq.regime_partition(P_STAR - 1e-4, CFG)) == 4  # m = 1
-
-    def test_partition_regime_guard(self):
-        for p in (0.5, P_STAR, 0.0):
-            with pytest.raises(DomainError):
-                eq.regime_partition(p, CFG)
-
-    def test_partition_other_config(self):
-        cfg2 = MarketConfig(0.2, 2.0, 1.1)
-        for p in (0.3, 0.1):
-            cells = eq.regime_partition(p, cfg2)
-            assert cfg2.A <= cells[0][0] and cells[-1][1] < cfg2.E
-
-
 class TestValue:
     def test_anchors(self):
         assert eq.value_weighted(0.5).v == pytest.approx(0.5, abs=1e-12)

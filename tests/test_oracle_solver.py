@@ -24,7 +24,7 @@ from procurelab.game_core import (
     threshold_t,
     weighted_sequences,
 )
-from procurelab.equilibria import log_equilibrium, regime_partition, weighted_equilibrium
+from procurelab.equilibria import log_equilibrium, weighted_equilibrium
 from procurelab.oracle_solver import (
     Grid,
     MatrixGameSolution,
@@ -648,13 +648,44 @@ class TestRegimeBreakpoints:
         marks = np.array(regime_breakpoints(critical_p(), cfg))
         assert (np.diff(marks) > 1e-9 * (cfg.E - cfg.A)).all()
 
+    # the edges of the check-A, check-C, hat-D and check-D cells, at the
+    # sequence indices of each regime (m = 2 at p = 0.1)
+    CELL_EDGES = {
+        0.3: lambda seq: {*seq.c_check[1:3], *seq.a_check[1:3], seq.d_check[1]},
+        0.1: lambda seq: {seq.a_check[1], seq.a_check[3], seq.a_check[4], *seq.d_hat[3:7],
+                          seq.d_check[1]},
+    }
+
     @pytest.mark.parametrize("p", [0.3, 0.1])
     def test_interval_regimes_cover_partition(self, p):
-        marks = regime_breakpoints(p, CFG)
-        bounds = {b for cell in regime_partition(p, CFG) for b in cell} - {CFG.A}
-        assert set(marks) == bounds
-        assert list(marks) == sorted(marks)
-        assert all(CFG.A < m < CFG.E for m in marks)
+        for cfg in (CFG, MarketConfig(0.2, 2.0, 1.1)):
+            marks = regime_breakpoints(p, cfg)
+            assert marks == tuple(sorted(self.CELL_EDGES[p](weighted_sequences(p, 6, cfg))))
+            assert cfg.A < marks[0] and marks[-1] < cfg.E
+
+    def test_intermediate_landmarks_frozen(self):
+        expect = [230.0 / 867.0, 10.0 / 17.0, 10280.0 / 14739.0, 240.0 / 289.0, 200.0 / 221.0]
+        assert regime_breakpoints(0.3, CFG) == pytest.approx(expect, abs=1e-12)
+
+    def test_low_p_landmarks_have_gaps(self):
+        marks = regime_breakpoints(0.1, CFG)
+        seq = weighted_sequences(0.1, 6, CFG)
+        assert marks[:2] == (seq.d_hat[3], seq.a_check[1])
+        assert marks[-1] == seq.d_check[1]
+        assert np.diff(marks).min() > 1e-3
+
+    def test_low_p_landmark_counts(self):
+        assert len(regime_breakpoints(0.1, CFG)) == 8  # m = 2
+        assert len(regime_breakpoints(0.05, CFG)) == 9  # m = 3
+        assert len(regime_breakpoints(critical_p() - 1e-4, CFG)) == 6  # m = 1
+
+    def test_low_p_landmarks_far_from_the_origin(self):
+        # the sequences of this market round by 1e-10 near E; sorted, their
+        # points stay inside (A, E) without forming ordered cells
+        cfg = MarketConfig(1e6, 1e6 + 1.5, 1e6 + 1)
+        marks = np.array(regime_breakpoints(1e-9, cfg))
+        assert (np.diff(marks) > 0).all()
+        assert cfg.A < marks[0] and marks[-1] < cfg.E
 
     def test_degenerate_refused(self):
         with pytest.raises(DomainError):
