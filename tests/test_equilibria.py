@@ -19,6 +19,7 @@ from procurelab.game_core import (
     sym_sequence_A,
     weighted_sequences,
 )
+from procurelab.oracle_solver import regime_breakpoints
 from procurelab.strategy import MixedStrategy, Piece, PieceKind
 
 CFG = default_config()
@@ -128,6 +129,24 @@ class TestEquilibriumInequalities:
             w = eq.weighted_equilibrium(p, CFG)
             j = st.expect_joint(w, w, WeightedKernel(p, CFG))
             assert j.value == pytest.approx(eq.value_weighted(p).v, abs=1e-6)
+
+
+class TestRegimeFamily:
+    def test_partition_regime_guard(self):
+        # p = 1/2 and p* have landmarks of their own; the degenerate weight
+        # and weights below 0 are refused
+        assert regime_breakpoints(0.5, CFG) == tuple(sym_sequence_A(i, CFG) for i in (1, 2, 3))
+        assert regime_breakpoints(P_STAR, CFG) == weighted_sequences(P_STAR, 3, CFG).a_check[1:4]
+        for p in (0.0, -0.1):
+            with pytest.raises(DomainError):
+                regime_breakpoints(p, CFG)
+
+    def test_partition_other_config(self):
+        cfg2 = MarketConfig(0.2, 2.0, 1.1)
+        for p in (0.3, 0.1):
+            marks = np.array(regime_breakpoints(p, cfg2))
+            assert (np.diff(marks) > 0).all()
+            assert cfg2.A < marks[0] and marks[-1] < cfg2.E
 
 
 class TestValue:
