@@ -34,9 +34,11 @@ The payloads are:
   of the benchmark's grid-ladder solves (p*, 0.3 and 0.1 at n = 401, 801
   and 1601 on the default market);
 * ``landmarks/market=<market>,p=<p>``: the raw float64 bytes of
-  ``regime_breakpoints`` at p in {0.3, 0.1, 0.05, 0.01, 1e-4} on the default
-  market and its five affine images, the grid landmarks of both the
-  intermediate and the low-p regime;
+  ``regime_breakpoints`` at p in {0.3, 0.1, 0.05, 0.01, 1e-4, 1e-12} on the
+  default market and its five affine images, the grid landmarks of both the
+  intermediate and the low-p regime (at 1e-12, m = 38 on every market);
+* ``regimes/p=<p>``: ``value_weighted(p).to_json()`` at p in {0.1, 1e-4,
+  1e-9, 1e-13, 1e-16}, which pins the low-p count m;
 * ``grid/solve,...``: the ``solve_grid_game`` result (value, both mixes,
   certificate and converged flag) as JSON, for the p = 0.3 kernel at
   n = 401 on the five affine images of the default market and on
@@ -101,7 +103,8 @@ BR_START = (0.2, 0.9, 1.3)
 MATRIX_SHAPES = ((1601, 1601), (7, 70_000), (70_000, 1))
 GRID_MARKETS = ((0.0, 1.5e-6, 1e-6), (-3.0, 0.0, -1.0), (0.2, 2.0, 1.1), (0.0, 1.5e6, 1e6),
                 (1e6, 1e6 + 1.5, 1e6 + 1), (0.0, 1.5, 0.003))
-LANDMARK_P = (0.3, 0.1, 0.05, 0.01, 1e-4)
+LANDMARK_P = (0.3, 0.1, 0.05, 0.01, 1e-4, 1e-12)
+REGIME_P = (0.1, 1e-4, 1e-9, 1e-13, 1e-16)
 
 
 def digest(data: bytes) -> str:
@@ -150,7 +153,8 @@ def main(argv: list[str]) -> int:
 
     from procurelab._rng import uniform_stream
     from procurelab.equilibria import (critical_regime_strategy, log_equilibrium,
-                                       uniform_equilibrium, weighted_equilibrium)
+                                       uniform_equilibrium, value_weighted,
+                                       weighted_equilibrium)
     from procurelab.experiments import br_dynamics, mc_tournament, run_battery
     from procurelab.game_core import (MarketConfig, Side, WeightedKernel, critical_p,
                                       default_config)
@@ -191,6 +195,8 @@ def main(argv: list[str]) -> int:
         for p in LANDMARK_P:
             marks = np.array(regime_breakpoints(p, MarketConfig(*market)), dtype=np.float64)
             print(f"landmarks/market={market},p={p!r} {digest(marks.tobytes())}")
+    for p in REGIME_P:
+        print(f"regimes/p={p!r} {digest(value_weighted(p).to_json().encode())}")
 
     def solve_digest(market: tuple, p: float, nx: int, ny: int) -> None:
         mcfg = MarketConfig(*market)

@@ -25,6 +25,8 @@ from .equilibria import (
     weighted_equilibrium,
 )
 from .experiments import (
+    NORMALIZATION_GATE,
+    RESIDUAL_GATE,
     RESIDUAL_POINTS,
     RegionKind,
     br_dynamics,
@@ -267,9 +269,8 @@ def _cmd_verify(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
         kp = critical_p() if name == "critical" else 0.5
     s = _named_strategy(name, kp, cfg)
     v = value_weighted(kp).v
-    reports = [make_report(
-        "normalization", {"strategy": name}, strategy_normalization([(name, s)])[0], 1e-12
-    )]
+    reports = [make_report("normalization", {"strategy": name},
+                           strategy_normalization([(name, s)])[0], NORMALIZATION_GATE)]
     dev, worst = equilibrium_inequalities([(name, s, kp)], np.linspace(cfg.A, cfg.B, grid_n))
     reports.append(make_report(
         "payoff-inequalities", {"grid": grid_n, "value": _sig(v)}, dev, rc.tol, worst
@@ -277,7 +278,7 @@ def _cmd_verify(rc: RunConfig, args: argparse.Namespace) -> tuple[str, int]:
     if name in ("log", "weighted"):
         dev, worst = functional_residuals([(s, kp)])
         reports.append(make_report(
-            "functional-residuals", {"p": kp, "points": RESIDUAL_POINTS}, dev, 1e-9, worst
+            "functional-residuals", {"p": kp, "points": RESIDUAL_POINTS}, dev, RESIDUAL_GATE, worst
         ))
     reports.append(make_report(
         "joint-value", {"strategy": name}, joint_value_consistency([(s, kp)])[0], rc.tol

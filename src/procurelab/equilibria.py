@@ -160,7 +160,7 @@ def value_weighted(p: float) -> ValueReport:
     elif reg is Regime.INTERMEDIATE:
         benchmark = 0.4
     else:
-        m = low_p_m(p, MarketConfig(0.0, 1.5, 1.0))  # m is config independent
+        m = low_p_m(p)
         benchmark = 1.0 / (m + 2)
     return ValueReport(p=p, v=v, regime=reg, m=m, benchmark=benchmark, epsilon_p=benchmark - v)
 

@@ -384,8 +384,9 @@ def sym_sequence_A(i: int, cfg: MarketConfig) -> float:
     return cfg.E - (cfg.E - cfg.A) / 3.0**i
 
 
-# low_p_m counts m up to _M_MAX; regime_breakpoints reads d_hat up to 2m + 2
+# low_p_m counts m <= _M_MAX for p >= _P_MIN; regime_breakpoints reads d_hat to 2m + 2
 _M_MAX = 64
+_P_MIN = 2.0 ** -66
 _SEQ_I_MAX = 2 * _M_MAX + 2
 
 
@@ -393,17 +394,16 @@ _SEQ_I_MAX = 2 * _M_MAX + 2
 class WeightedSequences:
     """Cutpoint sequences of the weighted game, indexed by subscript.
 
-    a_hat[i] iterates f1 from A, a_check[i] iterates f2 from A; c_hat[i] is
-    h1(a_hat[i]) and c_check[i] is h2(a_check[i+1]).  d_hat iterates f2 and
-    d_check iterates f1 from closed-form seeds at index 1; index 0 of both is
-    NaN (no seed exists there).  Early d_hat entries may fall below A; they
-    are reported as computed, and consumers clip to the admissible interval.
+    a_hat[i] iterates f1 from A, a_check[i] iterates f2 from A, and c_check[i]
+    is h2(a_check[i+1]).  d_hat iterates f2 and d_check iterates f1 from
+    closed-form seeds at index 1; index 0 of both is NaN (no seed exists
+    there).  Early d_hat entries may fall below A; they are reported as
+    computed, and consumers clip to the admissible interval.
     """
 
     p: float
     a_hat: tuple[float, ...]
     a_check: tuple[float, ...]
-    c_hat: tuple[float, ...]
     c_check: tuple[float, ...]
     d_hat: tuple[float, ...]
     d_check: tuple[float, ...]
@@ -415,8 +415,7 @@ def weighted_sequences(p: float, i_max: int, cfg: MarketConfig) -> WeightedSeque
     maps = maps_p(p, cfg)
     A, E = cfg.A, cfg.E
 
-    a_hat = [A]
-    a_check = [A]
+    a_hat, a_check = [A], [A]
     for _ in range(i_max + 1):
         a_hat.append(maps.f1(a_hat[-1]))
         a_check.append(maps.f2(a_check[-1]))
@@ -428,16 +427,9 @@ def weighted_sequences(p: float, i_max: int, cfg: MarketConfig) -> WeightedSeque
         d_hat.append(maps.f2(d_hat[-1]))
         d_check.append(maps.f1(d_check[-1]))
 
-    c_hat = tuple(maps.h1(a) for a in a_hat[: i_max + 1])
-    c_check = tuple(maps.h2(a_check[i + 1]) for i in range(i_max + 1))
     return WeightedSequences(
-        p=float(p),
-        a_hat=tuple(a_hat[: i_max + 1]),
-        a_check=tuple(a_check[: i_max + 1]),
-        c_hat=c_hat,
-        c_check=c_check,
-        d_hat=tuple(d_hat),
-        d_check=tuple(d_check),
+        p=float(p), a_hat=tuple(a_hat[: i_max + 1]), a_check=tuple(a_check[: i_max + 1]),
+        c_check=tuple(maps.h2(a) for a in a_check[1:]), d_hat=tuple(d_hat), d_check=tuple(d_check),
     )
 
 
@@ -471,15 +463,21 @@ def regime(p: float) -> Regime:
     return Regime.INTERMEDIATE if p > critical_p() else Regime.LOW_P
 
 
-def low_p_m(p: float, cfg: MarketConfig) -> int:
-    """Largest i with a_check[2+i] <= d_check[1]; >= 1 throughout the regime."""
+def low_p_m(p: float) -> int:
+    """Largest i with a_check[2+i] <= d_check[1]; >= 1 throughout the regime.
+
+    f1 and f2 shrink distances to E by r1 = p/(p+1) and r2 = (1-p)/(2-p), and
+    d_check[1] = f1(a_check[1]): the test reads r2^(1+i) >= r1 on every market.
+    """
     if regime(p) is not Regime.LOW_P:
         raise DomainError(f"p={p} is not in the low-p regime")
-    seq = weighted_sequences(p, _M_MAX + 2, cfg)
-    d1 = seq.d_check[1]
-    m = next((k for k, a in enumerate(seq.a_check[3:]) if not a <= d1), _M_MAX)
-    if m < 1:
-        raise DomainError(f"no admissible m at p={p}; regime guarantee violated")
+    if p < _P_MIN:
+        raise UnsupportedError(f"m > {_M_MAX} at p={p}; smallest supported weight is {_P_MIN!r}")
+    # r2^(1+i) >= r1 exactly, on the integers of p = n/d, from i = 1 up
+    n, d = float(p).as_integer_ratio()
+    m, lhs, rhs = 0, (d - n) ** 2 * (n + d), n * (2 * d - n) ** 2
+    while lhs >= rhs:
+        m, lhs, rhs = m + 1, lhs * (d - n), rhs * (2 * d - n)
     return m
 
 
@@ -606,11 +604,14 @@ class OrderingCell:
 @dataclass(frozen=True)
 class OrderingCells:
     """OrderingCell over arrays of (y, z); boundary marks the pairs that
-    ordering_cell refuses, and their tag is the empty string."""
+    ordering_cell refuses, and their tag is the empty string.  cut holds the
+    pairs' cutpoints and gap the least distance between two of the five."""
 
     tag: np.ndarray
     mirrored: np.ndarray
     boundary: np.ndarray
+    cut: Cutpoints3
+    gap: np.ndarray
 
 
 _JUMP_SIGNS: dict[str, dict[str, int]] = {
@@ -638,7 +639,8 @@ def ordering_cells(y: np.ndarray, z: np.ndarray, cfg: MarketConfig) -> OrderingC
         raise DomainError(f"y and z shapes differ: {y.shape} vs {z.shape}")
     cut = cutpoints3(y, z, cfg)
     ordered = np.sort(np.stack([y, z, cut.t, cut.p_y, cut.p_z], axis=-1), axis=-1)
-    boundary = np.diff(ordered, axis=-1).min(axis=-1) <= HYPERSURFACE_TOL
+    gap = np.diff(ordered, axis=-1).min(axis=-1)
+    boundary = gap <= HYPERSURFACE_TOL
 
     mirrored = z < y
     a = np.where(mirrored, z, y)  # a < b
@@ -650,7 +652,7 @@ def ordering_cells(y: np.ndarray, z: np.ndarray, cfg: MarketConfig) -> OrderingC
         np.where(p_b < a, "O1", "O2"),
         np.where(a < cut.t, "O3", np.where(p_a > b, "O4", "O5")),
     )
-    return OrderingCells(tag=np.where(boundary, "", tag), mirrored=mirrored, boundary=boundary)
+    return OrderingCells(np.where(boundary, "", tag), mirrored, boundary, cut, gap)
 
 
 def ordering_cell(y: float, z: float, cfg: MarketConfig) -> OrderingCell:

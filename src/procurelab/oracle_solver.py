@@ -113,7 +113,7 @@ def regime_breakpoints(p: float, cfg: MarketConfig) -> tuple[float, ...]:
     - symmetric (p = 1/2): A_1, A_2 and A_3;
     - critical (p*): a_check[1..3], the critical strategy's cell ends;
     - intermediate: c_check[1..2], a_check[1..2] and d_check[1];
-    - low p, with m = low_p_m(p, cfg): a_check at the odd indices up to
+    - low p, with m = low_p_m(p): a_check at the odd indices up to
       m + 2, a_check[m + 2], d_hat[m + 1 .. 2m + 2] and d_check[1].
 
     The last two lists come sorted, deduplicated and without A.  d_check[1]
@@ -135,7 +135,7 @@ def regime_breakpoints(p: float, cfg: MarketConfig) -> tuple[float, ...]:
         seq = weighted_sequences(p, 3, cfg)
         marks = (*seq.c_check[1:3], *seq.a_check[1:3], seq.d_check[1])
     else:
-        m = low_p_m(p, cfg)
+        m = low_p_m(p)
         seq = weighted_sequences(p, 2 * m + 2, cfg)
         marks = (*seq.a_check[1:m + 3:2], seq.a_check[m + 2], *seq.d_hat[m + 1:],
                  seq.d_check[1])

@@ -348,6 +348,17 @@ class TestRegimes:
     def test_out_of_range_is_usage_error(self, capsys):
         assert run_cli(["regimes", "--p", "0.7"], capsys)[0] == 2
 
+    def test_tiny_weight_counts_m_exactly(self, capsys):
+        # a_check[2+i] and d_check[1] round together near E here; m does not
+        _, d = run_json(["regimes", "--p", "1e-16"], capsys)
+        assert d["regime"] == "LowP" and d["m"] == 52
+        assert d["benchmark"] == pytest.approx(1.0 / 54.0, abs=1e-12)
+
+    def test_below_smallest_supported_weight_exits_1(self, capsys):
+        code, out, err = run_cli(["regimes", "--p", "1e-25"], capsys)
+        assert code == 1 and out == ""
+        assert repr(2.0**-66) in err
+
 
 class TestSimulate:
     def test_log_pair(self, capsys):

@@ -6,6 +6,7 @@ rules and the map algebra, not read back from the implementation.
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -469,7 +470,6 @@ class TestSequences:
             assert seq.a_check[i + 1] == pytest.approx(maps.f2(seq.a_check[i]), abs=1e-14)
             assert seq.d_hat[i + 1] == pytest.approx(maps.f2(seq.d_hat[i]), abs=1e-14)
             assert seq.d_check[i + 1] == pytest.approx(maps.f1(seq.d_check[i]), abs=1e-14)
-            assert seq.c_hat[i] == pytest.approx(maps.h1(seq.a_hat[i]), abs=1e-14)
             assert seq.c_check[i] == pytest.approx(maps.h2(seq.a_check[i + 1]), abs=1e-12)
 
     def test_monotone_toward_estimate(self):
@@ -516,18 +516,44 @@ class TestRegimes:
             gc.regime(0.51)
 
     def test_low_p_m_values(self):
-        assert gc.low_p_m(0.1, CFG) == 2
-        assert gc.low_p_m(0.05, CFG) == 3
-        assert gc.low_p_m(gc.critical_p() - 1e-4, CFG) == 1
-        # config independence: the defining ratios do not involve A or B
-        other = MarketConfig(A=0.3, B=2.5, E=1.7)
-        for p in (0.02, 0.1, 0.2):
-            assert gc.low_p_m(p, CFG) == gc.low_p_m(p, other)
+        assert gc.low_p_m(0.1) == 2
+        assert gc.low_p_m(0.05) == 3
+        assert gc.low_p_m(gc.critical_p() - 1e-4) == 1
+        assert gc.low_p_m(1e-12) == 38
+        assert gc.low_p_m(1e-16) == 52
+
+    @staticmethod
+    def _exact_m(p: float) -> int:
+        """Largest i with r2^(1+i) >= r1, in exact rationals."""
+        q = Fraction(p)
+        r1, r2 = q / (q + 1), (1 - q) / (2 - q)
+        i, power = 0, r2 * r2
+        while power >= r1:
+            i, power = i + 1, power * r2
+        return i
+
+    def test_low_p_m_is_the_exact_count(self):
+        # at p = 2^-k, log r1 / log r2 lies within about k·2^-k of an
+        # integer, closer than floats can resolve
+        ps = [float(p) for p in np.geomspace(2.8e-20, gc.critical_p(), 200, endpoint=False)]
+        ps += [2.0**-k for k in range(3, 66)]
+        assert [gc.low_p_m(p) for p in ps] == [self._exact_m(p) for p in ps]
 
     def test_low_p_m_domain(self):
         for p in (0.0, 0.3, 0.5, gc.critical_p()):
             with pytest.raises(DomainError):
-                gc.low_p_m(p, CFG)
+                gc.low_p_m(p)
+
+    def test_low_p_m_smallest_supported_weight(self):
+        # m reaches the cap of 64 exactly at p = 2^-66; below it m is 65 or
+        # more, and low_p_m refuses, naming that weight
+        p_min = 2.0**-66
+        assert gc.low_p_m(p_min) == self._exact_m(p_min) == 64
+        below = math.nextafter(p_min, 0.0)
+        assert self._exact_m(below) == 65
+        for p in (below, 1e-25):
+            with pytest.raises(UnsupportedError, match=re.escape(repr(p_min))):
+                gc.low_p_m(p)
 
 
 def _inside(opp: float, ends) -> bool:

@@ -687,6 +687,17 @@ class TestRegimeBreakpoints:
         assert (np.diff(marks) > 0).all()
         assert cfg.A < marks[0] and marks[-1] < cfg.E
 
+    @pytest.mark.parametrize("p, market", [
+        (1.7012542798525858e-15, (0.0, 1.5, 1.0)),
+        (1e-15, (1e6, 1e6 + 1.5, 1e6 + 1)),
+    ])
+    def test_low_p_landmarks_inside_the_bids(self, p, market):
+        # weights where rounded market points give too large an m, whose
+        # d_hat[m + 1] lies below A
+        cfg = MarketConfig(*market)
+        marks = regime_breakpoints(p, cfg)
+        assert all(cfg.A < b <= cfg.B for b in marks)
+
     def test_degenerate_refused(self):
         with pytest.raises(DomainError):
             regime_breakpoints(0.0, CFG)
